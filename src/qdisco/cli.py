@@ -25,7 +25,7 @@ from .errors import ConfigError, QdiscoError
 from .hardware import Fleet, QpuModel, load_calibration
 from .hscore import benchmark_qpu
 from .optimizer import OptimizerConfig, optimize
-from .orchestrator import execute, plan, plan_polynomial, speedup_report
+from .orchestrator import execute, plan, speedup_report
 from .problem import ProblemInstance, parse_problem_json
 from .simulator import QaoaParams, build_qaoa_state, expectation, sample
 
@@ -99,9 +99,23 @@ def _angles_flag(value: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad angle list {value!r}") from exc
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
+def _number(kind: type, value, field: str):
+    """``kind(value)`` for a config field; anything unconvertible is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"config field '{field}' must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from exc
+
+
+def _resolve_seed(explicit: int | None, configured=None) -> int:
+    """The explicit seed, else the config's ``seed``, else QDISCO_SEED, else 0."""
+    if explicit is not None:
+        return explicit
+    if configured is not None:
+        return _number(int, configured, "seed")
     env = os.environ.get("QDISCO_SEED")
     if env is not None:
         try:
@@ -176,25 +190,27 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         qpu = _read_qpu(str(resolve(entry["calibration"])))
         qpus.append(qpu)
         if "prior_hscore" in entry:
-            priors[qpu.name] = float(entry["prior_hscore"])
+            priors[qpu.name] = _number(float, entry["prior_hscore"], f"fleet[{i}].prior_hscore")
     fleet = Fleet(tuple(qpus), priors)
 
-    eta = float(doc.get("eta", 0.01))
+    eta = _number(float, doc.get("eta", 0.01), "eta")
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"config field 'eta' must be in (0, 1], got {eta}")
-    p = int(doc.get("p", 1))
+    p = _number(int, doc.get("p", 1), "p")
     if p < 1:
         raise ConfigError(f"config field 'p' must be >= 1, got {p}")
-    shots = int(doc.get("shots", 1024))
+    shots = _number(int, doc.get("shots", 1024), "shots")
     if shots < 1:
         raise ConfigError(f"config field 'shots' must be >= 1, got {shots}")
-    trajectories = int(doc.get("trajectories", 16))
+    trajectories = _number(int, doc.get("trajectories", 16), "trajectories")
     if trajectories < 1:
         raise ConfigError("config field 'trajectories' must be >= 1")
 
     capacities = None
-    if "capacities" in doc and doc["capacities"] is not None:
-        capacities = tuple(int(c) for c in doc["capacities"])
+    if doc.get("capacities") is not None:
+        if not isinstance(doc["capacities"], list):
+            raise ConfigError("config field 'capacities' must be a list")
+        capacities = tuple(_number(int, c, "capacities") for c in doc["capacities"])
         if not capacities or any(c < 1 for c in capacities):
             raise ConfigError(f"config field 'capacities' must be positive, got {capacities}")
 
@@ -218,47 +234,36 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if not isinstance(hs_doc, dict):
         raise ConfigError("config field 'hscore' must be an object")
 
-    seed = seed_override
-    if seed is None:
-        seed = int(doc["seed"]) if "seed" in doc else None
-    if seed is None:
-        env = os.environ.get("QDISCO_SEED")
-        seed = int(env) if env is not None else 0
-
     return RunConfig(
         problem=problem,
         fleet=fleet,
         eta=eta,
         p=p,
         shots=shots,
-        seed=seed,
+        seed=_resolve_seed(seed_override, doc.get("seed")),
         capacities=capacities,
         noise=bool(doc.get("noise", True)),
         trajectories=trajectories,
         optimizer=optimizer,
         with_hscore=bool(hs_doc.get("enabled", False)),
-        hscore_m_ref=int(hs_doc.get("m_ref", 100)),
+        hscore_m_ref=_number(int, hs_doc.get("m_ref", 100), "hscore.m_ref"),
     )
 
 
 def _build_plan(cfg: RunConfig):
-    if cfg.problem.kind == "maxcut":
-        return plan(
-            cfg.problem.graph,
-            cfg.fleet,
-            cfg.eta,
-            cfg.p,
-            cfg.shots,
-            capacities=list(cfg.capacities) if cfg.capacities else None,
-            seed=cfg.seed,
-        )
-    return plan_polynomial(
-        cfg.problem.polynomial, cfg.fleet, cfg.eta, cfg.p, cfg.shots, seed=cfg.seed
+    return plan(
+        cfg.problem.graph if cfg.problem.graph is not None else cfg.problem.polynomial,
+        cfg.fleet,
+        cfg.eta,
+        cfg.p,
+        cfg.shots,
+        capacities=list(cfg.capacities) if cfg.capacities is not None else None,
+        seed=cfg.seed,
     )
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     instance = _read_problem(args.problem)
     qpu = _read_qpu(args.qpu)
     n = instance.num_spins
@@ -278,7 +283,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     instance = _read_problem(args.problem)
     if instance.kind != "maxcut":
         raise ConfigError("partition requires a graph problem")
@@ -344,7 +349,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     instance = _read_problem(args.problem)
     qpu = _read_qpu(args.qpu)
     cfg = OptimizerConfig(max_evaluations=args.max_evaluations)
@@ -386,7 +391,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     instance = _read_problem(args.problem)
     poly = instance.polynomial
     p = args.layers[0] if len(args.layers) == 1 else None
@@ -511,7 +516,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send further output to devnull and exit 1
+        # (the recipe in Python's signal module documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

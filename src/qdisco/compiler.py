@@ -365,7 +365,8 @@ class Placement:
         }
 
 
-def _ordered_terms(poly: SpinPolynomial) -> list[tuple[float, tuple[int, ...]]]:
+def ordered_terms(poly: SpinPolynomial) -> list[tuple[float, tuple[int, ...]]]:
+    """Deterministic term order used in routing: heaviest first, then support."""
     return sorted(poly.terms, key=lambda t: (-abs(t[0]), t[1]))
 
 
@@ -612,7 +613,7 @@ def map_circuit(poly: SpinPolynomial, region: SamplingRegion) -> Placement:
     if assign is None:
         assign = _greedy_assignment(poly, region)
     initial_map = tuple(assign[l] for l in range(n))
-    schedule, final_map = route_phase_layer(region, initial_map, _ordered_terms(poly))
+    schedule, final_map = route_phase_layer(region, initial_map, ordered_terms(poly))
     swap_count = sum(len(e.swaps) for e in schedule)
     return Placement(
         region=region,
@@ -621,8 +622,3 @@ def map_circuit(poly: SpinPolynomial, region: SamplingRegion) -> Placement:
         final_map=final_map,
         swap_count=swap_count,
     )
-
-
-def ordered_terms(poly: SpinPolynomial) -> list[tuple[float, tuple[int, ...]]]:
-    """Public alias for the deterministic term order used in routing."""
-    return _ordered_terms(poly)

@@ -20,7 +20,6 @@ from .problem import (
     minimum_cost_indices,
 )
 
-MERGE_BRUTE_FORCE_LIMIT = 20
 MERGE_PART_LIMIT = 24
 RECURSION_LIMIT = 8
 DEFAULT_RESTARTS = 8
@@ -296,14 +295,13 @@ def merge_solutions(
     g: ProblemGraph,
     partition: Partition,
     local_solutions: list[SpinAssignment],
-    seed: int = 0,
 ) -> SpinAssignment:
     """Compose part solutions, choosing optimal per-part global flips.
 
     The flip problem reduces to MaxCut over super-vertices whose edge
     weight aggregates cross-part couplings under the local solutions; it is
-    solved exactly by brute force up to MERGE_BRUTE_FORCE_LIMIT parts and
-    by a noiseless QAOA sweep beyond that.
+    solved exactly by brute force over all 2^P flip patterns (P is at most
+    MERGE_PART_LIMIT).
     """
     P = partition.num_parts
     if len(local_solutions) != P:
@@ -341,7 +339,7 @@ def merge_solutions(
     merge_graph = ProblemGraph(
         P, tuple((a, b, w) for (a, b), w in coupling.items() if w != 0.0)
     )
-    flips = _solve_flips(merge_graph, seed)
+    flips = _solve_flips(merge_graph)
 
     merged = tuple(
         spins[v] * flips[partition.assignment[v]] for v in range(g.num_vertices)
@@ -349,35 +347,15 @@ def merge_solutions(
     return SpinAssignment(merged)
 
 
-def _solve_flips(merge_graph: ProblemGraph, seed: int) -> tuple[int, ...]:
-    """Minimize the flip polynomial; exact for small part counts."""
+def _solve_flips(merge_graph: ProblemGraph) -> tuple[int, ...]:
+    """Exact minimizer of the flip polynomial.
+
+    Ties go to the lowest basis index, so keeping every part unflipped wins
+    whenever it is optimal.
+    """
     P = merge_graph.num_vertices
     poly = maxcut_to_spin_polynomial(merge_graph)
     if not poly.terms:
         return tuple(1 for _ in range(P))
-    if P <= MERGE_BRUTE_FORCE_LIMIT:
-        _, indices = minimum_cost_indices(poly)
-        best = int(indices[0])
-        return tuple(1 - 2 * ((best >> i) & 1) for i in range(P))
-    # recursive QAOA on the merge problem (rare: > 20 parts)
-    from .optimizer import OptimizerConfig, optimize
-    from .simulator import build_qaoa_state, sample
-
-    trace = optimize(poly, p=2, evaluator=None, cfg=OptimizerConfig(), seed=seed)
-    state = build_qaoa_state(poly, trace.best_params)
-    counts = sample(state, shots=4096, seed=seed)
-    from .problem import evaluate_cost
-
-    best_key = min(
-        counts.counts,
-        key=lambda k: (
-            evaluate_cost(poly, SpinAssignment.from_bits(k)),
-            -counts.counts[k],
-            k,
-        ),
-    )
-    candidate = SpinAssignment.from_bits(best_key)
-    identity = SpinAssignment(tuple(1 for _ in range(P)))
-    if evaluate_cost(poly, candidate) <= evaluate_cost(poly, identity):
-        return candidate.values
-    return identity.values
+    _, indices = minimum_cost_indices(poly)
+    return SpinAssignment.from_index(int(indices[0]), P).values

@@ -9,7 +9,7 @@ subproblems land on QPUs with higher prior H-Scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._seeds import derive_seed
 from .compiler import (
@@ -21,6 +21,7 @@ from .compiler import (
 )
 from .decomposer import (
     RECURSION_LIMIT,
+    Partition,
     balanced_mincut,
     extract_subproblems,
     merge_solutions,
@@ -33,10 +34,11 @@ from .problem import (
     ProblemGraph,
     SpinAssignment,
     SpinPolynomial,
+    cost_vector,
     evaluate_cost,
     maxcut_to_spin_polynomial,
 )
-from .simulator import NoiseSpec, ShotCounts, noisy_sample
+from .simulator import NoiseSpec, ShotCounts, _split_shots, bitstring_to_index, noisy_sample
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,6 @@ def _qpu_priority(fleet: Fleet, usable: dict[str, int]) -> list[QpuModel]:
     )
 
 
-def _split_evenly(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
 def _covering_prefix(caps: list[int], n: int) -> list[int]:
     """Shortest prefix of the capacity list that covers n vertices."""
     total = 0
@@ -181,7 +178,7 @@ def _qpu_region_set(
 
 
 def plan(
-    problem: ProblemGraph,
+    problem: ProblemGraph | SpinPolynomial,
     fleet: Fleet,
     eta: float,
     p: int,
@@ -191,49 +188,26 @@ def plan(
 ) -> ExecutionPlan:
     """Decide decomposition vs direct execution and assign hardware.
 
-    With explicit ``capacities`` the root is always partitioned to those
-    sizes; otherwise the problem decomposes only while it exceeds every
-    QPU's largest usable region.  Shots are divided evenly across each
-    leaf's regions.
+    ``problem`` is a MaxCut graph or a spin polynomial without graph
+    structure (e.g. LABS).  A polynomial cannot be partitioned, so its plan
+    is direct-only and ``capacities`` are rejected.  With explicit
+    ``capacities`` a graph's root is always partitioned to those sizes;
+    otherwise the problem decomposes only while it exceeds every QPU's
+    largest usable region.  Shots are divided evenly across each leaf's
+    regions.
     """
     if len(fleet) == 0:
         raise ConfigError("fleet must contain at least one QPU")
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    poly = maxcut_to_spin_polynomial(problem)
-    return _plan_common(problem, poly, fleet, eta, p, shots, capacities, seed)
-
-
-def plan_polynomial(
-    poly: SpinPolynomial,
-    fleet: Fleet,
-    eta: float,
-    p: int,
-    shots: int,
-    seed: int = 0,
-) -> ExecutionPlan:
-    """Direct-only plan for problems without graph structure (e.g. LABS)."""
-    if len(fleet) == 0:
-        raise ConfigError("fleet must contain at least one QPU")
-    usable = {q.name: usable_region_size(q, eta) for q in fleet}
-    if poly.num_spins > max(usable.values()):
-        raise CapacityError(
-            f"problem needs {poly.num_spins} qubits but the largest usable "
-            f"region at eta={eta} has {max(usable.values())}; this problem "
-            "kind cannot be decomposed"
-        )
-    root = PlanNode(vertices=tuple(range(poly.num_spins)), polynomial=poly)
-    root = _assign_leaves(root, fleet, usable, eta, shots, seed)
-    return ExecutionPlan(
-        root=root,
-        eta=eta,
-        p=p,
-        shots_per_leaf=shots,
-        qpu_names=tuple(q.name for q in fleet),
-    )
-
-
-def _plan_common(problem, poly, fleet, eta, p, shots, capacities, seed) -> ExecutionPlan:
+    if isinstance(problem, SpinPolynomial):
+        if capacities is not None:
+            raise ConfigError(
+                "capacities need a graph problem; this problem kind cannot be partitioned"
+            )
+        graph, poly = None, problem
+    else:
+        graph, poly = problem, maxcut_to_spin_polynomial(problem)
     usable = {q.name: usable_region_size(q, eta) for q in fleet}
     max_usable = max(usable.values())
     if max_usable < 1:
@@ -242,26 +216,30 @@ def _plan_common(problem, poly, fleet, eta, p, shots, capacities, seed) -> Execu
             f"the threshold filter"
         )
 
-    def derived_capacities() -> list[int]:
-        return [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
-
-    def build(vertices: tuple[int, ...], graph: ProblemGraph, depth: int, force: bool) -> PlanNode:
-        n = graph.num_vertices
+    def build(
+        vertices: tuple[int, ...],
+        poly: SpinPolynomial,
+        graph: ProblemGraph | None,
+        depth: int,
+    ) -> PlanNode:
+        n = poly.num_spins
+        force = depth == 0 and capacities is not None
         if not force and n <= max_usable:
-            return PlanNode(
-                vertices=vertices,
-                polynomial=maxcut_to_spin_polynomial(graph),
-                graph=graph,
+            return PlanNode(vertices=vertices, polynomial=poly, graph=graph)
+        if graph is None:
+            raise CapacityError(
+                f"problem needs {n} qubits but the largest usable region at "
+                f"eta={eta} has {max_usable}; this problem kind cannot be decomposed"
             )
         if depth >= RECURSION_LIMIT:
             raise CapacityError(
                 f"recursion limit {RECURSION_LIMIT} hit; bottleneck: subproblem "
                 f"of {n} vertices exceeds largest usable region ({max_usable})"
             )
-        if force and capacities is not None:
+        if force:
             caps = list(capacities)
         else:
-            caps = derived_capacities()
+            caps = [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
             if sum(caps) < n:
                 # fleet cannot cover this level in one round: split evenly
                 # into max_usable-sized chunks and let batches serialize
@@ -279,21 +257,17 @@ def _plan_common(problem, poly, fleet, eta, p, shots, capacities, seed) -> Execu
             if sub.graph.num_vertices == 0:
                 continue
             child_vertices = tuple(vertices[v] for v in sub.vertices)
-            children.append(build(child_vertices, sub.graph, depth + 1, False))
+            child_poly = maxcut_to_spin_polynomial(sub.graph)
+            children.append(build(child_vertices, child_poly, sub.graph, depth + 1))
         return PlanNode(
             vertices=vertices,
-            polynomial=maxcut_to_spin_polynomial(graph),
+            polynomial=poly,
             graph=graph,
             children=tuple(children),
             partition=part,
         )
 
-    root = build(
-        tuple(range(problem.num_vertices)),
-        problem,
-        0,
-        force=capacities is not None,
-    )
+    root = build(tuple(range(poly.num_spins)), poly, graph, 0)
     root = _assign_leaves(root, fleet, usable, eta, shots, seed)
     return ExecutionPlan(
         root=root,
@@ -313,42 +287,32 @@ def _assign_leaves(
     seed: int,
 ) -> PlanNode:
     """Attach QPU regions to every leaf and split shots evenly."""
-    leaves = root.leaves()
     priority = _qpu_priority(fleet, usable)
     load = {q.name: 0 for q in fleet}
-    assignments_by_id: dict[int, tuple[RegionAssignment, ...]] = {}
+    # leaves partition the root's vertices, so their vertex tuples are unique
+    assignments: dict[tuple[int, ...], tuple[RegionAssignment, ...]] = {}
 
-    if len(leaves) == 1 and leaves[0] is root:
+    if root.is_leaf:
         # direct plan: multi-sample across every QPU that can host the problem
-        leaf = leaves[0]
-        n = leaf.size
-        entries = []
-        all_regions: list[tuple[str, SamplingRegion]] = []
-        for qpu in priority:
-            if usable[qpu.name] < n:
-                continue
-            regions = _qpu_region_set(qpu, eta, n, seed)
-            if regions:
-                all_regions.extend((qpu.name, r) for r in regions)
-        if not all_regions:
+        n = root.size
+        hosted = [
+            (qpu.name, regions)
+            for qpu in priority
+            if usable[qpu.name] >= n and (regions := _qpu_region_set(qpu, eta, n, seed))
+        ]
+        if not hosted:
             raise CapacityError(
                 f"no QPU can host a {n}-qubit region at eta={eta}; bottleneck: "
                 f"largest usable region is {max(usable.values())}"
             )
-        split = _split_evenly(shots, len(all_regions))
-        idx = 0
-        for qpu in priority:
-            mine = [r for name, r in all_regions if name == qpu.name]
-            if not mine:
-                continue
-            counts = split[idx : idx + len(mine)]
-            idx += len(mine)
-            entries.append(
-                RegionAssignment(qpu.name, tuple(mine), tuple(counts))
-            )
-        assignments_by_id[id(leaf)] = tuple(entries)
+        split = _split_shots(shots, sum(len(regions) for _, regions in hosted))
+        entries = []
+        for name, regions in hosted:
+            entries.append(RegionAssignment(name, regions, tuple(split[: len(regions)])))
+            split = split[len(regions) :]
+        assignments[root.vertices] = tuple(entries)
     else:
-        for leaf in sorted(leaves, key=lambda l: (-l.size, l.vertices)):
+        for leaf in sorted(root.leaves(), key=lambda l: (-l.size, l.vertices)):
             n = leaf.size
             hosts = [q for q in priority if usable[q.name] >= n]
             if not hosts:
@@ -371,28 +335,17 @@ def _assign_leaves(
                 raise CapacityError(
                     f"QPU '{qpu.name}' has no connected {n}-qubit region at eta={eta}"
                 )
-            split = _split_evenly(shots, len(regions))
-            assignments_by_id[id(leaf)] = (
-                RegionAssignment(qpu.name, tuple(regions), tuple(split)),
+            split = _split_shots(shots, len(regions))
+            assignments[leaf.vertices] = (
+                RegionAssignment(qpu.name, regions, tuple(split)),
             )
 
-    def rebuild(node: PlanNode) -> PlanNode:
+    def attach(node: PlanNode) -> PlanNode:
         if node.is_leaf:
-            return PlanNode(
-                vertices=node.vertices,
-                polynomial=node.polynomial,
-                graph=node.graph,
-                assignments=assignments_by_id[id(node)],
-            )
-        return PlanNode(
-            vertices=node.vertices,
-            polynomial=node.polynomial,
-            graph=node.graph,
-            children=tuple(rebuild(c) for c in node.children),
-            partition=node.partition,
-        )
+            return replace(node, assignments=assignments[node.vertices])
+        return replace(node, children=tuple(attach(c) for c in node.children))
 
-    return rebuild(root)
+    return attach(root)
 
 
 @dataclass(frozen=True)
@@ -485,10 +438,11 @@ class RunResult:
 
 def _best_bitstring(counts: ShotCounts, poly: SpinPolynomial) -> str:
     """Lowest-cost measured outcome; ties favour higher count, then lex."""
+    costs = cost_vector(poly)
     return min(
         counts.counts,
         key=lambda k: (
-            evaluate_cost(poly, SpinAssignment.from_bits(k)),
+            costs[bitstring_to_index(k)],
             -counts.counts[k],
             k,
         ),
@@ -504,12 +458,13 @@ def _leaf_answer(
     votes: dict[str, int] = {}
     for bits in region_bests:
         votes[bits] = votes.get(bits, 0) + 1
+    costs = cost_vector(poly)
     return min(
         votes,
         key=lambda k: (
             -votes[k],
             -aggregate.get(k, 0),
-            evaluate_cost(poly, SpinAssignment.from_bits(k)),
+            costs[bitstring_to_index(k)],
             k,
         ),
     )
@@ -534,14 +489,11 @@ def execute(
     dominance holds end to end.
     """
     cfg = optimizer_cfg or OptimizerConfig()
-    leaves = plan_.root.leaves()
-    leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
-    outcomes: dict[int, LeafOutcome] = {}
-    solutions: dict[int, SpinAssignment] = {}
+    outcomes: list[LeafOutcome] = []
+    solutions: dict[tuple[int, ...], SpinAssignment] = {}
     references: dict[tuple[str, int], ReferenceDistribution] = {}
 
-    for leaf in leaves:
-        i = leaf_index[id(leaf)]
+    for i, leaf in enumerate(plan_.root.leaves()):
         poly = leaf.polynomial
         trace = optimize(poly, plan_.p, None, cfg, seed=derive_seed(seed, "leaf", i, "opt"))
         region_bests: list[str] = []
@@ -588,43 +540,38 @@ def execute(
                     derive_seed(seed, "leaf-ref", i),
                 )
             report = h_score(accs, references[key])
-        outcomes[id(leaf)] = LeafOutcome(
-            vertices=leaf.vertices,
-            qpus=tuple(a.qpu_name for a in leaf.assignments),
-            num_regions=sum(len(a.regions) for a in leaf.assignments),
-            solution_bits=bits,
-            cost=evaluate_cost(poly, solution),
-            hscore=report,
+        outcomes.append(
+            LeafOutcome(
+                vertices=leaf.vertices,
+                qpus=tuple(a.qpu_name for a in leaf.assignments),
+                num_regions=sum(len(a.regions) for a in leaf.assignments),
+                solution_bits=bits,
+                cost=evaluate_cost(poly, solution),
+                hscore=report,
+            )
         )
-        solutions[id(leaf)] = solution
+        solutions[leaf.vertices] = solution
 
     def resolve(node: PlanNode) -> SpinAssignment:
         if node.is_leaf:
-            return solutions[id(node)]
+            return solutions[node.vertices]
         child_solutions = [resolve(c) for c in node.children]
         assert node.partition is not None and node.graph is not None
-        return merge_solutions(
-            node.graph,
-            node.partition,
-            child_solutions,
-            seed=derive_seed(seed, "merge", *node.vertices),
-        )
+        return merge_solutions(node.graph, node.partition, child_solutions)
 
     merged = resolve(plan_.root)
+    root_poly = plan_.root.polynomial
 
     # end-to-end dominance guard: plain concatenation must never win
     if not plan_.root.is_leaf:
-        concat = [0] * plan_.root.polynomial.num_spins
-        for leaf in leaves:
-            sol = solutions[id(leaf)]
-            for local, parent in enumerate(leaf.vertices):
+        concat = [0] * root_poly.num_spins
+        for vertices, sol in solutions.items():
+            for local, parent in enumerate(vertices):
                 concat[parent] = sol[local]
         concat_assignment = SpinAssignment(tuple(concat))
-        root_poly = plan_.root.polynomial
         if evaluate_cost(root_poly, concat_assignment) < evaluate_cost(root_poly, merged):
             merged = concat_assignment
 
-    root_poly = plan_.root.polynomial
     cost = evaluate_cost(root_poly, merged)
     cut = (
         plan_.root.graph.cut_value(merged.values)
@@ -636,7 +583,7 @@ def execute(
         assignment=merged,
         cost=cost,
         cut_value=cut,
-        leaf_outcomes=tuple(outcomes[id(leaf)] for leaf in leaves),
+        leaf_outcomes=tuple(outcomes),
         wall_units=report.parallel_units,
         speedup=report.speedup,
     )

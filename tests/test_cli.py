@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -283,6 +284,69 @@ class TestSeedHandling:
         )
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def vb_config(tmp_path, **fields):
+    """scenario_vb with absolute paths; a field set to None is removed."""
+    doc = json.loads(data_path("scenario_vb.json").read_text())
+    doc["problem"] = str(data_path(doc["problem"]))
+    for entry in doc["fleet"]:
+        entry["calibration"] = str(data_path(entry["calibration"]))
+    doc.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return str(path)
+
+
+# (field the error line names, config fields to set, environment)
+MALFORMED_CONFIGS = [
+    ("p", {"p": "two"}, {}),
+    ("shots", {"shots": "many"}, {}),
+    ("trajectories", {"trajectories": [8]}, {}),
+    ("eta", {"eta": "small"}, {}),
+    ("prior_hscore", {"fleet": [{"calibration": HEX16, "prior_hscore": "high"}]}, {}),
+    ("seed", {"seed": "seven"}, {}),
+    ("capacities", {"capacities": [4, "five", 6]}, {}),
+    ("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": "lots"}}, {}),
+    ("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "abc"}),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "named, fields, env", MALFORMED_CONFIGS, ids=[row[0] for row in MALFORMED_CONFIGS]
+    )
+    def test_non_numeric_field_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, named, fields, env
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(["plan", "--config", vb_config(tmp_path, **fields)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert re.search(rf"\b{re.escape(named)}'? must be", lines[0])
+
+    def test_labs_with_capacities_is_config_error(self, tmp_path, capsys):
+        path = vb_config(tmp_path, problem=str(data_path("problem_labs6.json")))
+        assert main(["plan", "--config", path]) == 2
+        assert "graph problem" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_without_traceback(self):
+        args = ["simulate", "--problem", TRIANGLE, "--shots", "50", "--seed", "1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "qdisco.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            proc.stdout.close()  # the reader goes away before anything is written
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 class TestEmittedFormatsRoundTrip:

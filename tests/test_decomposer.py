@@ -162,6 +162,20 @@ class TestMergeSolutions:
             # dominance: at least as good as plain concatenation
             assert g.cut_value(merged.values) >= g.cut_value(spins) - 1e-12
 
+    def test_21_singleton_parts_reach_the_maximum_cut(self):
+        # one vertex per part turns the flip problem into MaxCut itself
+        n = 21
+        rng = np.random.default_rng(29)
+        g = random_maxcut_graph(rng, n, 0.15, weighted=True)
+        part = balanced_mincut(g, [1] * n, seed=0)
+        locals_ = [SpinAssignment((int(s),)) for s in rng.choice((-1, 1), n)]
+        merged = merge_solutions(g, part, locals_)
+        index = np.arange(1 << n)
+        cuts = np.zeros(1 << n)
+        for u, v, w in g.edges:
+            cuts += w * (((index >> u) ^ (index >> v)) & 1)
+        assert g.cut_value(merged.values) == pytest.approx(cuts.max())
+
     def test_flip_covariance(self):
         rng = np.random.default_rng(28)
         for trial in range(20):

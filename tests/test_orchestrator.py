@@ -1,9 +1,12 @@
+import typing
+
 import numpy as np
 import pytest
 
 from qdisco.cli import load_run_config
 from qdisco.compiler import SamplingRegion
 from qdisco.datasets import data_path
+from qdisco.decomposer import Partition
 from qdisco.errors import CapacityError, ConfigError
 from qdisco.hardware import ErrorProfile, Fleet, synthesize_topology
 from qdisco.optimizer import OptimizerConfig
@@ -13,7 +16,6 @@ from qdisco.orchestrator import (
     RegionAssignment,
     execute,
     plan,
-    plan_polynomial,
     speedup_report,
     usable_region_size,
 )
@@ -173,11 +175,25 @@ class TestPlanShapes:
     def test_labs_plan_is_direct_only(self):
         poly = labs_to_spin_polynomial(4)
         fleet = small_fleet(n=5)
-        plan_ = plan_polynomial(poly, fleet, eta=1.0, p=1, shots=32, seed=0)
+        plan_ = plan(poly, fleet, eta=1.0, p=1, shots=32, seed=0)
         assert plan_.num_leaves == 1
         big = labs_to_spin_polynomial(8)
         with pytest.raises(CapacityError, match="cannot be decomposed"):
-            plan_polynomial(big, fleet, eta=1.0, p=1, shots=32, seed=0)
+            plan(big, fleet, eta=1.0, p=1, shots=32, seed=0)
+
+    def test_polynomial_plan_validates_like_a_graph_plan(self):
+        poly = labs_to_spin_polynomial(4)
+        with pytest.raises(ConfigError):
+            plan(poly, Fleet(()), eta=1.0, p=1, shots=32)
+        with pytest.raises(ConfigError):
+            plan(poly, small_fleet(n=5), eta=1.0, p=1, shots=0)
+        # a polynomial has no graph to partition
+        with pytest.raises(ConfigError, match="graph problem"):
+            plan(poly, small_fleet(n=5), eta=1.0, p=1, shots=32, capacities=[2, 2])
+
+    def test_plan_node_type_hints_resolve(self):
+        hints = typing.get_type_hints(PlanNode)
+        assert Partition in typing.get_args(hints["partition"])
 
     def test_plan_feasibility_invariants(self):
         # regions in one QPU batch are pairwise disjoint and every leaf's
