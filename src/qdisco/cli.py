@@ -100,14 +100,30 @@ def _angles_flag(value: str) -> tuple[float, ...]:
 
 
 def _number(kind: type, value, field: str):
-    """``kind(value)`` for a config field; anything unconvertible is a ConfigError."""
+    """``kind(value)`` for a config field.
+
+    Anything unconvertible, a JSON boolean, or a fractional value for an
+    integer field is a ConfigError rather than a silent conversion.
+    """
+    message = (
+        f"config field '{field}' must be {'an integer' if kind is int else 'a number'}, "
+        f"got {value!r}"
+    )
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(message)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"config field '{field}' must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}"
-        ) from exc
+        raise ConfigError(message) from exc
+
+
+def _boolean(value, field: str) -> bool:
+    """A config field that must be a JSON boolean (a string like "false" is not)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"config field '{field}' must be true or false, got {value!r}")
+    return value
 
 
 def _resolve_seed(explicit: int | None, configured=None) -> int:
@@ -220,12 +236,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         optimizer = OptimizerConfig(
             method=opt_doc.get("method", "nelder_mead"),
-            max_evaluations=int(opt_doc.get("max_evaluations", 200)),
-            tolerance=float(opt_doc.get("tolerance", 1e-4)),
+            max_evaluations=_number(int, opt_doc.get("max_evaluations", 200), "optimizer.max_evaluations"),
+            tolerance=_number(float, opt_doc.get("tolerance", 1e-4), "optimizer.tolerance"),
             initial=tuple(opt_doc["initial"]) if "initial" in opt_doc else None,
-            grid_resolution=int(opt_doc.get("grid_resolution", 12)),
-            restarts=int(opt_doc.get("restarts", 1)),
-            noisy=bool(opt_doc.get("noisy", False)),
+            grid_resolution=_number(int, opt_doc.get("grid_resolution", 12), "optimizer.grid_resolution"),
+            restarts=_number(int, opt_doc.get("restarts", 1), "optimizer.restarts"),
+            noisy=_boolean(opt_doc.get("noisy", False), "optimizer.noisy"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad optimizer settings: {exc}") from exc
@@ -242,10 +258,10 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         shots=shots,
         seed=_resolve_seed(seed_override, doc.get("seed")),
         capacities=capacities,
-        noise=bool(doc.get("noise", True)),
+        noise=_boolean(doc.get("noise", True), "noise"),
         trajectories=trajectories,
         optimizer=optimizer,
-        with_hscore=bool(hs_doc.get("enabled", False)),
+        with_hscore=_boolean(hs_doc.get("enabled", False), "hscore.enabled"),
         hscore_m_ref=_number(int, hs_doc.get("m_ref", 100), "hscore.m_ref"),
     )
 

@@ -142,31 +142,34 @@ def _greedy_seed(
     rng,
     deterministic: bool,
 ) -> list[int]:
-    """Grow parts one at a time by heaviest attachment to the part so far."""
+    """Grow parts one at a time by heaviest attachment to the part so far.
+
+    Attachments are cached and re-summed, in ``adj`` order, when a neighbour joins.
+    """
     assign = [-1] * n
-    unassigned = set(range(n))
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     for part in order:
         size = targets[part]
-        if size == 0 or not unassigned:
+        pool = [v for v in range(n) if assign[v] < 0]
+        if size == 0 or not pool:
             continue
         if deterministic:
-            start = max(unassigned, key=lambda v: (sum(adj[v].values()), -v))
+            v = max(pool, key=lambda v: (sum(adj[v].values()), -v))
         else:
-            pool = sorted(unassigned)
-            start = pool[int(rng.integers(len(pool)))]
-        assign[start] = part
-        unassigned.discard(start)
-        members = {start}
-        while len(members) < size and unassigned:
-            best_v, best_w = None, -1.0
-            for v in sorted(unassigned):
-                w = sum(wt for u, wt in adj[v].items() if u in members)
-                if w > best_w:
-                    best_v, best_w = v, w
-            assign[best_v] = part
-            unassigned.discard(best_v)
-            members.add(best_v)
+            v = pool[int(rng.integers(len(pool)))]
+        # keys ascend, so max() breaks ties toward the lowest vertex; it has no
+        # floor value, so parts whose attachments are all negative still grow
+        attach = dict.fromkeys(pool, 0)
+        while True:
+            assign[v] = part
+            del attach[v]
+            size -= 1
+            if size == 0 or not attach:
+                break
+            for u in adj[v]:
+                if u in attach:
+                    attach[u] = sum(w for x, w in adj[u].items() if assign[x] == part)
+            v = max(attach, key=attach.__getitem__)
     return assign
 
 
@@ -181,47 +184,60 @@ def _kl_refine(
     Each pass builds a chain of tentative best (possibly negative) gain
     operations with vertex locking, then rolls back to the best prefix.
     Swaps preserve part sizes; moves may rebalance within the capacities.
+
+    Gains come from ``ext[v][p]``, the weight from vertex v to part p, so
+    moving v from part s to d gains ``ext[v][d] - ext[v][s]``.  The table is
+    built each pass; after an operation only the moved vertices' neighbours'
+    rows are summed again, walking ``adj`` in order rather than patching, so
+    every gain is the same float sum as one computed from scratch.
     """
     assign = list(assign)
-    sizes = [0] * len(capacities)
+    num_parts = len(capacities)
+    sizes = [0] * num_parts
     for part in assign:
         sizes[part] += 1
 
-    def gain_move(v: int, dst: int) -> float:
-        src = assign[v]
-        internal = sum(w for u, w in adj[v].items() if assign[u] == src)
-        external = sum(w for u, w in adj[v].items() if assign[u] == dst)
-        return external - internal
-
-    def gain_swap(u: int, v: int) -> float:
-        return gain_move(u, assign[v]) + gain_move(v, assign[u]) - 2.0 * adj[u].get(v, 0.0)
+    def row(v: int) -> list[float]:
+        out = [0] * num_parts
+        for u, w in adj[v].items():
+            out[assign[u]] += w
+        return out
 
     for _ in range(n):
-        locked = [False] * n
+        free = list(range(n))  # unlocked vertices, ascending
         chain: list[tuple[str, int, int, int]] = []
         gains: list[float] = []
         snapshot = list(assign)
+        ext = [row(v) for v in range(n)]
 
         while True:
             best_op = None
-            best_gain = -float("inf")
-            for v in range(n):
-                if locked[v]:
-                    continue
+            # a gain must beat the best so far by more than 1e-12
+            best_gain = threshold = -float("inf")
+            for i, v in enumerate(free):
                 src = assign[v]
-                for dst in range(len(capacities)):
+                ev = ext[v]
+                ev_src = ev[src]
+                for dst in range(num_parts):
                     if dst == src:
                         continue
                     if sizes[dst] < capacities[dst] and sizes[src] > 1:
-                        gv = gain_move(v, dst)
-                        if gv > best_gain + 1e-12:
+                        gv = ev[dst] - ev_src
+                        if gv > threshold:
                             best_gain, best_op = gv, ("move", v, src, dst)
-                for u in range(v + 1, n):
-                    if locked[u] or assign[u] == src:
+                            threshold = best_gain + 1e-12
+                adj_v = adj[v]
+                for u in free[i + 1 :]:
+                    pu = assign[u]
+                    if pu == src:
                         continue
-                    gs = gain_swap(v, u)
-                    if gs > best_gain + 1e-12:
+                    eu = ext[u]
+                    gs = (ev[pu] - ev_src) + (eu[src] - eu[pu])
+                    if u in adj_v:  # subtracting 2.0 * 0.0 would change no sum
+                        gs -= 2.0 * adj_v[u]
+                    if gs > threshold:
                         best_gain, best_op = gs, ("swap", v, u, 0)
+                        threshold = best_gain + 1e-12
             if best_op is None:
                 break
             kind, a, b, dst = best_op
@@ -229,10 +245,14 @@ def _kl_refine(
                 sizes[assign[a]] -= 1
                 assign[a] = dst
                 sizes[dst] += 1
-                locked[a] = True
+                touched = adj[a].keys()
             else:
                 assign[a], assign[b] = assign[b], assign[a]
-                locked[a] = locked[b] = True
+                free.remove(b)
+                touched = adj[a].keys() | adj[b].keys()
+            free.remove(a)
+            for x in touched:
+                ext[x] = row(x)
             chain.append(best_op)
             gains.append(best_gain)
 
@@ -245,7 +265,7 @@ def _kl_refine(
             break
         # roll back operations after the best prefix
         assign = snapshot
-        sizes = [0] * len(capacities)
+        sizes = [0] * num_parts
         for part in assign:
             sizes[part] += 1
         for op in chain[: best_idx + 1]:

@@ -185,3 +185,89 @@ def cut_by_counting(g, spins) -> float:
         if spins[u] * spins[v] < 0:
             total += w
     return total
+
+
+def reference_kl_refine(n, capacities, adj, assign):
+    """Multiway Kernighan-Lin refinement with every gain summed from scratch.
+
+    The package keeps per-vertex part weights and refreshes them as
+    vertices move; this version re-sums the adjacency dicts for each
+    candidate move and swap, with the same scan order, acceptance rule,
+    locking and best-prefix rollback.
+    """
+    assign = list(assign)
+    sizes = [0] * len(capacities)
+    for part in assign:
+        sizes[part] += 1
+
+    def gain_move(v, dst):
+        src = assign[v]
+        internal = sum(w for u, w in adj[v].items() if assign[u] == src)
+        external = sum(w for u, w in adj[v].items() if assign[u] == dst)
+        return external - internal
+
+    def gain_swap(u, v):
+        return gain_move(u, assign[v]) + gain_move(v, assign[u]) - 2.0 * adj[u].get(v, 0.0)
+
+    for _ in range(n):
+        locked = [False] * n
+        chain = []
+        gains = []
+        snapshot = list(assign)
+
+        while True:
+            best_op = None
+            best_gain = -float("inf")
+            for v in range(n):
+                if locked[v]:
+                    continue
+                src = assign[v]
+                for dst in range(len(capacities)):
+                    if dst == src:
+                        continue
+                    if sizes[dst] < capacities[dst] and sizes[src] > 1:
+                        gv = gain_move(v, dst)
+                        if gv > best_gain + 1e-12:
+                            best_gain, best_op = gv, ("move", v, src, dst)
+                for u in range(v + 1, n):
+                    if locked[u] or assign[u] == src:
+                        continue
+                    gs = gain_swap(v, u)
+                    if gs > best_gain + 1e-12:
+                        best_gain, best_op = gs, ("swap", v, u, 0)
+            if best_op is None:
+                break
+            kind, a, b, dst = best_op
+            if kind == "move":
+                sizes[assign[a]] -= 1
+                assign[a] = dst
+                sizes[dst] += 1
+                locked[a] = True
+            else:
+                assign[a], assign[b] = assign[b], assign[a]
+                locked[a] = locked[b] = True
+            chain.append(best_op)
+            gains.append(best_gain)
+
+        if not gains:
+            break
+        prefix, total = [], 0.0
+        for gain in gains:
+            total += gain
+            prefix.append(total)
+        best_idx = max(range(len(prefix)), key=lambda i: (prefix[i], -i))
+        if prefix[best_idx] <= 1e-12:
+            assign = snapshot
+            break
+        assign = snapshot
+        sizes = [0] * len(capacities)
+        for part in assign:
+            sizes[part] += 1
+        for kind, a, b, dst in chain[: best_idx + 1]:
+            if kind == "move":
+                sizes[assign[a]] -= 1
+                assign[a] = dst
+                sizes[dst] += 1
+            else:
+                assign[a], assign[b] = assign[b], assign[a]
+    return assign

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qdisco.cli import main
+from qdisco.cli import load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.hardware import load_calibration
 from qdisco.problem import parse_problem_json
@@ -162,6 +162,15 @@ class TestPartition:
             sub = parse_problem_json((out / f"subproblem_{i}.json").read_text())
             assert sub.kind == "maxcut"
 
+    def test_negative_weights_partition(self, tmp_path, capsys):
+        edges = [[u, v, -3.0] for u in range(4) for v in range(u + 1, 4)]
+        problem = tmp_path / "neg.json"
+        problem.write_text(json.dumps({"num_vertices": 4, "edges": edges}))
+        assert main(["partition", "--problem", str(problem), "--capacities", "2,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["part_sizes"] == [2, 2]
+        assert doc["cut_weight"] == -12.0
+
     def test_infeasible_capacities_domain_error(self, capsys):
         code = main(
             [
@@ -298,24 +307,41 @@ def vb_config(tmp_path, **fields):
     return str(path)
 
 
-# (field the error line names, config fields to set, environment)
+def malformed(named, fields, env=None, id=None):
+    """One row: the field the error line names, config fields to set, environment."""
+    return pytest.param(named, fields, env or {}, id=id or named)
+
+
 MALFORMED_CONFIGS = [
-    ("p", {"p": "two"}, {}),
-    ("shots", {"shots": "many"}, {}),
-    ("trajectories", {"trajectories": [8]}, {}),
-    ("eta", {"eta": "small"}, {}),
-    ("prior_hscore", {"fleet": [{"calibration": HEX16, "prior_hscore": "high"}]}, {}),
-    ("seed", {"seed": "seven"}, {}),
-    ("capacities", {"capacities": [4, "five", 6]}, {}),
-    ("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": "lots"}}, {}),
-    ("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "abc"}),
+    malformed("p", {"p": "two"}),
+    malformed("shots", {"shots": "many"}),
+    malformed("trajectories", {"trajectories": [8]}),
+    malformed("eta", {"eta": "small"}),
+    malformed("prior_hscore", {"fleet": [{"calibration": HEX16, "prior_hscore": "high"}]}),
+    malformed("seed", {"seed": "seven"}),
+    malformed("capacities", {"capacities": [4, "five", 6]}),
+    malformed("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": "lots"}}),
+    malformed("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "abc"}),
+    # booleans are JSON booleans, not strings or numbers
+    malformed("noise", {"noise": "false"}),
+    malformed("hscore.enabled", {"hscore": {"enabled": "no"}}),
+    malformed("optimizer.noisy", {"optimizer": {"noisy": 1}}),
+    # integers are neither truncated nor read from booleans
+    malformed("p", {"p": 2.7}, id="p-fractional"),
+    malformed("shots", {"shots": 300.5}, id="shots-fractional"),
+    malformed("trajectories", {"trajectories": 4.2}, id="trajectories-fractional"),
+    malformed("seed", {"seed": 7.5}, id="seed-fractional"),
+    malformed("capacities", {"capacities": [4, 5.5, 6]}, id="capacities-fractional"),
+    malformed("hscore.m_ref", {"hscore": {"m_ref": 10.5}}, id="hscore.m_ref-fractional"),
+    malformed("optimizer.restarts", {"optimizer": {"restarts": 1.5}}),
+    malformed("p", {"p": True}, id="p-boolean"),
+    malformed("shots", {"shots": True}, id="shots-boolean"),
+    malformed("capacities", {"capacities": [4, True, 6]}, id="capacities-boolean"),
 ]
 
 
 class TestMalformedConfig:
-    @pytest.mark.parametrize(
-        "named, fields, env", MALFORMED_CONFIGS, ids=[row[0] for row in MALFORMED_CONFIGS]
-    )
+    @pytest.mark.parametrize("named, fields, env", MALFORMED_CONFIGS)
     def test_non_numeric_field_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, named, fields, env
     ):
@@ -326,6 +352,12 @@ class TestMalformedConfig:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert re.search(rf"\b{re.escape(named)}'? must be", lines[0])
+
+    def test_integral_floats_are_accepted(self, tmp_path):
+        path = vb_config(tmp_path, p=2.0, shots=300.0, capacities=[4.0, 5.0, 6.0])
+        cfg = load_run_config(path)
+        assert (cfg.p, cfg.shots, cfg.capacities) == (2, 300, (4, 5, 6))
+        assert type(cfg.p) is int
 
     def test_labs_with_capacities_is_config_error(self, tmp_path, capsys):
         path = vb_config(tmp_path, problem=str(data_path("problem_labs6.json")))

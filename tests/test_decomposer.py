@@ -5,6 +5,7 @@ import pytest
 
 from qdisco.decomposer import (
     Partition,
+    _kl_refine,
     balanced_mincut,
     extract_subproblems,
     merge_solutions,
@@ -17,7 +18,7 @@ from qdisco.problem import (
     maxcut_to_spin_polynomial,
 )
 
-from oracles import best_balanced_bipartition, random_maxcut_graph
+from oracles import best_balanced_bipartition, random_maxcut_graph, reference_kl_refine
 
 TWO_TRIANGLES = ProblemGraph(
     6,
@@ -78,6 +79,78 @@ class TestBalancedMincut:
             if part.assignment[u] != part.assignment[v]
         }
         assert {(u, v) for u, v, _ in part.cut_edges} == want
+
+    def test_negative_weights_partition(self):
+        # every greedy attachment to the growing part is below -1
+        k4 = ProblemGraph(4, tuple((u, v, -3.0) for u, v in itertools.combinations(range(4), 2)))
+        part = balanced_mincut(k4, [2, 2], seed=0)
+        assert part.part_sizes == (2, 2)
+        assert len(part.cut_edges) == 4
+
+
+def adjacency(g):
+    adj = [dict() for _ in range(g.num_vertices)]
+    for u, v, w in g.edges:
+        adj[u][v] = adj[u].get(v, 0.0) + w
+        adj[v][u] = adj[v].get(u, 0.0) + w
+    return adj
+
+
+def planted_bipartite(rng, n):
+    """Connected graph whose edges all cross a hidden half/half split."""
+    order = rng.permutation(n)
+    left, right = order[: n // 2], order[n // 2 :]
+    edges = {tuple(sorted((int(a), int(b)))) for a, b in zip(left, right)}
+    edges |= {tuple(sorted((int(a), int(b)))) for a, b in zip(left[1:], right)}
+    while len(edges) < 3 * n // 2:
+        edges.add(tuple(sorted((int(rng.choice(left)), int(rng.choice(right))))))
+    return ProblemGraph(n, tuple((u, v, float(rng.integers(1, 6))) for u, v in edges))
+
+
+def random_start(rng, caps, n):
+    """Random assignment of n vertices within the capacities."""
+    slots = [part for part, c in enumerate(caps) for _ in range(c)]
+    return [int(p) for p in rng.permutation(slots)[:n]]
+
+
+WEIGHT_DRAWS = {
+    "integer": lambda rng: float(rng.integers(1, 6)),
+    "float": lambda rng: float(rng.uniform(0.1, 3.0)),
+    "negative": lambda rng: float(rng.uniform(-3.0, 3.0)),
+}
+
+
+class TestKlRefine:
+    @pytest.mark.parametrize("weights", list(WEIGHT_DRAWS))
+    def test_matches_reference_on_random_graphs(self, weights):
+        draw = WEIGHT_DRAWS[weights]
+        rng = np.random.default_rng(40)
+        for trial in range(100):
+            n = int(rng.integers(2, 21))
+            edges = tuple(
+                (u, v, draw(rng))
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 0.35
+            )
+            g = ProblemGraph(n, edges)
+            num_parts = int(rng.integers(1, 7))
+            caps = [int(c) for c in rng.integers(1, n + 1, size=num_parts)]
+            caps[0] += max(0, n - sum(caps))  # feasible, usually with slack
+            start = random_start(rng, caps, n)
+            adj = adjacency(g)
+            want = reference_kl_refine(n, caps, adj, start)
+            assert _kl_refine(n, caps, adj, start) == want, (weights, trial)
+
+    def test_matches_reference_on_planted_bipartite(self):
+        rng = np.random.default_rng(30)
+        for n in (30, 34, 38, 42):
+            g = planted_bipartite(rng, n)
+            caps = []
+            while sum(caps) < n:
+                caps.append((8, 7, 6)[len(caps) % 3])
+            start = random_start(rng, caps, n)
+            adj = adjacency(g)
+            assert _kl_refine(n, caps, adj, start) == reference_kl_refine(n, caps, adj, start)
 
 
 class TestExtractSubproblems:
