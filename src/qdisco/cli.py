@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -102,11 +103,12 @@ def _angles_flag(value: str) -> tuple[float, ...]:
 def _number(kind: type, value, field: str):
     """``kind(value)`` for a config field.
 
-    Anything unconvertible, a JSON boolean, or a fractional value for an
-    integer field is a ConfigError rather than a silent conversion.
+    Anything unconvertible, a JSON boolean, a non-finite value, or a
+    fractional value for an integer field is a ConfigError rather than a
+    silent conversion.
     """
     message = (
-        f"config field '{field}' must be {'an integer' if kind is int else 'a number'}, "
+        f"config field '{field}' must be {'an integer' if kind is int else 'a finite number'}, "
         f"got {value!r}"
     )
     if isinstance(value, bool) or (
@@ -114,9 +116,12 @@ def _number(kind: type, value, field: str):
     ):
         raise ConfigError(message)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(message) from exc
+    if not math.isfinite(number):
+        raise ConfigError(message)
+    return number
 
 
 def _boolean(value, field: str) -> bool:
@@ -185,7 +190,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("config file must hold a JSON object")
     base = cfg_path.parent
 
-    def resolve(rel: str) -> Path:
+    def resolve(rel, field: str) -> Path:
+        if not isinstance(rel, str):
+            raise ConfigError(f"config field '{field}' must be a path string, got {rel!r}")
         candidate = Path(rel)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -193,7 +200,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         if required not in doc:
             raise ConfigError(f"config missing field '{required}'")
 
-    problem = _read_problem(str(resolve(doc["problem"])))
+    problem = _read_problem(str(resolve(doc["problem"], "problem")))
 
     entries = doc["fleet"]
     if not isinstance(entries, list) or not entries:
@@ -203,7 +210,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "calibration" not in entry:
             raise ConfigError(f"fleet[{i}] needs a 'calibration' path")
-        qpu = _read_qpu(str(resolve(entry["calibration"])))
+        qpu = _read_qpu(str(resolve(entry["calibration"], f"fleet[{i}].calibration")))
         qpus.append(qpu)
         if "prior_hscore" in entry:
             priors[qpu.name] = _number(float, entry["prior_hscore"], f"fleet[{i}].prior_hscore")
@@ -233,18 +240,22 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     opt_doc = doc.get("optimizer", {})
     if not isinstance(opt_doc, dict):
         raise ConfigError("config field 'optimizer' must be an object")
-    try:
-        optimizer = OptimizerConfig(
-            method=opt_doc.get("method", "nelder_mead"),
-            max_evaluations=_number(int, opt_doc.get("max_evaluations", 200), "optimizer.max_evaluations"),
-            tolerance=_number(float, opt_doc.get("tolerance", 1e-4), "optimizer.tolerance"),
-            initial=tuple(opt_doc["initial"]) if "initial" in opt_doc else None,
-            grid_resolution=_number(int, opt_doc.get("grid_resolution", 12), "optimizer.grid_resolution"),
-            restarts=_number(int, opt_doc.get("restarts", 1), "optimizer.restarts"),
-            noisy=_boolean(opt_doc.get("noisy", False), "optimizer.noisy"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer settings: {exc}") from exc
+    initial = opt_doc.get("initial")
+    if initial is not None:
+        if not isinstance(initial, list):
+            raise ConfigError(
+                f"config field 'optimizer.initial' must be a list of numbers, got {initial!r}"
+            )
+        initial = tuple(_number(float, x, "optimizer.initial") for x in initial)
+    optimizer = OptimizerConfig(
+        method=opt_doc.get("method", "nelder_mead"),
+        max_evaluations=_number(int, opt_doc.get("max_evaluations", 200), "optimizer.max_evaluations"),
+        tolerance=_number(float, opt_doc.get("tolerance", 1e-4), "optimizer.tolerance"),
+        initial=initial,
+        grid_resolution=_number(int, opt_doc.get("grid_resolution", 12), "optimizer.grid_resolution"),
+        restarts=_number(int, opt_doc.get("restarts", 1), "optimizer.restarts"),
+        noisy=_boolean(opt_doc.get("noisy", False), "optimizer.noisy"),
+    )
 
     hs_doc = doc.get("hscore", {})
     if not isinstance(hs_doc, dict):

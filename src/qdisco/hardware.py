@@ -106,10 +106,7 @@ def load_calibration(text: str) -> QpuModel:
             raise SchemaError(f"calibration document missing field '{required}'")
     if not isinstance(doc["name"], str):
         raise SchemaError("field 'name' must be a string")
-    try:
-        n = int(doc["num_qubits"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("field 'num_qubits' must be an integer") from exc
+    n = _number(int, doc["num_qubits"], "num_qubits")
     readout = doc["readout_error"]
     if not isinstance(readout, list):
         raise SchemaError("field 'readout_error' must be a list")
@@ -123,17 +120,28 @@ def load_calibration(text: str) -> QpuModel:
         pair = entry["q"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"edges[{i}].q must be a two-element list")
-        u, v = int(pair[0]), int(pair[1])
+        u, v = (_number(int, q, f"edges[{i}].q") for q in pair)
         edge = _graphs.norm_edge(u, v)
         if edge in gate_error:
             raise SchemaError(f"edges[{i}] duplicates edge {edge}")
-        gate_error[edge] = float(entry["gate_error"])
+        gate_error[edge] = _number(float, entry["gate_error"], f"edges[{i}].gate_error")
     return QpuModel(
         name=doc["name"],
         num_qubits=n,
-        readout_error=tuple(float(e) for e in readout),
+        readout_error=tuple(
+            _number(float, e, f"readout_error[{q}]") for q, e in enumerate(readout)
+        ),
         gate_error=gate_error,
     )
+
+
+def _number(kind: type, value, field: str):
+    """``kind(value)`` for a calibration field, or a SchemaError naming it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"field '{field}' must be {noun}, got {value!r}") from exc
 
 
 @dataclass(frozen=True)

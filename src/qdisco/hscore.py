@@ -19,7 +19,7 @@ from ._seeds import derive_seed
 from .compiler import filter_by_threshold, enumerate_regions, map_circuit, select_regions
 from .errors import ConfigError, QdiscoError
 from .hardware import QpuModel
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import OptimizerConfig, optimize_batch
 from .problem import SpinPolynomial, minimum_cost_indices
 from .simulator import (
     NoiseSpec,
@@ -136,19 +136,6 @@ def h_score(accuracies: list[float], ref: ReferenceDistribution) -> HScoreReport
     )
 
 
-def _one_noiseless_accuracy(
-    poly: SpinPolynomial,
-    p: int,
-    cfg: OptimizerConfig,
-    shots: int,
-    run_seed: int,
-) -> float:
-    trace = optimize(poly, p, None, cfg, seed=run_seed)
-    state = build_qaoa_state(poly, trace.best_params)
-    counts = sample(state, shots, seed=derive_seed(run_seed, "measure"))
-    return accuracy(counts, poly)
-
-
 def build_reference(
     poly: SpinPolynomial,
     p: int,
@@ -160,10 +147,13 @@ def build_reference(
     """M_ref independent noiseless optimize-then-sample runs, sorted."""
     if m_ref < MIN_REFERENCE_SIZE:
         raise ConfigError(f"m_ref must be >= {MIN_REFERENCE_SIZE}, got {m_ref}")
-    samples = [
-        _one_noiseless_accuracy(poly, p, cfg, shots, derive_seed(seed, "ref-run", i))
-        for i in range(m_ref)
-    ]
+    run_seeds = [derive_seed(seed, "ref-run", i) for i in range(m_ref)]
+    traces = optimize_batch(poly, p, None, cfg, run_seeds)
+    samples = []
+    for run_seed, trace in zip(run_seeds, traces):
+        state = build_qaoa_state(poly, trace.best_params)
+        counts = sample(state, shots, seed=derive_seed(run_seed, "measure"))
+        samples.append(accuracy(counts, poly))
     return ReferenceDistribution(
         problem_key=poly.canonical_key(),
         p=p,
@@ -217,10 +207,10 @@ def benchmark_qpu(
         raise ConfigError("reference was built for a different problem or depth")
     placement = best_region_placement(poly, qpu)
     noise = noise or NoiseSpec.from_qpu(qpu)
+    run_seeds = [derive_seed(seed, "score-run", i) for i in range(m)]
+    traces = optimize_batch(poly, p, None, cfg, run_seeds)
     accs = []
-    for i in range(m):
-        run_seed = derive_seed(seed, "score-run", i)
-        trace = optimize(poly, p, None, cfg, seed=run_seed)
+    for run_seed, trace in zip(run_seeds, traces):
         counts = noisy_sample(
             poly,
             trace.best_params,

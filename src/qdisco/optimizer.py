@@ -3,13 +3,15 @@
 Nelder-Mead over the 2p angle parameters, optionally seeded by a coarse
 grid scan at p=1.  Every objective call is recorded in the trace and
 counted against the evaluation budget, which makes runs reproducible and
-comparable across evaluators.
+comparable across evaluators.  Each run is a generator that yields points
+and receives their values, so ``optimize_batch`` can advance many seeded
+runs in lockstep and evaluate each step's points in one kernel call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from ._seeds import rng_from
 from .errors import ConfigError
 from .problem import SpinPolynomial
-from .simulator import QaoaParams, build_qaoa_state, expectation
+from .simulator import QaoaParams, build_qaoa_state, expectation, qaoa_expectations
 
 GAMMA_SPAN = 2.0 * math.pi  # search box: gamma in [0, 2pi)
 BETA_SPAN = math.pi  # beta in [0, pi)
@@ -54,21 +56,51 @@ class OptimizerConfig:
             raise ConfigError("grid_resolution must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationTrace:
-    evaluations: tuple[tuple[QaoaParams, float], ...]
+    """Every evaluated point with its raw value, in order, and the best one.
+
+    Points are kept as rows of flat angles (gammas, then betas) rather than
+    as ``QaoaParams`` objects, so that many traces held at once stay small.
+    """
+
+    points: np.ndarray  # (num_evaluations, 2p), read-only
+    values: np.ndarray  # (num_evaluations,), non-finite values included
     best_params: QaoaParams
     best_value: float
-    num_evaluations: int
+
+    def __post_init__(self) -> None:
+        self.points.setflags(write=False)
+        self.values.setflags(write=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OptimizationTrace):
+            return NotImplemented
+        return (
+            np.array_equal(self.points, other.points)
+            and np.array_equal(self.values, other.values, equal_nan=True)
+            and self.best_params == other.best_params
+            and self.best_value == other.best_value
+        )
+
+    @property
+    def num_evaluations(self) -> int:
+        return len(self.values)
+
+    @property
+    def evaluations(self) -> tuple[tuple[QaoaParams, float], ...]:
+        return tuple(
+            (QaoaParams.from_flat(x), v) for x, v in zip(self.points, self.values.tolist())
+        )
 
     @property
     def evaluation_errors(self) -> int:
-        return sum(1 for _, v in self.evaluations if not math.isfinite(v))
+        return int(np.count_nonzero(~np.isfinite(self.values)))
 
     def running_best(self) -> list[float]:
         best = math.inf
         out = []
-        for _, v in self.evaluations:
+        for v in self.values.tolist():
             if math.isfinite(v) and v < best:
                 best = v
             out.append(best)
@@ -76,25 +108,24 @@ class OptimizationTrace:
 
 
 class _Budget:
-    """Wraps the evaluator: records the trace, enforces the budget."""
+    """Records the evaluated points and values; enforces the budget."""
 
-    def __init__(self, fn: Callable[[QaoaParams], float], limit: int):
-        self.fn = fn
+    def __init__(self, limit: int, dim: int):
         self.limit = limit
-        self.trace: list[tuple[QaoaParams, float]] = []
-
-    @property
-    def used(self) -> int:
-        return len(self.trace)
+        self.used = 0
+        self.points = np.empty((limit, dim))
+        self.values = np.empty(limit)
 
     @property
     def exhausted(self) -> bool:
         return self.used >= self.limit
 
-    def __call__(self, x: np.ndarray) -> float:
-        params = QaoaParams.from_flat(x)
-        raw = float(self.fn(params))
-        self.trace.append((params, raw))
+    def evaluate(self, x: np.ndarray) -> Generator[np.ndarray, float, float]:
+        """Yield the point, receive its objective value, record both."""
+        raw = float((yield x))
+        self.points[self.used] = x
+        self.values[self.used] = raw
+        self.used += 1
         return raw if math.isfinite(raw) else math.inf
 
 
@@ -121,7 +152,7 @@ def _nelder_mead(
     p: int,
     tolerance: float,
     noisy: bool,
-) -> None:
+) -> Generator[np.ndarray, float, None]:
     """Minimize within the budget; trace carries all state we report."""
     dim = 2 * p
     spans = _spans(p)
@@ -136,7 +167,7 @@ def _nelder_mead(
     for v in simplex:
         if budget.exhausted:
             return
-        values.append(budget(v))
+        values.append((yield from budget.evaluate(v)))
 
     iteration = 0
     while not budget.exhausted:
@@ -152,7 +183,7 @@ def _nelder_mead(
         if noisy and iteration % _INCUMBENT_REEVAL_PERIOD == 0:
             if budget.exhausted:
                 return
-            values[0] = budget(simplex[0])
+            values[0] = yield from budget.evaluate(simplex[0])
             continue
 
         centroid = np.mean(simplex[:-1], axis=0)
@@ -161,14 +192,14 @@ def _nelder_mead(
         reflected = centroid + _REFLECT * (centroid - worst)
         if budget.exhausted:
             return
-        f_r = budget(reflected)
+        f_r = yield from budget.evaluate(reflected)
 
         if f_r < values[0]:
             expanded = centroid + _EXPAND * (centroid - worst)
             if budget.exhausted:
                 simplex[-1], values[-1] = reflected, f_r
                 return
-            f_e = budget(expanded)
+            f_e = yield from budget.evaluate(expanded)
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -182,7 +213,7 @@ def _nelder_mead(
                 contracted = centroid + _CONTRACT * (worst - centroid)
             if budget.exhausted:
                 return
-            f_c = budget(contracted)
+            f_c = yield from budget.evaluate(contracted)
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
             else:
@@ -191,10 +222,12 @@ def _nelder_mead(
                     simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
                     if budget.exhausted:
                         return
-                    values[i] = budget(simplex[i])
+                    values[i] = yield from budget.evaluate(simplex[i])
 
 
-def _grid_scan(budget: _Budget, resolution: int) -> np.ndarray | None:
+def _grid_scan(
+    budget: _Budget, resolution: int
+) -> Generator[np.ndarray, float, np.ndarray | None]:
     """Coarse p=1 scan; returns the best (gamma, beta) found."""
     best_x: np.ndarray | None = None
     best_v = math.inf
@@ -205,10 +238,100 @@ def _grid_scan(budget: _Budget, resolution: int) -> np.ndarray | None:
             x = np.array(
                 [GAMMA_SPAN * gi / resolution, BETA_SPAN * bi / resolution]
             )
-            v = budget(x)
+            v = yield from budget.evaluate(x)
             if v < best_v:
                 best_v, best_x = v, x
     return best_x
+
+
+def _optimization(
+    p: int, cfg: OptimizerConfig, seed: int
+) -> Generator[np.ndarray, float, OptimizationTrace]:
+    """One run of ``optimize``: yields points, receives their values."""
+    budget = _Budget(cfg.max_evaluations, 2 * p)
+
+    # start points in priority order: grid scan result, explicit initial,
+    # then seeded random points, truncated to the configured restart count
+    starts: list[np.ndarray] = []
+    if cfg.method == "grid_then_nelder_mead" and p == 1:
+        grid_budget = min(cfg.grid_resolution**2, max(1, cfg.max_evaluations // 2))
+        saved_limit = budget.limit
+        budget.limit = grid_budget
+        best = yield from _grid_scan(budget, cfg.grid_resolution)
+        budget.limit = saved_limit
+        if best is not None:
+            starts.append(best)
+    if cfg.initial is not None:
+        starts.append(np.array(cfg.initial, dtype=float))
+    for r in range(cfg.restarts):
+        if len(starts) >= cfg.restarts:
+            break
+        starts.append(_random_point(rng_from(seed, "nm-start", r), p))
+    starts = starts[: cfg.restarts]
+
+    per_start = max(1, (budget.limit - budget.used) // len(starts))
+    for i, x0 in enumerate(starts):
+        cap = budget.used + per_start if i < len(starts) - 1 else budget.limit
+        saved_limit = budget.limit
+        budget.limit = min(cap, saved_limit)
+        yield from _nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy)
+        budget.limit = saved_limit
+        if budget.exhausted:
+            break
+
+    values = budget.values[: budget.used]
+    finite = [(v, i) for i, v in enumerate(values.tolist()) if math.isfinite(v)]
+    if not finite:
+        raise ConfigError("optimizer saw no finite objective value")
+    best_v, best_i = min(finite)
+    points = budget.points[: budget.used]
+    return OptimizationTrace(
+        points=points,
+        values=values,
+        best_params=QaoaParams.from_flat(points[best_i]),
+        best_value=float(best_v),
+    )
+
+
+def optimize_batch(
+    poly: SpinPolynomial,
+    p: int,
+    evaluator: Callable[[QaoaParams], float] | None,
+    cfg: OptimizerConfig,
+    seeds: Sequence[int],
+) -> list[OptimizationTrace]:
+    """One ``optimize`` run per seed, all advanced in lockstep.
+
+    Each step collects the next point of every unfinished run.  The
+    default noiseless objective evaluates them in one ``qaoa_expectations``
+    call; a custom ``evaluator`` is called point by point in seed order.
+    Trace i equals ``optimize(poly, p, evaluator, cfg, seeds[i])``.
+    """
+    if p < 1:
+        raise ConfigError(f"p must be >= 1, got {p}")
+    if cfg.initial is not None and len(cfg.initial) != 2 * p:
+        raise ConfigError(
+            f"initial point has {len(cfg.initial)} values, expected {2 * p}"
+        )
+    traces: list[OptimizationTrace | None] = [None] * len(seeds)
+    runs = [(i, _optimization(p, cfg, seed)) for i, seed in enumerate(seeds)]
+    values: Sequence[float | None] = [None] * len(runs)
+    while runs:
+        pending = []
+        for (i, run), value in zip(runs, values):
+            try:
+                pending.append((i, run, run.send(value)))
+            except StopIteration as done:
+                traces[i] = done.value
+        points = [point for _, _, point in pending]
+        if not points:
+            break
+        if evaluator is None:
+            values = qaoa_expectations(poly, points)
+        else:
+            values = [evaluator(QaoaParams.from_flat(point)) for point in points]
+        runs = [(i, run) for i, run, _ in pending]
+    return traces
 
 
 def optimize(
@@ -225,51 +348,4 @@ def optimize(
     whole trace wins.  Non-finite objective values stay in the trace but
     never become the incumbent.
     """
-    if p < 1:
-        raise ConfigError(f"p must be >= 1, got {p}")
-    fn = evaluator if evaluator is not None else noiseless_evaluator(poly)
-    budget = _Budget(fn, cfg.max_evaluations)
-
-    # start points in priority order: grid scan result, explicit initial,
-    # then seeded random points, truncated to the configured restart count
-    starts: list[np.ndarray] = []
-    if cfg.method == "grid_then_nelder_mead" and p == 1:
-        grid_budget = min(cfg.grid_resolution**2, max(1, cfg.max_evaluations // 2))
-        saved_limit = budget.limit
-        budget.limit = grid_budget
-        best = _grid_scan(budget, cfg.grid_resolution)
-        budget.limit = saved_limit
-        if best is not None:
-            starts.append(best)
-    if cfg.initial is not None:
-        if len(cfg.initial) != 2 * p:
-            raise ConfigError(
-                f"initial point has {len(cfg.initial)} values, expected {2 * p}"
-            )
-        starts.append(np.array(cfg.initial, dtype=float))
-    for r in range(cfg.restarts):
-        if len(starts) >= cfg.restarts:
-            break
-        starts.append(_random_point(rng_from(seed, "nm-start", r), p))
-    starts = starts[: cfg.restarts]
-
-    per_start = max(1, (budget.limit - budget.used) // len(starts))
-    for i, x0 in enumerate(starts):
-        cap = budget.used + per_start if i < len(starts) - 1 else budget.limit
-        saved_limit = budget.limit
-        budget.limit = min(cap, saved_limit)
-        _nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy)
-        budget.limit = saved_limit
-        if budget.exhausted:
-            break
-
-    finite = [(v, i) for i, (_, v) in enumerate(budget.trace) if math.isfinite(v)]
-    if not finite:
-        raise ConfigError("optimizer saw no finite objective value")
-    best_v, best_i = min(finite)
-    return OptimizationTrace(
-        evaluations=tuple(budget.trace),
-        best_params=budget.trace[best_i][0],
-        best_value=float(best_v),
-        num_evaluations=len(budget.trace),
-    )
+    return optimize_batch(poly, p, evaluator, cfg, [seed])[0]

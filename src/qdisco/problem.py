@@ -176,9 +176,9 @@ class ProblemGraph:
         try:
             n = int(doc["num_vertices"])
             edges = tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(n, edges)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed problem graph document: {exc}") from exc
-        return cls(n, edges)
 
 
 def evaluate_cost(poly: SpinPolynomial, s: Sequence[int]) -> float:

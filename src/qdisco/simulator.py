@@ -1,9 +1,10 @@
 """Exact statevector simulation of the alternating-operator ansatz.
 
-Noiseless paths apply the whole diagonal cost operator at once; the noisy
-path walks a placement's interaction schedule so stochastic two-qubit
-Pauli errors can attach to specific physical edges, with independent
-readout bit flips at measurement.
+Noiseless paths apply the whole diagonal cost operator at once, to a
+(B, 2^n) block of states so that many angle points share each call; the
+noisy path walks a placement's interaction schedule so stochastic
+two-qubit Pauli errors can attach to specific physical edges, with
+independent readout bit flips at measurement.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -26,6 +27,12 @@ from .problem import SpinPolynomial, cost_vector
 MAX_QUBITS = 24
 DEFAULT_TRAJECTORIES = 64
 _NORM_TOL = 1e-9
+# A batch is simulated in blocks of at most this many amplitudes (under
+# 256 KiB), or one state where a state is larger.  From 256 KiB on, numpy
+# multiplies a temporary in place with the operands swapped, and a complex
+# product then rounds differently; a block must not reach that size where a
+# single state does not, or its rows would differ from single-state runs.
+_BLOCK_AMPLITUDES = (1 << 14) - 1
 
 
 @dataclass(frozen=True)
@@ -159,12 +166,49 @@ class NoiseSpec:
         )
 
 
-def uniform_state(n: int) -> StateVector:
-    """Uniform superposition |s> with all amplitudes 2^(-n/2)."""
+def _check_size(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"statevector simulation supports 1..{MAX_QUBITS} qubits, got {n}")
+
+
+def uniform_state(n: int) -> StateVector:
+    """Uniform superposition |s> with all amplitudes 2^(-n/2)."""
+    _check_size(n)
     amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     return StateVector(amps, n)
+
+
+def _apply_phase_block(block: np.ndarray, diag: np.ndarray, gammas) -> np.ndarray:
+    """Row b times exp(-i * gamma_b * C): a new (B, 2^n) block."""
+    return block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
+
+
+def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
+    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place."""
+    rows = len(betas)
+    sines = [math.sin(b) for b in betas]
+    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1)
+    pos = np.array([1j * s for s in sines]).reshape(rows, 1, 1)
+    neg = np.array([-1j * s for s in sines]).reshape(rows, 1, 1)
+    for q in range(n):
+        view = block.reshape(rows, -1, 2, 1 << q)
+        a0 = view[:, :, 0, :].copy()
+        a1 = view[:, :, 1, :]
+        view[:, :, 0, :] = c * a0 - pos * a1
+        view[:, :, 1, :] = neg * a0 + c * a1
+
+
+def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:
+    """Ansatz amplitudes for each row of flat angles (gammas, then betas)."""
+    n = poly.num_spins
+    _check_size(n)
+    p = len(angles[0]) // 2
+    diag = cost_vector(poly)
+    block = np.full((len(angles), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
+    for layer in range(p):
+        block = _apply_phase_block(block, diag, [row[layer] for row in angles])
+        _apply_rx_all(block, n, [row[p + layer] for row in angles])
+    return block
 
 
 def apply_phase(state: StateVector, poly: SpinPolynomial, gamma: float) -> StateVector:
@@ -173,38 +217,45 @@ def apply_phase(state: StateVector, poly: SpinPolynomial, gamma: float) -> State
         raise DimensionError(
             f"polynomial on {poly.num_spins} spins vs state on {state.num_qubits} qubits"
         )
-    diag = cost_vector(poly)
-    amps = state.amplitudes * np.exp(-1j * gamma * diag)
-    return StateVector(amps, state.num_qubits)
-
-
-def _apply_rx_all(amps: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """exp(-i beta X) on every qubit."""
-    c = math.cos(beta)
-    s = math.sin(beta)
-    for q in range(n):
-        view = amps.reshape(-1, 2, 1 << q)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 - 1j * s * a1
-        view[:, 1, :] = -1j * s * a0 + c * a1
-    return amps
+    block = _apply_phase_block(state.amplitudes[None, :], cost_vector(poly), [gamma])
+    return StateVector(block[0], state.num_qubits)
 
 
 def apply_mixer(state: StateVector, beta: float) -> StateVector:
     """Transverse-field mixer: X-rotation by angle 2*beta on each qubit."""
-    amps = state.amplitudes.copy()
-    _apply_rx_all(amps, state.num_qubits, beta)
-    return StateVector(amps, state.num_qubits)
+    block = state.amplitudes[None, :].copy()
+    _apply_rx_all(block, state.num_qubits, [beta])
+    return StateVector(block[0], state.num_qubits)
 
 
 def build_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> StateVector:
     """Alternate phase and mixer layers over the uniform start state."""
-    state = uniform_state(poly.num_spins)
-    for gamma, beta in zip(params.gammas, params.betas):
-        state = apply_phase(state, poly, gamma)
-        state = apply_mixer(state, beta)
-    return state
+    return StateVector(_evolve(poly, [params.to_flat()])[0], poly.num_spins)
+
+
+def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
+    """<C> over the ansatz state for each row of a (B, 2p) array of angles.
+
+    Row b holds the flat angles of one point (gammas, then betas, as in
+    ``QaoaParams.to_flat``); value b equals
+    ``expectation(build_qaoa_state(poly, QaoaParams.from_flat(row)), poly)``
+    bit for bit.  Rows are simulated together in blocks of at most
+    ``_BLOCK_AMPLITUDES`` amplitudes (one state when a state is larger).
+    """
+    rows = np.asarray(angles, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] % 2:
+        raise DimensionError(f"expected a (B, 2p) angle array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("angles must be finite")
+    diag = cost_vector(poly)
+    values = rows.tolist()
+    out = np.empty(len(values), dtype=np.float64)
+    step = max(1, _BLOCK_AMPLITUDES >> poly.num_spins)
+    for start in range(0, len(values), step):
+        probs = np.abs(_evolve(poly, values[start : start + step])) ** 2
+        for i, row in enumerate(probs, start):
+            out[i] = np.dot(row, diag)
+    return out
 
 
 def expectation(state: StateVector, poly: SpinPolynomial) -> float:
@@ -287,6 +338,35 @@ def _split_shots(shots: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
+def _trajectory_probabilities(
+    n: int,
+    layers: list,
+    params: QaoaParams,
+    fired: dict[tuple[int, int], list[tuple[int, int, int]]],
+    sign_cache: dict,
+) -> np.ndarray:
+    """Outcome distribution of one trajectory of the placed circuit.
+
+    Walks the schedule entry by entry; ``fired`` maps (layer, entry) to the
+    two-qubit Paulis, as (logical a, logical b, Pauli index), applied after
+    that entry's phase.
+    """
+    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    for layer_idx, entries in enumerate(layers):
+        gamma = params.gammas[layer_idx]
+        for entry_idx, entry in enumerate(entries):
+            prod = _sign_product(n, entry.support, sign_cache)
+            angle = gamma * entry.weight
+            amps *= math.cos(angle) - 1j * math.sin(angle) * prod
+            for la, lb, pauli in fired.get((layer_idx, entry_idx), ()):
+                _apply_pauli(amps, la, _PAULIS[pauli >> 2])
+                _apply_pauli(amps, lb, _PAULIS[pauli & 3])
+        _apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum()
+    return probs
+
+
 def noisy_sample(
     poly: SpinPolynomial,
     params: QaoaParams,
@@ -304,7 +384,9 @@ def noisy_sample(
     flips each bit independently with its physical qubit's readout
     probability.  Shots are split as evenly as possible across trajectories
     and per-trajectory generators are derived by counter from the master
-    seed, so results do not depend on trajectory execution order.
+    seed, so results do not depend on trajectory execution order.  Each
+    trajectory draws its errors first; all trajectories that fire none
+    share one error-free distribution, and only the others are simulated.
     """
     validate_placement(placement, poly, qpu)
     if shots <= 0:
@@ -339,26 +421,25 @@ def noisy_sample(
 
     totals = np.zeros(1 << n, dtype=np.int64)
     qubit_weights = 1 << np.arange(n, dtype=np.int64)
+    clean = None  # outcome distribution of a trajectory that fires no error
     for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
         if traj_shots == 0:
             continue
         rng = rng_from(seed, "trajectory", traj)
-        amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+        fired: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for layer_idx in range(p):
-            gamma = params.gammas[layer_idx]
-            for entry in layers[layer_idx]:
-                prod = _sign_product(n, entry.support, sign_cache)
-                angle = gamma * entry.weight
-                amps *= math.cos(angle) - 1j * math.sin(angle) * prod
+            for entry_idx, entry in enumerate(layers[layer_idx]):
                 for edge, (la, lb) in entry.noise_points:
                     err = edge_err[edge]
                     if err > 0.0 and rng.random() < err:
                         pauli = int(rng.integers(1, 16))
-                        _apply_pauli(amps, la, _PAULIS[pauli >> 2])
-                        _apply_pauli(amps, lb, _PAULIS[pauli & 3])
-            _apply_rx_all(amps, n, params.betas[layer_idx])
-        probs = np.abs(amps) ** 2
-        probs /= probs.sum()
+                        fired.setdefault((layer_idx, entry_idx), []).append((la, lb, pauli))
+        if fired:
+            probs = _trajectory_probabilities(n, layers, params, fired, sign_cache)
+        else:
+            if clean is None:
+                clean = _trajectory_probabilities(n, layers, params, fired, sign_cache)
+            probs = clean
         hist = rng.multinomial(traj_shots, probs)
         if any_readout:
             outcomes = np.repeat(np.arange(1 << n, dtype=np.int64), hist)

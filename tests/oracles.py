@@ -9,14 +9,27 @@ and itertools/networkx based combinatorial searches.
 from __future__ import annotations
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 from scipy.linalg import expm
 
+from qdisco._seeds import rng_from
 from qdisco.compiler import SamplingRegion, ordered_terms, route_phase_layer
-from qdisco.problem import SpinPolynomial
-from qdisco.simulator import QaoaParams, StateVector, apply_mixer
+from qdisco.problem import SpinPolynomial, cost_vector
+from qdisco.simulator import (
+    _PAULIS,
+    QaoaParams,
+    ShotCounts,
+    StateVector,
+    _apply_pauli,
+    _sign_product,
+    _split_shots,
+    apply_mixer,
+    index_to_bitstring,
+    validate_placement,
+)
 
 
 def direct_cost(poly: SpinPolynomial, spins) -> float:
@@ -55,6 +68,21 @@ def dense_qaoa_oracle(poly: SpinPolynomial, params: QaoaParams) -> np.ndarray:
         psi = expm(-1j * gamma * cost_op) @ psi
         psi = expm(-1j * beta * mixer_op) @ psi
     return psi
+
+
+def reference_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> np.ndarray:
+    """Ansatz amplitudes of one state, layer by layer, with a single-state mixer.
+
+    The same floating-point operations as the package's batched kernel, so
+    a kernel row must equal this bit for bit.
+    """
+    n = poly.num_spins
+    diag = cost_vector(poly)
+    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    for gamma, beta in zip(params.gammas, params.betas):
+        amps = amps * np.exp(-1j * gamma * diag)
+        _rx_all_single(amps, n, beta)
+    return amps
 
 
 def physical_statevector(poly, placement, params) -> np.ndarray:
@@ -271,3 +299,92 @@ def reference_kl_refine(n, capacities, adj, assign):
             else:
                 assign[a], assign[b] = assign[b], assign[a]
     return assign
+
+
+def _rx_all_single(amps, n, beta):
+    """exp(-i beta X) on every qubit of one statevector, in place."""
+    c = math.cos(beta)
+    s = math.sin(beta)
+    for q in range(n):
+        view = amps.reshape(-1, 2, 1 << q)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = c * a0 - 1j * s * a1
+        view[:, 1, :] = -1j * s * a0 + c * a1
+    return amps
+
+
+def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
+    """Trajectory sampling that simulates every trajectory from scratch.
+
+    The package draws each trajectory's error events first and reuses one
+    error-free distribution for all trajectories that fire nothing; this
+    version interleaves the draws with the statevector walk and rebuilds
+    the state every time, with its own single-state mixer.
+    """
+    validate_placement(placement, poly, qpu)
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    n = poly.num_spins
+    p = params.p
+
+    terms = ordered_terms(poly)
+    layers = []
+    mapping = placement.initial_map
+    if p >= 1:
+        layers.append(placement.schedule)
+        mapping = placement.final_map
+        for _ in range(1, p):
+            entries, mapping = route_phase_layer(placement.region, mapping, terms)
+            layers.append(entries)
+    final_map = mapping
+
+    sign_cache = {}
+    readout = np.array(
+        [noise.readout_flip_prob[final_map[l]] for l in range(n)], dtype=np.float64
+    )
+    any_readout = bool(readout.any())
+    edge_err = {
+        e: noise.two_qubit_error_prob.get(e, 0.0)
+        for entry_list in layers
+        for entry in entry_list
+        for e, _ in entry.noise_points
+    }
+
+    totals = np.zeros(1 << n, dtype=np.int64)
+    qubit_weights = 1 << np.arange(n, dtype=np.int64)
+    for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
+        if traj_shots == 0:
+            continue
+        rng = rng_from(seed, "trajectory", traj)
+        amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+        for layer_idx in range(p):
+            gamma = params.gammas[layer_idx]
+            for entry in layers[layer_idx]:
+                prod = _sign_product(n, entry.support, sign_cache)
+                angle = gamma * entry.weight
+                amps *= math.cos(angle) - 1j * math.sin(angle) * prod
+                for edge, (la, lb) in entry.noise_points:
+                    err = edge_err[edge]
+                    if err > 0.0 and rng.random() < err:
+                        pauli = int(rng.integers(1, 16))
+                        _apply_pauli(amps, la, _PAULIS[pauli >> 2])
+                        _apply_pauli(amps, lb, _PAULIS[pauli & 3])
+            _rx_all_single(amps, n, params.betas[layer_idx])
+        probs = np.abs(amps) ** 2
+        probs /= probs.sum()
+        hist = rng.multinomial(traj_shots, probs)
+        if any_readout:
+            outcomes = np.repeat(np.arange(1 << n, dtype=np.int64), hist)
+            bits = (outcomes[:, None] >> np.arange(n)) & 1
+            flips = (rng.random(bits.shape) < readout[None, :]).astype(np.int64)
+            bits ^= flips
+            outcomes = bits @ qubit_weights
+            totals += np.bincount(outcomes, minlength=1 << n)
+        else:
+            totals += hist
+
+    counts = {
+        index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
+    }
+    return ShotCounts(counts, shots, n)

@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qdisco
 from qdisco.cli import load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.hardware import load_calibration
@@ -19,11 +21,22 @@ VA = str(data_path("scenario_va.json"))
 VB = str(data_path("scenario_vb.json"))
 
 
-def run_cli(args, **kwargs):
+# child processes import qdisco from the same source tree as the tests
+SRC = str(Path(qdisco.__file__).resolve().parents[1])
+
+
+def child_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args, env=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "qdisco.cli", *args],
         capture_output=True,
         text=True,
+        env=env or child_env(),
         **kwargs,
     )
 
@@ -274,7 +287,7 @@ class TestBenchmark:
 
 class TestSeedHandling:
     def test_env_seed_fallback(self, tmp_path, capsys):
-        env = dict(os.environ, QDISCO_SEED="123")
+        env = child_env(QDISCO_SEED="123")
         a = run_cli(
             ["simulate", "--problem", TRIANGLE, "--layers", "1", "--shots", "50"], env=env
         )
@@ -337,6 +350,12 @@ MALFORMED_CONFIGS = [
     malformed("p", {"p": True}, id="p-boolean"),
     malformed("shots", {"shots": True}, id="shots-boolean"),
     malformed("capacities", {"capacities": [4, True, 6]}, id="capacities-boolean"),
+    # paths are strings; the initial point is a list of finite numbers
+    malformed("problem", {"problem": 5}),
+    malformed("fleet[0].calibration", {"fleet": [{"calibration": 5}]}),
+    malformed("optimizer.initial", {"optimizer": {"initial": "ab"}}),
+    malformed("optimizer.initial", {"optimizer": {"initial": [0.1, "x"]}}, id="optimizer.initial-item"),
+    malformed("optimizer.initial", {"optimizer": {"initial": [0.1, float("nan")]}}, id="optimizer.initial-nan"),
 ]
 
 
@@ -365,6 +384,49 @@ class TestMalformedConfig:
         assert "graph problem" in capsys.readouterr().err
 
 
+def problem_file(tmp_path, edges):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"num_vertices": 3, "edges": edges}))
+    return ["partition", "--problem", str(path), "--capacities", "2,2"]
+
+
+def calibration_file(tmp_path, edit):
+    doc = json.loads(data_path("qpu_hex16.json").read_text())
+    edit(doc)
+    path = tmp_path / "qpu.json"
+    path.write_text(json.dumps(doc))
+    return ["compile", "--problem", TRIANGLE, "--qpu", str(path)]
+
+
+def set_first_edge(field, value):
+    return lambda doc: doc["edges"][0].update({field: value})
+
+
+MALFORMED_INPUT_FILES = [
+    pytest.param(problem_file, [[0, 0, 1.0]], id="problem-self-loop"),
+    pytest.param(problem_file, [[0, 1, 1.0], [1, 0, 2.0]], id="problem-duplicate-edge"),
+    pytest.param(problem_file, [[0, 3, 1.0]], id="problem-vertex-out-of-range"),
+    pytest.param(problem_file, [[0, 1, "NaN"]], id="problem-nan-weight"),
+    pytest.param(calibration_file, set_first_edge("q", ["a", 1]), id="calibration-q"),
+    pytest.param(calibration_file, set_first_edge("gate_error", "x"), id="calibration-gate_error"),
+    pytest.param(
+        calibration_file,
+        lambda doc: doc["readout_error"].__setitem__(0, "x"),
+        id="calibration-readout_error",
+    ),
+]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command, content", MALFORMED_INPUT_FILES)
+    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, content):
+        assert main(command(tmp_path, content)) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_without_traceback(self):
         args = ["simulate", "--problem", TRIANGLE, "--shots", "50", "--seed", "1"]
@@ -372,6 +434,7 @@ class TestBrokenPipe:
             [sys.executable, "-m", "qdisco.cli", *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=child_env(),
             text=True,
         ) as proc:
             proc.stdout.close()  # the reader goes away before anything is written

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qdisco.datasets import data_path
 from qdisco.errors import ConfigError
-from qdisco.hardware import ErrorProfile, synthesize_topology
+from qdisco.hardware import ErrorProfile, load_calibration, synthesize_topology
 from qdisco.hscore import (
     ReferenceDistribution,
     accuracy,
@@ -175,3 +176,19 @@ class TestBenchmarkQpu:
         qpu = synthesize_topology("ring", num_qubits=6, name="q")
         with pytest.raises(ConfigError):
             benchmark_qpu(RING6, qpu, 1, m=10, seed=2, cfg=cfg, reference=ref)
+
+    def test_seeded_report_is_pinned(self):
+        # recorded from the one-run-at-a-time implementation; the lockstep
+        # runs and the reused error-free trajectory must reproduce it exactly
+        qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        report, ref = benchmark_qpu(RING6, qpu, p=1, m=20, seed=7, m_ref=100)
+        hits = [57, 67, 61, 67, 60, 70, 65, 74, 70, 67, 59, 67, 65, 64, 55, 72, 75, 73, 67, 66]
+        ref_hits = (
+            [58, 59, 59, 59, 60, 60, 60, 61, 63, 63] + [64] * 4 + [65] * 6 + [66] * 8
+            + [67] * 4 + [68] * 2 + [69] * 4 + [70] * 6 + [71] * 3 + [72] * 4 + [73] * 5
+            + [74] * 8 + [75] * 5 + [76] * 3 + [77] * 2 + [78] * 6 + [79] * 4
+            + [80, 81, 81, 83, 83, 83, 84, 84, 84, 85, 85, 86, 86, 86, 87, 91]
+        )
+        assert report.accuracies == tuple(h / 256 for h in hits)
+        assert ref.samples == tuple(h / 256 for h in ref_hits)
+        assert report.c == 0.5465

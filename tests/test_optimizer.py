@@ -10,11 +10,15 @@ from qdisco.optimizer import (
     OptimizerConfig,
     noiseless_evaluator,
     optimize,
+    optimize_batch,
 )
 from qdisco.problem import ProblemGraph, SpinPolynomial, maxcut_to_spin_polynomial
 from qdisco.simulator import QaoaParams
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
+RING5 = maxcut_to_spin_polynomial(
+    ProblemGraph(5, tuple((i, (i + 1) % 5, 1.0 + 0.5 * i) for i in range(5)))
+)
 
 
 def grid_oracle(poly, resolution=200):
@@ -131,3 +135,54 @@ class TestOptimize:
         cfg = OptimizerConfig(max_evaluations=80, initial=(0.5, 0.25))
         trace = optimize(EDGE_POLY, 1, None, cfg, seed=10)
         assert trace.evaluations[0][0] == QaoaParams((0.5,), (0.25,))
+
+
+LOCKSTEP_CONFIGS = [
+    pytest.param(OptimizerConfig(max_evaluations=90), id="nelder_mead"),
+    pytest.param(
+        OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=90), id="grid"
+    ),
+    pytest.param(OptimizerConfig(max_evaluations=90, restarts=3), id="restarts"),
+    pytest.param(OptimizerConfig(max_evaluations=90, noisy=True, tolerance=1e-12), id="noisy"),
+    # the budget ends inside the initial simplex, or part way through later steps
+    pytest.param(OptimizerConfig(max_evaluations=5), id="budget-in-simplex"),
+    pytest.param(OptimizerConfig(max_evaluations=17, restarts=2), id="budget-mid-run"),
+]
+
+
+class TestOptimizeBatch:
+    @pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lockstep_runs_equal_single_runs(self, cfg, p):
+        seeds = [3, 1, 4, 1, 5]
+        batch = optimize_batch(RING5, p, None, cfg, seeds)
+        assert batch == [optimize(RING5, p, None, cfg, seed=s) for s in seeds]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_explicit_initial_point(self, p):
+        cfg = OptimizerConfig(max_evaluations=60, initial=tuple([0.4] * p + [0.3] * p), restarts=2)
+        seeds = [0, 7, 8]
+        batch = optimize_batch(RING5, p, None, cfg, seeds)
+        assert batch == [optimize(RING5, p, None, cfg, seed=s) for s in seeds]
+        assert all(t.evaluations[0][0].to_flat() == cfg.initial for t in batch)
+
+    def test_custom_evaluator_is_called_point_by_point(self):
+        calls = []
+
+        def evaluate(params):
+            calls.append(params)
+            return noiseless_evaluator(RING5)(params)
+
+        cfg = OptimizerConfig(max_evaluations=40)
+        batch = optimize_batch(RING5, 2, evaluate, cfg, [1, 2])
+        assert batch == [optimize(RING5, 2, None, cfg, seed=s) for s in (1, 2)]
+        assert len(calls) == sum(t.num_evaluations for t in batch)
+        # lockstep: the two runs alternate while both are active
+        assert calls[:2] == [batch[0].evaluations[0][0], batch[1].evaluations[0][0]]
+
+    def test_empty_batch_and_bad_depth(self):
+        assert optimize_batch(RING5, 1, None, OptimizerConfig(), []) == []
+        with pytest.raises(ConfigError):
+            optimize_batch(RING5, 0, None, OptimizerConfig(), [1])
+        with pytest.raises(ConfigError):
+            optimize_batch(RING5, 2, None, OptimizerConfig(initial=(0.1, 0.2)), [1])

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisco.compiler import enumerate_regions, filter_by_threshold, map_circuit, select_regions
 from qdisco.errors import CapacityError, DimensionError, PlacementError
-from qdisco.hardware import ErrorProfile, synthesize_topology
+from qdisco.datasets import data_path
+from qdisco.hardware import ErrorProfile, load_calibration, synthesize_topology
+from qdisco.hscore import best_region_placement
 from qdisco.problem import (
     ProblemGraph,
     SpinPolynomial,
     brute_force_optimum,
     cost_vector,
+    labs_to_spin_polynomial,
     maxcut_to_spin_polynomial,
 )
 from qdisco.simulator import (
@@ -23,11 +28,17 @@ from qdisco.simulator import (
     counts_to_probabilities,
     expectation,
     noisy_sample,
+    qaoa_expectations,
     sample,
     uniform_state,
 )
 
-from oracles import dense_qaoa_oracle, random_maxcut_graph
+from oracles import (
+    dense_qaoa_oracle,
+    random_maxcut_graph,
+    reference_noisy_sample,
+    reference_qaoa_state,
+)
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
 
@@ -363,3 +374,105 @@ class TestNoisySample:
             for b in range(8)
         )
         assert tv > 0.02
+
+
+@st.composite
+def kernel_batches(draw):
+    """A weighted MaxCut polynomial and a (B, 2p) batch of angles."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    weights = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    poly = maxcut_to_spin_polynomial(
+        ProblemGraph(n, tuple((u, v, draw(weights)) for u, v in sorted(chosen)))
+    )
+    p = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = np.concatenate(
+        [rng.uniform(-7.0, 7.0, (rows, p)), rng.uniform(-4.0, 4.0, (rows, p))], axis=1
+    )
+    return poly, angles
+
+
+class TestBatchedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_batches())
+    def test_rows_match_single_states(self, batch):
+        poly, angles = batch
+        values = qaoa_expectations(poly, angles)
+        diag = cost_vector(poly)
+        assert values.shape == (len(angles),)
+        dense_rows = set(range(0, len(angles), max(1, len(angles) // 4)))
+        for i, (row, value) in enumerate(zip(angles, values)):
+            params = QaoaParams.from_flat(row.tolist())
+            state = build_qaoa_state(poly, params)
+            assert np.array_equal(state.amplitudes, reference_qaoa_state(poly, params))
+            assert value == expectation(state, poly)
+            if i in dense_rows:  # the matrix-exponential oracle is slow
+                dense = dense_qaoa_oracle(poly, params)
+                assert abs(value - float(np.dot(np.abs(dense) ** 2, diag))) < 1e-12
+
+    def test_block_sized_batches_match_single_states(self):
+        # rows in several blocks, and states too large to share one
+        rng = np.random.default_rng(3)
+        for n, rows in ((6, 600), (13, 3), (14, 2)):
+            poly = maxcut_to_spin_polynomial(random_maxcut_graph(rng, n, 0.5, True))
+            angles = rng.uniform(-3.0, 3.0, (rows, 4))
+            values = qaoa_expectations(poly, angles)
+            for row in range(0, rows, max(1, rows // 40)):
+                params = QaoaParams.from_flat(angles[row].tolist())
+                want = reference_qaoa_state(poly, params)
+                assert values[row] == float(np.dot(np.abs(want) ** 2, cost_vector(poly)))
+
+    def test_rejects_bad_angle_arrays(self):
+        with pytest.raises(DimensionError):
+            qaoa_expectations(EDGE_POLY, [[0.1, 0.2, 0.3]])
+        with pytest.raises(DimensionError):
+            qaoa_expectations(EDGE_POLY, [0.1, 0.2])
+        with pytest.raises(ValueError):
+            qaoa_expectations(EDGE_POLY, [[math.nan, 0.2]])
+
+
+def scaled_noise(qpu, factor, readout=True, trajectories=64):
+    return NoiseSpec(
+        readout_flip_prob=tuple(min(0.9, factor * x) if readout else 0.0 for x in qpu.readout_error),
+        two_qubit_error_prob={e: min(0.9, factor * x) for e, x in qpu.gate_error.items()},
+        trajectories=trajectories,
+    )
+
+
+class TestNoisySampleMatchesReference:
+    """Reusing the error-free trajectory must not change a single count."""
+
+    def setup_method(self):
+        self.qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        self.ring6 = maxcut_to_spin_polynomial(
+            ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)))
+        )
+
+    def check(self, poly, p, noise, shots, seed):
+        rng = np.random.default_rng(seed)
+        params = QaoaParams(
+            tuple(rng.uniform(0, 2 * math.pi, p)), tuple(rng.uniform(0, math.pi, p))
+        )
+        placement = best_region_placement(poly, self.qpu)
+        args = (poly, params, placement, self.qpu, noise, shots, seed)
+        assert noisy_sample(*args) == reference_noisy_sample(*args)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    @pytest.mark.parametrize("readout", [True, False])
+    def test_ring6_on_hex16(self, p, factor, readout):
+        noise = scaled_noise(self.qpu, factor, readout)
+        for seed in range(3):
+            self.check(self.ring6, p, noise, 256, seed)
+
+    def test_labs6_steiner_routing(self):
+        poly = labs_to_spin_polynomial(6)
+        for p, factor in ((1, 1.0), (2, 10.0)):
+            self.check(poly, p, scaled_noise(self.qpu, factor), 300, seed=p)
+
+    def test_more_trajectories_than_shots(self):
+        noise = scaled_noise(self.qpu, 10.0, trajectories=64)
+        self.check(self.ring6, 2, noise, 10, seed=4)
