@@ -47,12 +47,16 @@ def is_connected(adj: dict[int, set[int]]) -> bool:
     return len(connected_components(adj)) == 1
 
 
-def shortest_path(adj: dict[int, set[int]], src: int, dst: int) -> list[int] | None:
-    """BFS path from src to dst, deterministic (smaller neighbours first)."""
-    if src == dst:
-        return [src]
-    prev: dict[int, int] = {src: src}
-    queue = deque([src])
+def shortest_path(
+    adj: dict[int, set[int]], sources: Iterable[int], dst: int
+) -> list[int] | None:
+    """BFS path from the nearest source to dst, deterministic (smaller
+    sources and neighbours first)."""
+    starts = sorted(set(sources))
+    if dst in starts:
+        return [dst]
+    prev: dict[int, int] = {s: s for s in starts}
+    queue = deque(starts)
     while queue:
         node = queue.popleft()
         for nb in sorted(adj[node]):
@@ -61,7 +65,7 @@ def shortest_path(adj: dict[int, set[int]], src: int, dst: int) -> list[int] | N
             prev[nb] = node
             if nb == dst:
                 path = [dst]
-                while path[-1] != src:
+                while prev[path[-1]] != path[-1]:
                     path.append(prev[path[-1]])
                 return path[::-1]
             queue.append(nb)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from ._fields import load_object, number
 from .compiler import enumerate_regions, filter_by_threshold, map_circuit, select_regions
 from .decomposer import balanced_mincut, extract_subproblems
 from .errors import ConfigError, QdiscoError
@@ -100,28 +101,8 @@ def _angles_flag(value: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad angle list {value!r}") from exc
 
 
-def _number(kind: type, value, field: str):
-    """``kind(value)`` for a config field.
-
-    Anything unconvertible, a JSON boolean, a non-finite value, or a
-    fractional value for an integer field is a ConfigError rather than a
-    silent conversion.
-    """
-    message = (
-        f"config field '{field}' must be {'an integer' if kind is int else 'a finite number'}, "
-        f"got {value!r}"
-    )
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(message)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(message) from exc
-    if not math.isfinite(number):
-        raise ConfigError(message)
-    return number
+# every numeric config field: a finite JSON number, integral for int fields
+_number = functools.partial(number, error=ConfigError)
 
 
 def _boolean(value, field: str) -> bool:
@@ -146,18 +127,19 @@ def _resolve_seed(explicit: int | None, configured=None) -> int:
     return 0
 
 
-def _read_problem(path: str) -> ProblemInstance:
+def _read_text(path: str, what: str) -> str:
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"problem file not found: {path}")
-    return parse_problem_json(p.read_text())
+        raise ConfigError(f"{what} file not found: {path}")
+    return p.read_text()
+
+
+def _read_problem(path: str) -> ProblemInstance:
+    return parse_problem_json(_read_text(path, "problem"))
 
 
 def _read_qpu(path: str) -> QpuModel:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"calibration file not found: {path}")
-    return load_calibration(p.read_text())
+    return load_calibration(_read_text(path, "calibration"))
 
 
 @dataclass(frozen=True)
@@ -179,26 +161,14 @@ class RunConfig:
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
-    cfg_path = Path(path)
-    if not cfg_path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    base = cfg_path.parent
+    doc = load_object(_read_text(path, "config"), "config file", ("problem", "fleet"), ConfigError)
+    base = Path(path).parent
 
     def resolve(rel, field: str) -> Path:
         if not isinstance(rel, str):
             raise ConfigError(f"config field '{field}' must be a path string, got {rel!r}")
         candidate = Path(rel)
         return candidate if candidate.is_absolute() else base / candidate
-
-    for required in ("problem", "fleet"):
-        if required not in doc:
-            raise ConfigError(f"config missing field '{required}'")
 
     problem = _read_problem(str(resolve(doc["problem"], "problem")))
 

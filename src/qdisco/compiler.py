@@ -94,9 +94,6 @@ class SamplingRegion:
     def size(self) -> int:
         return len(self.qubits)
 
-    def overlaps(self, other: "SamplingRegion") -> bool:
-        return bool(set(self.qubits) & set(other.qubits))
-
     def sort_key(self) -> tuple:
         return (-self.fidelity, self.qubits)
 
@@ -288,13 +285,7 @@ def _select_greedy(
 
 def mutually_isomorphic(regions: list[SamplingRegion]) -> bool:
     """True when all regions are pairwise isomorphic as graphs."""
-    if len(regions) < 2:
-        return True
-    first = regions[0]
-    for other in regions[1:]:
-        if other.size != first.size or len(other.edges) != len(first.edges):
-            return False
-    return all(_isomorphic(first, other) for other in regions[1:])
+    return all(_isomorphic(regions[0], other) for other in regions[1:])
 
 
 def _isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
@@ -480,9 +471,9 @@ def route_phase_layer(
 
     Degree-2 terms with non-adjacent endpoints get a shortest-path swap
     route (the lower-indexed endpoint walks); swaps permanently update the
-    layout.  Degree>2 terms attach noise to an approximate Steiner tree of
-    their current positions without moving anything.  Returns the entries
-    plus the evolved layout.
+    layout.  Other terms attach noise to an approximate Steiner tree of
+    their current positions (none for a single qubit) without moving
+    anything.  Returns the entries plus the evolved layout.
     """
     adj = _graphs.adjacency(region.qubits, region.edges)
     pos = list(mapping)  # logical -> physical
@@ -492,17 +483,12 @@ def route_phase_layer(
     for weight, support in terms:
         if len(support) == 0:
             continue
-        if len(support) == 1:
-            entries.append(
-                ScheduleEntry(support, weight, placed=(pos[support[0]],))
-            )
-            continue
         if len(support) == 2:
             a, b = support
             swaps: list[tuple[int, int]] = []
             noise: list[tuple[tuple[int, int], tuple[int, int]]] = []
             if pos[b] not in adj[pos[a]]:
-                path = _graphs.shortest_path(adj, pos[a], pos[b])
+                path = _graphs.shortest_path(adj, (pos[a],), pos[b])
                 if path is None:
                     raise PlacementError(
                         f"region {region.qubits} cannot route pair {support}"
@@ -529,7 +515,7 @@ def route_phase_layer(
                 )
             )
             continue
-        # degree > 2: approximate Steiner tree over current positions
+        # degree 1 or > 2: approximate Steiner tree over current positions
         terminals = [pos[l] for l in support]
         tree_edges = _steiner_tree_edges(adj, terminals)
         noise = []
@@ -559,7 +545,7 @@ def _steiner_tree_edges(
         best_path: list[int] | None = None
         best_t = None
         for t in remaining:
-            path = _multi_source_path(adj, tree_nodes, t)
+            path = _graphs.shortest_path(adj, tree_nodes, t)
             if path is None:
                 raise PlacementError("region disconnected during tree routing")
             if best_path is None or len(path) < len(best_path):
@@ -572,29 +558,6 @@ def _steiner_tree_edges(
         tree_nodes.update(best_path)
         remaining = sorted(set(remaining) - {best_t} - tree_nodes)
     return sorted(edges)
-
-
-def _multi_source_path(
-    adj: dict[int, set[int]], sources: set[int], target: int
-) -> list[int] | None:
-    """Shortest path from any source to target (deterministic BFS)."""
-    if target in sources:
-        return [target]
-    prev: dict[int, int] = {s: s for s in sorted(sources)}
-    queue = list(sorted(sources))
-    while queue:
-        node = queue.pop(0)
-        for nb in sorted(adj[node]):
-            if nb in prev:
-                continue
-            prev[nb] = node
-            if nb == target:
-                path = [nb]
-                while path[-1] not in sources:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            queue.append(nb)
-    return None
 
 
 def map_circuit(poly: SpinPolynomial, region: SamplingRegion) -> Placement:

@@ -14,7 +14,3 @@ def data_path(name: str) -> Path:
         available = sorted(p.name for p in _DATA_DIR.glob("*.json"))
         raise FileNotFoundError(f"no bundled file {name!r}; available: {available}")
     return path
-
-
-def list_datasets() -> list[str]:
-    return sorted(p.name for p in _DATA_DIR.glob("*.json"))

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _graphs
+from ._fields import load_object, number
 from ._seeds import rng_from
 from .errors import SchemaError
 
@@ -95,18 +96,12 @@ class QpuModel:
 
 def load_calibration(text: str) -> QpuModel:
     """Parse and validate a calibration document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"calibration file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("calibration document must be a JSON object")
-    for required in ("name", "num_qubits", "readout_error", "edges"):
-        if required not in doc:
-            raise SchemaError(f"calibration document missing field '{required}'")
+    doc = load_object(
+        text, "calibration file", ("name", "num_qubits", "readout_error", "edges"), SchemaError
+    )
     if not isinstance(doc["name"], str):
         raise SchemaError("field 'name' must be a string")
-    n = _number(int, doc["num_qubits"], "num_qubits")
+    n = number(int, doc["num_qubits"], "num_qubits", SchemaError)
     readout = doc["readout_error"]
     if not isinstance(readout, list):
         raise SchemaError("field 'readout_error' must be a list")
@@ -120,28 +115,19 @@ def load_calibration(text: str) -> QpuModel:
         pair = entry["q"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"edges[{i}].q must be a two-element list")
-        u, v = (_number(int, q, f"edges[{i}].q") for q in pair)
+        u, v = (number(int, q, f"edges[{i}].q", SchemaError) for q in pair)
         edge = _graphs.norm_edge(u, v)
         if edge in gate_error:
             raise SchemaError(f"edges[{i}] duplicates edge {edge}")
-        gate_error[edge] = _number(float, entry["gate_error"], f"edges[{i}].gate_error")
+        gate_error[edge] = number(float, entry["gate_error"], f"edges[{i}].gate_error", SchemaError)
     return QpuModel(
         name=doc["name"],
         num_qubits=n,
         readout_error=tuple(
-            _number(float, e, f"readout_error[{q}]") for q, e in enumerate(readout)
+            number(float, e, f"readout_error[{q}]", SchemaError) for q, e in enumerate(readout)
         ),
         gate_error=gate_error,
     )
-
-
-def _number(kind: type, value, field: str):
-    """``kind(value)`` for a calibration field, or a SchemaError naming it."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise SchemaError(f"field '{field}' must be {noun}, got {value!r}") from exc
 
 
 @dataclass(frozen=True)

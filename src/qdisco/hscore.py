@@ -78,14 +78,6 @@ class ReferenceDistribution:
     def size(self) -> int:
         return len(self.samples)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "problem_key": self.problem_key,
-            "p": self.p,
-            "shots": self.shots,
-            "samples": list(self.samples),
-        }
-
 
 def score(x: float, ref: ReferenceDistribution) -> float:
     """Empirical CDF with midpoint tie handling: (below + ties/2) / M_ref."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import load_object, number
 from .errors import CapacityError, DimensionError, SchemaError
 
 BRUTE_FORCE_MAX_SPINS = 24
@@ -62,13 +63,6 @@ class SpinPolynomial:
             raise ValueError("constant_offset must be finite")
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "constant_offset", offset)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def max_degree(self) -> int:
-        return max((len(s) for _, s in self.terms), default=0)
 
     def canonical_key(self) -> str:
         """Stable identity string (used to tag benchmark references)."""
@@ -135,6 +129,8 @@ class ProblemGraph:
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.num_vertices < 0:
+            raise ValueError(f"num_vertices must be >= 0, got {self.num_vertices}")
         seen: set[tuple[int, int]] = set()
         canon = []
         for u, v, w in self.edges:
@@ -173,11 +169,20 @@ class ProblemGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProblemGraph":
+        n = number(int, doc.get("num_vertices"), "num_vertices", SchemaError)
+        if not isinstance(doc.get("edges"), list):
+            raise SchemaError("field 'edges' must be a list")
+        edges = []
+        for i, edge in enumerate(doc["edges"]):
+            if not isinstance(edge, list) or len(edge) != 3:
+                raise SchemaError(f"edges[{i}] must be a [u, v, weight] list")
+            edges.append(tuple(
+                number(kind, x, f"edges[{i}][{j}]", SchemaError)
+                for j, (kind, x) in enumerate(zip((int, int, float), edge))
+            ))
         try:
-            n = int(doc["num_vertices"])
-            edges = tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"])
-            return cls(n, edges)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(n, tuple(edges))
+        except ValueError as exc:
             raise SchemaError(f"malformed problem graph document: {exc}") from exc
 
 
@@ -293,18 +298,9 @@ class ProblemInstance:
 
 def parse_problem_json(text: str) -> ProblemInstance:
     """Parse a problem file: graph fields or ``{"labs": n}``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("problem file must hold a JSON object")
+    doc = load_object(text, "problem file", (), SchemaError)
     if "labs" in doc:
-        try:
-            n = int(doc["labs"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("field 'labs' must be an integer") from exc
-        return ProblemInstance(kind="labs", labs_n=n)
+        return ProblemInstance(kind="labs", labs_n=number(int, doc["labs"], "labs", SchemaError))
     if "num_vertices" not in doc or "edges" not in doc:
         raise SchemaError("problem file needs 'num_vertices' and 'edges' (or 'labs')")
     return ProblemInstance(kind="maxcut", graph=ProblemGraph.from_json_dict(doc))

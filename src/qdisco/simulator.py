@@ -107,9 +107,6 @@ class ShotCounts:
             if c < 0:
                 raise ValueError(f"negative count for {key!r}")
 
-    def most_common(self) -> list[tuple[str, int]]:
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
 
 def index_to_bitstring(index: int, num_bits: int) -> str:
     return "".join("1" if (index >> j) & 1 else "0" for j in range(num_bits))

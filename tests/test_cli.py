@@ -356,6 +356,9 @@ MALFORMED_CONFIGS = [
     malformed("optimizer.initial", {"optimizer": {"initial": "ab"}}),
     malformed("optimizer.initial", {"optimizer": {"initial": [0.1, "x"]}}, id="optimizer.initial-item"),
     malformed("optimizer.initial", {"optimizer": {"initial": [0.1, float("nan")]}}, id="optimizer.initial-nan"),
+    # a number written as a string is not a number
+    malformed("p", {"p": "2"}, id="p-numeric-string"),
+    malformed("eta", {"eta": "0.05"}, id="eta-numeric-string"),
 ]
 
 
@@ -398,33 +401,73 @@ def calibration_file(tmp_path, edit):
     return ["compile", "--problem", TRIANGLE, "--qpu", str(path)]
 
 
+def problem_doc(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return ["simulate", "--problem", str(path), "--gammas", "0.1", "--betas", "0.2"]
+
+
 def set_first_edge(field, value):
     return lambda doc: doc["edges"][0].update({field: value})
 
 
+def refused(command, content, named, id):
+    """One row whose error line must name the refused field."""
+    return pytest.param(command, content, named, id=id)
+
+
 MALFORMED_INPUT_FILES = [
-    pytest.param(problem_file, [[0, 0, 1.0]], id="problem-self-loop"),
-    pytest.param(problem_file, [[0, 1, 1.0], [1, 0, 2.0]], id="problem-duplicate-edge"),
-    pytest.param(problem_file, [[0, 3, 1.0]], id="problem-vertex-out-of-range"),
-    pytest.param(problem_file, [[0, 1, "NaN"]], id="problem-nan-weight"),
-    pytest.param(calibration_file, set_first_edge("q", ["a", 1]), id="calibration-q"),
-    pytest.param(calibration_file, set_first_edge("gate_error", "x"), id="calibration-gate_error"),
+    pytest.param(problem_file, [[0, 0, 1.0]], None, id="problem-self-loop"),
+    pytest.param(problem_file, [[0, 1, 1.0], [1, 0, 2.0]], None, id="problem-duplicate-edge"),
+    pytest.param(problem_file, [[0, 3, 1.0]], None, id="problem-vertex-out-of-range"),
+    pytest.param(problem_file, [[0, 1, "NaN"]], None, id="problem-nan-weight"),
+    pytest.param(calibration_file, set_first_edge("q", ["a", 1]), None, id="calibration-q"),
+    pytest.param(
+        calibration_file, set_first_edge("gate_error", "x"), None, id="calibration-gate_error"
+    ),
     pytest.param(
         calibration_file,
         lambda doc: doc["readout_error"].__setitem__(0, "x"),
+        None,
         id="calibration-readout_error",
+    ),
+    # fields are neither truncated, read from booleans nor parsed from strings
+    refused(problem_file, [[0.9, 1.7, 1.0]], "edges[0][0]", id="problem-fractional-id"),
+    refused(problem_file, [[0, 1, 1.0], [1, 2, True]], "edges[1][2]", id="problem-boolean-weight"),
+    refused(problem_doc, {"labs": 6.7}, "labs", id="labs-fractional"),
+    refused(problem_doc, {"labs": True}, "labs", id="labs-boolean"),
+    refused(problem_doc, {"labs": "6"}, "labs", id="labs-numeric-string"),
+    refused(
+        problem_doc, {"num_vertices": -1, "edges": []}, "num_vertices", id="problem-negative-size"
+    ),
+    refused(
+        calibration_file, set_first_edge("q", [0.5, 1.9]), "edges[0].q", id="calibration-q-fractional"
+    ),
+    refused(
+        calibration_file,
+        lambda doc: doc.update(num_qubits=16.9),
+        "num_qubits",
+        id="calibration-num_qubits-fractional",
+    ),
+    refused(
+        calibration_file,
+        set_first_edge("gate_error", True),
+        "edges[0].gate_error",
+        id="calibration-gate_error-boolean",
     ),
 ]
 
 
 class TestMalformedInputFiles:
-    @pytest.mark.parametrize("command, content", MALFORMED_INPUT_FILES)
-    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, content):
+    @pytest.mark.parametrize("command, content, named", MALFORMED_INPUT_FILES)
+    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, content, named):
         assert main(command(tmp_path, content)) in (1, 2)
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        if named is not None:
+            assert re.search(rf"\b{re.escape(named)}'? must be", err)
 
 
 class TestBrokenPipe:

@@ -7,6 +7,7 @@ import pytest
 from qdisco.compiler import (
     OpCounter,
     SamplingRegion,
+    ScheduleEntry,
     enumerate_regions,
     filter_by_threshold,
     map_circuit,
@@ -16,10 +17,16 @@ from qdisco.compiler import (
     route_phase_layer,
     select_regions,
 )
+from qdisco.datasets import data_path
 from qdisco.errors import ConfigError, DimensionError, NoRegionError
-from qdisco.hardware import ErrorProfile, QpuModel, synthesize_topology
-from qdisco.problem import ProblemGraph, labs_to_spin_polynomial, maxcut_to_spin_polynomial
-from qdisco.simulator import QaoaParams, build_qaoa_state
+from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
+from qdisco.problem import (
+    ProblemGraph,
+    SpinPolynomial,
+    labs_to_spin_polynomial,
+    maxcut_to_spin_polynomial,
+)
+from qdisco.simulator import NoiseSpec, QaoaParams, build_qaoa_state, noisy_sample
 
 from oracles import (
     connected_subsets_bruteforce,
@@ -351,6 +358,29 @@ class TestMapCircuit:
             if len(entry.support) > 2:
                 assert not entry.swaps
                 assert entry.interaction_edges  # a routing tree exists
+
+    def test_linear_terms_route_and_sample(self):
+        # no encoder emits linear terms, so build them directly; each is
+        # placed where its qubit sits, with no edges and no noise points
+        qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        terms = ((0.7, (0,)), (-0.4, (2,)), (1.0, (0, 1)), (0.5, (1, 2)), (-0.8, (2, 3)))
+        poly = SpinPolynomial(4, terms + ((0.6, (0, 1, 3)),))
+        region = enumerate_regions(filter_by_threshold(qpu, 0.05), 4)[0]
+        placement = map_circuit(poly, region)
+        assert (placement.initial_map, placement.final_map) == ((0, 1, 3, 2), (0, 2, 3, 1))
+        linear = [e for e in placement.schedule if len(e.support) == 1]
+        assert linear == [
+            ScheduleEntry((0,), 0.7, placed=(0,)),
+            ScheduleEntry((2,), -0.4, placed=(3,)),
+        ]
+        noise = NoiseSpec(qpu.readout_error, {e: 10 * x for e, x in qpu.gate_error.items()}, 16)
+        params = QaoaParams((0.4, 1.1), (0.7, 0.2))
+        counts = noisy_sample(poly, params, placement, qpu, noise, shots=200, seed=3)
+        assert counts.counts == {
+            "0000": 3, "0001": 30, "0010": 22, "0011": 12, "0100": 15, "0101": 9,
+            "0110": 8, "0111": 23, "1000": 12, "1001": 5, "1010": 15, "1011": 3,
+            "1100": 5, "1101": 9, "1110": 17, "1111": 12,
+        }
 
     def test_route_layer_is_deterministic(self):
         poly = labs_to_spin_polynomial(6)

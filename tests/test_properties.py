@@ -2,11 +2,15 @@
 
 import collections
 import itertools
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisco._fields import number
 from qdisco.decomposer import balanced_mincut
+from qdisco.errors import ConfigError, SchemaError
 from qdisco.problem import ProblemGraph
 
 WEIGHTS = st.one_of(
@@ -41,3 +45,31 @@ def test_balanced_mincut_partition_invariants(inputs):
 
     crossing = tuple(e for e in g.edges if part.assignment[e[0]] != part.assignment[e[1]])
     assert part.cut_edges == crossing
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63),
+    st.floats(),  # NaN and infinities included
+    st.integers(-(2**63), 2**63).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([int, float]),
+    value=JSON_VALUES,
+    error=st.sampled_from([ConfigError, SchemaError]),
+)
+def test_field_reader_accepts_exactly_finite_numbers(kind, value, error):
+    finite_number = type(value) in (int, float) and value - value == 0
+    if finite_number and (kind is float or value == math.floor(value)):
+        got = number(kind, value, "f", error)
+        assert type(got) is kind and got == kind(value)
+    else:
+        with pytest.raises(error, match="field 'f' must be"):
+            number(kind, value, "f", error)
