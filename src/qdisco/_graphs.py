@@ -22,63 +22,47 @@ def adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[in
     return adj
 
 
+def bfs(adj: dict[int, set[int]], sources: Iterable[int]) -> dict[int, int]:
+    """Parent of every vertex reachable from the sources, in visiting order.
+
+    Deterministic: smaller sources and neighbours are visited first; each
+    source is its own parent.
+    """
+    parents = {s: s for s in sorted(set(sources))}
+    queue = deque(parents)
+    while queue:
+        node = queue.popleft()
+        for nb in sorted(adj[node]):
+            if nb not in parents:
+                parents[nb] = node
+                queue.append(nb)
+    return parents
+
+
 def connected_components(adj: dict[int, set[int]]) -> list[set[int]]:
-    seen: set[int] = set()
     comps: list[set[int]] = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nb in adj[node]:
-                if nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        seen |= comp
-        comps.append(comp)
+        if not any(start in comp for comp in comps):
+            comps.append(set(bfs(adj, (start,))))
     return comps
 
 
 def is_connected(adj: dict[int, set[int]]) -> bool:
-    if not adj:
-        return True
-    return len(connected_components(adj)) == 1
+    return not adj or len(bfs(adj, (min(adj),))) == len(adj)
 
 
-def shortest_path(
-    adj: dict[int, set[int]], sources: Iterable[int], dst: int
-) -> list[int] | None:
-    """BFS path from the nearest source to dst, deterministic (smaller
-    sources and neighbours first)."""
-    starts = sorted(set(sources))
-    if dst in starts:
-        return [dst]
-    prev: dict[int, int] = {s: s for s in starts}
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
-        for nb in sorted(adj[node]):
-            if nb in prev:
-                continue
-            prev[nb] = node
-            if nb == dst:
-                path = [dst]
-                while prev[path[-1]] != path[-1]:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            queue.append(nb)
-    return None
+def shortest_path(parents: dict[int, int], dst: int) -> list[int] | None:
+    """Path from the nearest source to dst in a ``bfs`` parent map."""
+    if dst not in parents:
+        return None
+    path = [dst]
+    while parents[path[-1]] != path[-1]:
+        path.append(parents[path[-1]])
+    return path[::-1]
 
 
 def bfs_distances(adj: dict[int, set[int]], src: int) -> dict[int, int]:
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nb in sorted(adj[node]):
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
-                queue.append(nb)
+    dist: dict[int, int] = {}
+    for node, parent in bfs(adj, (src,)).items():
+        dist[node] = 0 if node == parent else dist[parent] + 1
     return dist

@@ -45,6 +45,17 @@ def _emit(doc: dict, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _emit_files(output: str | None, files: dict[str, str], stdout: str) -> None:
+    """Write each named file into the ``output`` directory, else ``stdout`` to stdout."""
+    if output:
+        out_dir = Path(output)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+    else:
+        sys.stdout.write(stdout)
+
+
 def _eta_flag(value: str) -> float:
     try:
         eta = float(value)
@@ -96,9 +107,10 @@ def _layers_flag(value: str) -> list[int]:
 
 def _angles_flag(value: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in value.split(",") if x.strip())
+        angles = [float(x) for x in value.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad angle list {value!r}") from exc
+    return tuple(number(float, a, "angle", argparse.ArgumentTypeError) for a in angles)
 
 
 # every numeric config field: a finite JSON number, integral for int fields
@@ -290,14 +302,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     doc["subproblems"] = [
         {"vertices": list(s.vertices), "graph": s.graph.to_json_dict()} for s in subs
     ]
-    if args.output:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "partition.json").write_text(_dump(doc))
-        for i, s in enumerate(subs):
-            (out_dir / f"subproblem_{i}.json").write_text(_dump(s.graph.to_json_dict()))
-    else:
-        sys.stdout.write(_dump(doc))
+    files = {"partition.json": _dump(doc)}
+    for i, s in enumerate(subs):
+        files[f"subproblem_{i}.json"] = _dump(s.graph.to_json_dict())
+    _emit_files(args.output, files, files["partition.json"])
     return 0
 
 
@@ -330,18 +338,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "result": result.to_json_dict(),
         "speedup": speedup_report(plan_).to_json_dict(),
     }
-    if args.output:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "result.json").write_text(_dump(doc))
-        meta = {
-            "started_unix": started,
-            "elapsed_seconds": time.time() - started,
-            "qdisco_version": __version__,
-        }
-        (out_dir / "run_meta.json").write_text(_dump(meta))
-    else:
-        sys.stdout.write(_dump(doc))
+    meta = {
+        "started_unix": started,
+        "elapsed_seconds": time.time() - started,
+        "qdisco_version": __version__,
+    }
+    text = _dump(doc)
+    _emit_files(args.output, {"result.json": text, "run_meta.json": _dump(meta)}, text)
     return 0
 
 
@@ -376,14 +379,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     writer.writerow(["layer", "h_score"])
     for p in args.layers:
         writer.writerow([p, f"{reports[p].c:.6f}"])
-    out_dir = Path(args.output) if args.output else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "benchmark_hscore.json").write_text(_dump(doc))
-        (out_dir / "benchmark_scores.csv").write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-        sys.stdout.write(_dump(doc))
+    files = {"benchmark_hscore.json": _dump(doc), "benchmark_scores.csv": buf.getvalue()}
+    _emit_files(args.output, files, buf.getvalue() + files["benchmark_hscore.json"])
     return 0
 
 

@@ -488,7 +488,7 @@ def route_phase_layer(
             swaps: list[tuple[int, int]] = []
             noise: list[tuple[tuple[int, int], tuple[int, int]]] = []
             if pos[b] not in adj[pos[a]]:
-                path = _graphs.shortest_path(adj, (pos[a],), pos[b])
+                path = _graphs.shortest_path(_graphs.bfs(adj, (pos[a],)), pos[b])
                 if path is None:
                     raise PlacementError(
                         f"region {region.qubits} cannot route pair {support}"
@@ -539,24 +539,17 @@ def _steiner_tree_edges(
 ) -> list[tuple[int, int]]:
     """Greedy Steiner approximation: connect nearest terminals one by one."""
     tree_nodes = {terminals[0]}
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     remaining = sorted(set(terminals) - tree_nodes)
     while remaining:
-        best_path: list[int] | None = None
-        best_t = None
-        for t in remaining:
-            path = _graphs.shortest_path(adj, tree_nodes, t)
-            if path is None:
-                raise PlacementError("region disconnected during tree routing")
-            if best_path is None or len(path) < len(best_path):
-                best_path, best_t = path, t
-        assert best_path is not None
-        for u, v in zip(best_path, best_path[1:]):
-            e = _graphs.norm_edge(u, v)
-            if e not in edges:
-                edges.append(e)
-        tree_nodes.update(best_path)
-        remaining = sorted(set(remaining) - {best_t} - tree_nodes)
+        parents = _graphs.bfs(adj, tree_nodes)
+        if any(t not in parents for t in remaining):
+            raise PlacementError("region disconnected during tree routing")
+        # the first of the shortest paths to a remaining terminal
+        path = min((_graphs.shortest_path(parents, t) for t in remaining), key=len)
+        edges.update(_graphs.norm_edge(u, v) for u, v in zip(path, path[1:]))
+        tree_nodes.update(path)
+        remaining = [t for t in remaining if t not in tree_nodes]
     return sorted(edges)
 
 

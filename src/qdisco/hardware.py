@@ -74,12 +74,6 @@ class QpuModel:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.gate_error)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        return _graphs.adjacency(range(self.num_qubits), self.edges)
-
-    def is_connected(self) -> bool:
-        return _graphs.is_connected(self.adjacency())
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

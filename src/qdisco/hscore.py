@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .compiler import filter_by_threshold, enumerate_regions, map_circuit, select_regions
+from .compiler import filter_by_threshold, enumerate_regions, map_circuit
 from .errors import ConfigError, QdiscoError
 from .hardware import QpuModel
 from .optimizer import OptimizerConfig, optimize_batch
@@ -166,8 +166,7 @@ def best_region_placement(poly: SpinPolynomial, qpu: QpuModel):
         raise QdiscoError(
             f"QPU '{qpu.name}' has no connected {poly.num_spins}-qubit region"
         )
-    region = select_regions(candidates, 1)[0]
-    return map_circuit(poly, region)
+    return map_circuit(poly, candidates[0])  # candidates come best first
 
 
 def benchmark_qpu(

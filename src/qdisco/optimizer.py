@@ -10,6 +10,7 @@ runs in lockstep and evaluate each step's points in one kernel call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
@@ -107,26 +108,37 @@ class OptimizationTrace:
         return out
 
 
+class _Spent(Exception):
+    """The budget, or the cap of the current search, has no evaluation left."""
+
+
 class _Budget:
     """Records the evaluated points and values; enforces the budget."""
 
     def __init__(self, limit: int, dim: int):
         self.limit = limit
+        self.cap = limit
         self.used = 0
         self.points = np.empty((limit, dim))
         self.values = np.empty(limit)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
     def evaluate(self, x: np.ndarray) -> Generator[np.ndarray, float, float]:
         """Yield the point, receive its objective value, record both."""
+        if self.used >= self.cap:
+            raise _Spent
         raw = float((yield x))
         self.points[self.used] = x
         self.values[self.used] = raw
         self.used += 1
         return raw if math.isfinite(raw) else math.inf
+
+    def search(
+        self, run: Generator[np.ndarray, float, None], cap: int
+    ) -> Generator[np.ndarray, float, None]:
+        """Drive ``run`` until it ends or ``cap`` evaluations are used in total."""
+        self.cap = min(cap, self.limit)
+        with contextlib.suppress(_Spent):
+            yield from run
 
 
 def noiseless_evaluator(poly: SpinPolynomial) -> Callable[[QaoaParams], float]:
@@ -153,7 +165,7 @@ def _nelder_mead(
     tolerance: float,
     noisy: bool,
 ) -> Generator[np.ndarray, float, None]:
-    """Minimize within the budget; trace carries all state we report."""
+    """Minimize until converged; the budget ends the run when it is spent."""
     dim = 2 * p
     spans = _spans(p)
 
@@ -165,12 +177,10 @@ def _nelder_mead(
         simplex.append(vertex)
     values = []
     for v in simplex:
-        if budget.exhausted:
-            return
         values.append((yield from budget.evaluate(v)))
 
     iteration = 0
-    while not budget.exhausted:
+    while True:
         order = np.argsort(np.array(values), kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -181,8 +191,6 @@ def _nelder_mead(
 
         iteration += 1
         if noisy and iteration % _INCUMBENT_REEVAL_PERIOD == 0:
-            if budget.exhausted:
-                return
             values[0] = yield from budget.evaluate(simplex[0])
             continue
 
@@ -190,15 +198,10 @@ def _nelder_mead(
         worst = simplex[-1]
 
         reflected = centroid + _REFLECT * (centroid - worst)
-        if budget.exhausted:
-            return
         f_r = yield from budget.evaluate(reflected)
 
         if f_r < values[0]:
             expanded = centroid + _EXPAND * (centroid - worst)
-            if budget.exhausted:
-                simplex[-1], values[-1] = reflected, f_r
-                return
             f_e = yield from budget.evaluate(expanded)
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
@@ -211,8 +214,6 @@ def _nelder_mead(
                 contracted = centroid + _CONTRACT * (reflected - centroid)
             else:
                 contracted = centroid + _CONTRACT * (worst - centroid)
-            if budget.exhausted:
-                return
             f_c = yield from budget.evaluate(contracted)
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
@@ -220,28 +221,22 @@ def _nelder_mead(
                 # shrink toward the best vertex
                 for i in range(1, len(simplex)):
                     simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
-                    if budget.exhausted:
-                        return
                     values[i] = yield from budget.evaluate(simplex[i])
 
 
-def _grid_scan(
-    budget: _Budget, resolution: int
-) -> Generator[np.ndarray, float, np.ndarray | None]:
-    """Coarse p=1 scan; returns the best (gamma, beta) found."""
-    best_x: np.ndarray | None = None
-    best_v = math.inf
+def _grid_scan(budget: _Budget, resolution: int) -> Generator[np.ndarray, float, None]:
+    """Coarse p=1 scan over (gamma, beta), row by row."""
     for gi in range(resolution):
         for bi in range(resolution):
-            if budget.exhausted:
-                return best_x
-            x = np.array(
-                [GAMMA_SPAN * gi / resolution, BETA_SPAN * bi / resolution]
+            yield from budget.evaluate(
+                np.array([GAMMA_SPAN * gi / resolution, BETA_SPAN * bi / resolution])
             )
-            v = yield from budget.evaluate(x)
-            if v < best_v:
-                best_v, best_x = v, x
-    return best_x
+
+
+def _best_index(values: np.ndarray) -> int | None:
+    """Index of the first lowest finite value, or None if none is finite."""
+    finite = [(v, i) for i, v in enumerate(values.tolist()) if math.isfinite(v)]
+    return min(finite)[1] if finite else None
 
 
 def _optimization(
@@ -255,12 +250,10 @@ def _optimization(
     starts: list[np.ndarray] = []
     if cfg.method == "grid_then_nelder_mead" and p == 1:
         grid_budget = min(cfg.grid_resolution**2, max(1, cfg.max_evaluations // 2))
-        saved_limit = budget.limit
-        budget.limit = grid_budget
-        best = yield from _grid_scan(budget, cfg.grid_resolution)
-        budget.limit = saved_limit
+        yield from budget.search(_grid_scan(budget, cfg.grid_resolution), grid_budget)
+        best = _best_index(budget.values[: budget.used])
         if best is not None:
-            starts.append(best)
+            starts.append(budget.points[best])
     if cfg.initial is not None:
         starts.append(np.array(cfg.initial, dtype=float))
     for r in range(cfg.restarts):
@@ -272,24 +265,17 @@ def _optimization(
     per_start = max(1, (budget.limit - budget.used) // len(starts))
     for i, x0 in enumerate(starts):
         cap = budget.used + per_start if i < len(starts) - 1 else budget.limit
-        saved_limit = budget.limit
-        budget.limit = min(cap, saved_limit)
-        yield from _nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy)
-        budget.limit = saved_limit
-        if budget.exhausted:
-            break
+        yield from budget.search(_nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy), cap)
 
-    values = budget.values[: budget.used]
-    finite = [(v, i) for i, v in enumerate(values.tolist()) if math.isfinite(v)]
-    if not finite:
+    best = _best_index(budget.values[: budget.used])
+    if best is None:
         raise ConfigError("optimizer saw no finite objective value")
-    best_v, best_i = min(finite)
     points = budget.points[: budget.used]
     return OptimizationTrace(
         points=points,
-        values=values,
-        best_params=QaoaParams.from_flat(points[best_i]),
-        best_value=float(best_v),
+        values=budget.values[: budget.used],
+        best_params=QaoaParams.from_flat(points[best]),
+        best_value=float(budget.values[best]),
     )
 
 

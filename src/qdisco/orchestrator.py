@@ -165,16 +165,11 @@ def _qpu_region_set(
 ) -> tuple[SamplingRegion, ...]:
     """As many disjoint n-qubit regions as fit on this QPU."""
     fg = filter_by_threshold(qpu, eta)
-    if n > len(fg.qubits):
-        return ()
     try:
         candidates = enumerate_regions(fg, n, seed=seed)
+        return tuple(select_regions(candidates, max(1, len(fg.qubits) // n)))
     except NoRegionError:
         return ()
-    if not candidates:
-        return ()
-    k_max = max(1, len(fg.qubits) // n)
-    return tuple(select_regions(candidates, k_max))
 
 
 def plan(

@@ -300,7 +300,10 @@ def parse_problem_json(text: str) -> ProblemInstance:
     """Parse a problem file: graph fields or ``{"labs": n}``."""
     doc = load_object(text, "problem file", (), SchemaError)
     if "labs" in doc:
-        return ProblemInstance(kind="labs", labs_n=number(int, doc["labs"], "labs", SchemaError))
+        n = number(int, doc["labs"], "labs", SchemaError)
+        if n > BRUTE_FORCE_MAX_SPINS:  # refused before the O(n^3) encoding
+            raise CapacityError(f"field 'labs' must be at most {BRUTE_FORCE_MAX_SPINS}, got {n}")
+        return ProblemInstance(kind="labs", labs_n=n)
     if "num_vertices" not in doc or "edges" not in doc:
         raise SchemaError("problem file needs 'num_vertices' and 'edges' (or 'labs')")
     return ProblemInstance(kind="maxcut", graph=ProblemGraph.from_json_dict(doc))

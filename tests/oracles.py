@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import networkx as nx
 import numpy as np
 from scipy.linalg import expm
 
+from qdisco._graphs import norm_edge
 from qdisco._seeds import rng_from
 from qdisco.compiler import SamplingRegion, ordered_terms, route_phase_layer
+from qdisco.errors import ConfigError, PlacementError
+from qdisco.optimizer import BETA_SPAN, GAMMA_SPAN, OptimizationTrace
 from qdisco.problem import SpinPolynomial, cost_vector
 from qdisco.simulator import (
     _PAULIS,
@@ -27,6 +31,8 @@ from qdisco.simulator import (
     _sign_product,
     _split_shots,
     apply_mixer,
+    build_qaoa_state,
+    expectation,
     index_to_bitstring,
     validate_placement,
 )
@@ -388,3 +394,164 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
         index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
     }
     return ShotCounts(counts, shots, n)
+
+
+def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:
+    """One noiseless optimizer run as a plain loop that checks the budget
+    before every evaluation.
+
+    Each point is evaluated alone with ``expectation(build_qaoa_state(...))``,
+    which the package's batched kernel matches bit for bit, so the traces
+    must be equal.
+    """
+    dim = 2 * p
+    spans = np.array([GAMMA_SPAN] * p + [BETA_SPAN] * p)
+    points: list[np.ndarray] = []
+    raws: list[float] = []
+    limit = cfg.max_evaluations
+
+    def exhausted() -> bool:
+        return len(raws) >= limit
+
+    def evaluate(x) -> float:
+        x = np.array(x, dtype=float)
+        raw = float(expectation(build_qaoa_state(poly, QaoaParams.from_flat(x)), poly))
+        points.append(x)
+        raws.append(raw)
+        return raw if math.isfinite(raw) else math.inf
+
+    def nelder_mead(x0) -> None:
+        simplex = [np.array(x0, dtype=float)]
+        for i in range(dim):
+            step = 0.1 * spans[i]
+            vertex = simplex[0].copy()
+            vertex[i] += step if vertex[i] + step < spans[i] else -step
+            simplex.append(vertex)
+        values = []
+        for v in simplex:
+            if exhausted():
+                return
+            values.append(evaluate(v))
+        iteration = 0
+        while not exhausted():
+            order = np.argsort(np.array(values), kind="stable")
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if all(math.isfinite(v) for v in values) and max(values) - min(values) < cfg.tolerance:
+                return
+            iteration += 1
+            if cfg.noisy and iteration % 10 == 0:
+                values[0] = evaluate(simplex[0])
+                continue
+            centroid = np.mean(simplex[:-1], axis=0)
+            worst = simplex[-1]
+            reflected = centroid + 1.0 * (centroid - worst)
+            f_r = evaluate(reflected)
+            if f_r < values[0]:
+                if exhausted():
+                    return
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_e = evaluate(expanded)
+                simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+            elif f_r < values[-2]:
+                simplex[-1], values[-1] = reflected, f_r
+            else:
+                if f_r < values[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                else:
+                    contracted = centroid + 0.5 * (worst - centroid)
+                if exhausted():
+                    return
+                f_c = evaluate(contracted)
+                if f_c < min(f_r, values[-1]):
+                    simplex[-1], values[-1] = contracted, f_c
+                else:
+                    for i in range(1, len(simplex)):
+                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                        if exhausted():
+                            return
+                        values[i] = evaluate(simplex[i])
+
+    starts = []
+    if cfg.method == "grid_then_nelder_mead" and p == 1:
+        limit = min(cfg.grid_resolution**2, max(1, cfg.max_evaluations // 2))
+        best_x, best_v = None, math.inf
+        for gi in range(cfg.grid_resolution):
+            for bi in range(cfg.grid_resolution):
+                if exhausted():
+                    break
+                x = [GAMMA_SPAN * gi / cfg.grid_resolution, BETA_SPAN * bi / cfg.grid_resolution]
+                v = evaluate(x)
+                if v < best_v:
+                    best_x, best_v = np.array(x), v
+        limit = cfg.max_evaluations
+        if best_x is not None:
+            starts.append(best_x)
+    if cfg.initial is not None:
+        starts.append(np.array(cfg.initial, dtype=float))
+    r = 0
+    while len(starts) < cfg.restarts:
+        starts.append(rng_from(seed, "nm-start", r).random(dim) * spans)
+        r += 1
+    starts = starts[: cfg.restarts]
+
+    per_start = max(1, (cfg.max_evaluations - len(raws)) // len(starts))
+    for i, x0 in enumerate(starts):
+        last = i == len(starts) - 1
+        limit = cfg.max_evaluations if last else min(len(raws) + per_start, cfg.max_evaluations)
+        nelder_mead(x0)
+        limit = cfg.max_evaluations
+        if exhausted():
+            break
+
+    finite = [(v, i) for i, v in enumerate(raws) if math.isfinite(v)]
+    if not finite:
+        raise ConfigError("optimizer saw no finite objective value")
+    best_v, best_i = min(finite)
+    return OptimizationTrace(
+        points=np.array(points).reshape(len(points), dim),
+        values=np.array(raws),
+        best_params=QaoaParams.from_flat(points[best_i]),
+        best_value=best_v,
+    )
+
+
+def _bfs_path(adj, sources, dst):
+    """Shortest path from the nearest source, smaller vertices first; None if
+    dst is unreachable."""
+    prev = {s: s for s in sorted(set(sources))}
+    queue = deque(prev)
+    while queue and dst not in prev:
+        node = queue.popleft()
+        for nb in sorted(adj[node]):
+            if nb not in prev:
+                prev[nb] = node
+                queue.append(nb)
+    if dst not in prev:
+        return None
+    path = [dst]
+    while prev[path[-1]] != path[-1]:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def reference_steiner_tree_edges(adj, terminals):
+    """Greedy Steiner tree with one breadth-first search per remaining
+    terminal per growth step; the first of the shortest paths wins."""
+    tree_nodes = {terminals[0]}
+    edges = []
+    remaining = sorted(set(terminals) - tree_nodes)
+    while remaining:
+        best_path = best_t = None
+        for t in remaining:
+            path = _bfs_path(adj, tree_nodes, t)
+            if path is None:
+                raise PlacementError("region disconnected during tree routing")
+            if best_path is None or len(path) < len(best_path):
+                best_path, best_t = path, t
+        for u, v in zip(best_path, best_path[1:]):
+            if norm_edge(u, v) not in edges:
+                edges.append(norm_edge(u, v))
+        tree_nodes.update(best_path)
+        remaining = sorted(set(remaining) - {best_t} - tree_nodes)
+    return sorted(edges)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -73,6 +74,18 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["gammas"] == [0.5]
         assert "optimization" not in doc
+
+    @pytest.mark.parametrize("flag", ["--gammas", "--betas"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.1,-inf"])
+    def test_non_finite_angles_are_usage_errors(self, capsys, flag, value):
+        angles = {"--gammas": "0.5", "--betas": "0.3", flag: value}
+        argv = ["simulate", "--problem", TRIANGLE, *itertools.chain(*angles.items())]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: field 'angle' must be a finite number" in err
+        assert "Traceback" not in err
 
     def test_mismatched_angles_exit_2(self, capsys):
         code = main(
@@ -437,6 +450,9 @@ MALFORMED_INPUT_FILES = [
     refused(problem_doc, {"labs": 6.7}, "labs", id="labs-fractional"),
     refused(problem_doc, {"labs": True}, "labs", id="labs-boolean"),
     refused(problem_doc, {"labs": "6"}, "labs", id="labs-numeric-string"),
+    # refused before the cubic encoding, which takes seconds at 120 and never ends at 10**9
+    refused(problem_doc, {"labs": 120}, "labs", id="labs-too-large"),
+    refused(problem_doc, {"labs": 10**9}, "labs", id="labs-far-too-large"),
     refused(
         problem_doc, {"num_vertices": -1, "edges": []}, "num_vertices", id="problem-negative-size"
     ),

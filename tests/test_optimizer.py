@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisco.errors import ConfigError
 from qdisco.optimizer import (
@@ -14,6 +16,8 @@ from qdisco.optimizer import (
 )
 from qdisco.problem import ProblemGraph, SpinPolynomial, maxcut_to_spin_polynomial
 from qdisco.simulator import QaoaParams
+
+from oracles import reference_optimize
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
 RING5 = maxcut_to_spin_polynomial(
@@ -186,3 +190,35 @@ class TestOptimizeBatch:
             optimize_batch(RING5, 0, None, OptimizerConfig(), [1])
         with pytest.raises(ConfigError):
             optimize_batch(RING5, 2, None, OptimizerConfig(initial=(0.1, 0.2)), [1])
+
+
+@st.composite
+def optimizer_runs(draw):
+    """A small polynomial (terms of degree 1-3), a depth and a run config."""
+    n = draw(st.integers(2, 5))
+    supports = st.lists(st.sampled_from(range(n)), min_size=1, max_size=3, unique=True)
+    weight = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    term = st.tuples(weight, supports.map(lambda s: tuple(sorted(s))))
+    terms = draw(st.lists(term, max_size=6))
+    poly = SpinPolynomial(n, tuple(terms), constant_offset=draw(weight))
+    p = draw(st.integers(1, 3))
+    angle = st.floats(0.0, 2 * math.pi, allow_nan=False)
+    cfg = OptimizerConfig(
+        method=draw(st.sampled_from(["nelder_mead", "grid_then_nelder_mead"])),
+        max_evaluations=draw(st.integers(1, 120)),
+        initial=draw(st.none() | st.tuples(*[angle] * (2 * p))),
+        restarts=draw(st.integers(1, 3)),
+        noisy=draw(st.booleans()),
+    )
+    return poly, p, cfg, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(optimizer_runs())
+def test_trace_equals_guarded_loop_oracle(run):
+    poly, p, cfg, seed = run
+    trace = optimize(poly, p, None, cfg, seed=seed)
+    want = reference_optimize(poly, p, cfg, seed)
+    assert trace == want
+    assert trace.points.tobytes() == want.points.tobytes()
+    assert trace.values.tobytes() == want.values.tobytes()

@@ -4,14 +4,24 @@ import collections
 import itertools
 import math
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisco import _graphs
 from qdisco._fields import number
-from qdisco.decomposer import balanced_mincut
-from qdisco.errors import ConfigError, SchemaError
-from qdisco.problem import ProblemGraph
+from qdisco.compiler import _steiner_tree_edges, ordered_terms, route_phase_layer
+from qdisco.datasets import data_path
+from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
+from qdisco.errors import ConfigError, PlacementError, SchemaError
+from qdisco.hardware import load_calibration
+from qdisco.hscore import best_region_placement
+from qdisco.problem import ProblemGraph, SpinAssignment, SpinPolynomial
+from qdisco.simulator import QaoaParams, _trajectory_probabilities, build_qaoa_state
+
+from oracles import reference_steiner_tree_edges
 
 WEIGHTS = st.one_of(
     st.integers(-5, 5).map(float),
@@ -73,3 +83,138 @@ def test_field_reader_accepts_exactly_finite_numbers(kind, value, error):
     else:
         with pytest.raises(error, match="field 'f' must be"):
             number(kind, value, "f", error)
+
+
+@st.composite
+def graphs(draw, max_vertices=12):
+    """An adjacency map and the same graph in networkx (isolated vertices kept)."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return _graphs.adjacency(range(n), edges), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_multi_source_shortest_paths_match_networkx(graph, data):
+    adj, g = graph
+    sources = data.draw(st.sets(st.sampled_from(sorted(adj)), min_size=1))
+    parents = _graphs.bfs(adj, sources)
+    lengths = nx.multi_source_dijkstra_path_length(g, sources)
+    assert set(parents) == set(lengths)
+    for dst in adj:
+        path = _graphs.shortest_path(parents, dst)
+        if dst not in lengths:
+            assert path is None
+            continue
+        assert len(path) - 1 == lengths[dst]
+        assert path[0] in sources and path[-1] == dst
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_components_and_distances_match_networkx(graph):
+    adj, g = graph
+    comps = _graphs.connected_components(adj)
+    assert comps == sorted(nx.connected_components(g), key=min)
+    assert _graphs.is_connected(adj) == nx.is_connected(g)
+    for src in adj:
+        assert _graphs.bfs_distances(adj, src) == nx.single_source_shortest_path_length(g, src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_steiner_tree_equals_one_search_per_terminal(graph, data):
+    adj, _ = graph
+    terminals = data.draw(st.lists(st.sampled_from(sorted(adj)), min_size=1, max_size=6))
+    try:
+        want = reference_steiner_tree_edges(adj, terminals)
+    except PlacementError:
+        with pytest.raises(PlacementError, match="disconnected"):
+            _steiner_tree_edges(adj, terminals)
+        return
+    assert _steiner_tree_edges(adj, terminals) == want
+
+
+@st.composite
+def merge_inputs(draw):
+    """A weighted graph, any assignment of its vertices to parts and local solutions."""
+    g, caps, _ = draw(partition_inputs())
+    n = g.num_vertices
+    assignment = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = sorted(set(assignment))
+    assignment = tuple(parts.index(a) for a in assignment)  # no empty parts
+    sizes = collections.Counter(assignment)
+    part = Partition(
+        assignment,
+        len(parts),
+        tuple(sizes[p] for p in range(len(parts))),
+        tuple(e for e in g.edges if assignment[e[0]] != assignment[e[1]]),
+    )
+    spins = st.sampled_from([-1, 1])
+    locals_ = [
+        SpinAssignment(tuple(draw(st.lists(spins, min_size=sizes[p], max_size=sizes[p]))))
+        for p in range(len(parts))
+    ]
+    return g, part, locals_
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs())
+def test_merge_is_never_worse_than_concatenation(inputs):
+    g, part, locals_ = inputs
+    concatenated = [0] * g.num_vertices
+    for sub, sol in zip(extract_subproblems(g, part), locals_):
+        for local, parent in enumerate(sub.vertices):
+            concatenated[parent] = sol[local]
+    merged = merge_solutions(g, part, locals_)
+    assert g.cut_value(merged) >= g.cut_value(concatenated) - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs())
+def test_extract_subproblems_conserves_every_edge(inputs):
+    g, part, _ = inputs
+    subs = extract_subproblems(g, part)
+    internal = [
+        (sub.vertices[u], sub.vertices[v], w) for sub in subs for u, v, w in sub.graph.edges
+    ]
+    assert sorted(internal + list(part.cut_edges)) == sorted(g.edges)
+    assert sorted(v for sub in subs for v in sub.vertices) == list(range(g.num_vertices))
+
+
+HEX16 = load_calibration(data_path("qpu_hex16.json").read_text())
+
+
+@st.composite
+def placed_circuits(draw):
+    """A polynomial with terms of degree 1-3 placed on hex16, and angles."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    support = st.lists(st.sampled_from(range(n)), min_size=1, max_size=3, unique=True)
+    term = st.tuples(weight, support.map(lambda s: tuple(sorted(s))))
+    terms = draw(st.lists(term, max_size=8))
+    poly = SpinPolynomial(n, tuple(terms), constant_offset=draw(weight))
+    p = draw(st.integers(1, 3))
+    angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    params = QaoaParams(tuple(draw(angle) for _ in range(p)), tuple(draw(angle) for _ in range(p)))
+    return poly, params
+
+
+@settings(max_examples=100, deadline=None)
+@given(placed_circuits())
+def test_zero_noise_trajectory_equals_noiseless_distribution(circuit):
+    poly, params = circuit
+    placement = best_region_placement(poly, HEX16)
+    layers = [placement.schedule]
+    mapping = placement.final_map
+    for _ in range(1, params.p):  # later layers re-route from the evolved layout
+        entries, mapping = route_phase_layer(placement.region, mapping, ordered_terms(poly))
+        layers.append(entries)
+    probs = _trajectory_probabilities(poly.num_spins, layers, params, {}, {})
+    want = build_qaoa_state(poly, params).probabilities()
+    np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
