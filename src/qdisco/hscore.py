@@ -190,13 +190,15 @@ def benchmark_qpu(
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
     cfg = cfg or OptimizerConfig()
+    if reference is not None and (
+        reference.problem_key != poly.canonical_key() or reference.p != p
+    ):
+        raise ConfigError("reference was built for a different problem or depth")
+    placement = best_region_placement(poly, qpu)  # before the reference, which costs far more
     if reference is None:
         reference = build_reference(
             poly, p, cfg, m_ref, derive_seed(seed, "reference"), shots=shots
         )
-    elif reference.problem_key != poly.canonical_key() or reference.p != p:
-        raise ConfigError("reference was built for a different problem or depth")
-    placement = best_region_placement(poly, qpu)
     noise = noise or NoiseSpec.from_qpu(qpu)
     run_seeds = [derive_seed(seed, "score-run", i) for i in range(m)]
     traces = optimize_batch(poly, p, None, cfg, run_seeds)

@@ -335,33 +335,81 @@ def _split_shots(shots: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _trajectory_probabilities(
-    n: int,
-    layers: list,
-    params: QaoaParams,
-    fired: dict[tuple[int, int], list[tuple[int, int, int]]],
-    sign_cache: dict,
-) -> np.ndarray:
-    """Outcome distribution of one trajectory of the placed circuit.
+def _fire_points(layers: list, noise: NoiseSpec) -> tuple[list, np.ndarray]:
+    """Every channel application that can fire, in schedule order, and its rate.
 
-    Walks the schedule entry by entry; ``fired`` maps (layer, entry) to the
-    two-qubit Paulis, as (logical a, logical b, Pauli index), applied after
-    that entry's phase.
+    A point is ((layer, entry), logical a, logical b); applications on
+    error-free edges draw nothing and are left out.
     """
-    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    points, rates = [], []
     for layer_idx, entries in enumerate(layers):
-        gamma = params.gammas[layer_idx]
         for entry_idx, entry in enumerate(entries):
-            prod = _sign_product(n, entry.support, sign_cache)
-            angle = gamma * entry.weight
-            amps *= math.cos(angle) - 1j * math.sin(angle) * prod
-            for la, lb, pauli in fired.get((layer_idx, entry_idx), ()):
-                _apply_pauli(amps, la, _PAULIS[pauli >> 2])
-                _apply_pauli(amps, lb, _PAULIS[pauli & 3])
-        _apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    return probs
+            for edge, (la, lb) in entry.noise_points:
+                err = noise.two_qubit_error_prob.get(edge, 0.0)
+                if err > 0.0:
+                    points.append(((layer_idx, entry_idx), la, lb))
+                    rates.append(err)
+    return points, np.array(rates, dtype=np.float64)
+
+
+def _draw_fires(rng: np.random.Generator, points: list, rates: np.ndarray) -> dict:
+    """One trajectory's errors: (layer, entry) -> [(logical a, logical b, Pauli)].
+
+    Point i fires when its double from ``rng`` is below its rate, and a fire
+    draws its Pauli with ``integers(1, 16)`` before the next point's double.
+    The doubles of all points left are drawn at once; at the first fire the
+    generator is rewound and advanced to just past that point's double, so
+    every Pauli draw keeps its place in the stream and a trajectory that
+    fires nothing costs one vector draw.
+    """
+    fired: dict = {}
+    start = 0
+    while start < len(rates):
+        state = rng.bit_generator.state
+        hits = rng.random(len(rates) - start) < rates[start:]
+        if not hits.any():
+            break
+        i = start + int(hits.argmax())
+        rng.bit_generator.state = state
+        rng.random(i + 1 - start)
+        key, la, lb = points[i]
+        fired.setdefault(key, []).append((la, lb, int(rng.integers(1, 16))))
+        start = i + 1
+    return fired
+
+
+def _trajectory_rows(n: int, layers: list, params: QaoaParams, fires: list):
+    """Yield the outcome distribution of each trajectory of the placed circuit.
+
+    ``fires[r]`` maps (layer, entry) to row r's two-qubit Paulis, as
+    (logical a, logical b, Pauli index), applied after that entry's phase;
+    an empty map is an error-free trajectory.  Rows walk the schedule
+    together, entry by entry, in blocks of at most ``_BLOCK_AMPLITUDES``
+    amplitudes (one state when a state is larger); each yielded row is a
+    view into its block.
+    """
+    sign_cache: dict[tuple[int, ...], np.ndarray] = {}
+    step = max(1, _BLOCK_AMPLITUDES >> n)
+    for start in range(0, len(fires), step):
+        chunk = fires[start : start + step]
+        events: dict = {}
+        for row, fired in enumerate(chunk):
+            for key, paulis in fired.items():
+                events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
+        block = np.full((len(chunk), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
+        for layer_idx, entries in enumerate(layers):
+            gamma = params.gammas[layer_idx]
+            for entry_idx, entry in enumerate(entries):
+                prod = _sign_product(n, entry.support, sign_cache)
+                angle = gamma * entry.weight
+                block *= math.cos(angle) - 1j * math.sin(angle) * prod
+                for row, la, lb, pauli in events.get((layer_idx, entry_idx), ()):
+                    _apply_pauli(block[row], la, _PAULIS[pauli >> 2])
+                    _apply_pauli(block[row], lb, _PAULIS[pauli & 3])
+            _apply_rx_all(block, n, [params.betas[layer_idx]] * len(chunk))
+        for probs in np.abs(block) ** 2:
+            probs /= probs.sum()
+            yield probs
 
 
 def noisy_sample(
@@ -381,9 +429,16 @@ def noisy_sample(
     flips each bit independently with its physical qubit's readout
     probability.  Shots are split as evenly as possible across trajectories
     and per-trajectory generators are derived by counter from the master
-    seed, so results do not depend on trajectory execution order.  Each
-    trajectory draws its errors first; all trajectories that fire none
-    share one error-free distribution, and only the others are simulated.
+    seed, so results do not depend on trajectory execution order.
+
+    Each trajectory's generator draws, in this order: one double per
+    channel application on an edge with nonzero error rate, in schedule
+    order, each fire followed by its Pauli (``integers(1, 16)``); then the
+    multinomial over its shots; then, if any readout rate is nonzero, a
+    (shots, n) array of readout doubles.  Every trajectory that fires is a
+    row of one (B, 2^n) block, and all trajectories that fire nothing share
+    one more row; the block walks the schedule once, each fired Pauli
+    applied in place to its own row after its entry's phase.
     """
     validate_placement(placement, poly, qpu)
     if shots <= 0:
@@ -404,49 +459,44 @@ def noisy_sample(
             layers.append(entries)
     final_map = mapping
 
-    sign_cache: dict[tuple[int, ...], np.ndarray] = {}
     readout = np.array(
         [noise.readout_flip_prob[final_map[l]] for l in range(n)], dtype=np.float64
     )
     any_readout = bool(readout.any())
-    edge_err = {
-        e: noise.two_qubit_error_prob.get(e, 0.0)
-        for entry_list in layers
-        for entry in entry_list
-        for e, _ in entry.noise_points
-    }
+    points, rates = _fire_points(layers, noise)
 
-    totals = np.zeros(1 << n, dtype=np.int64)
-    qubit_weights = 1 << np.arange(n, dtype=np.int64)
-    clean = None  # outcome distribution of a trajectory that fires no error
+    fires: list[dict] = []  # one block row per fired trajectory, then the clean row
+    runs: list[list] = []  # per row, the (generator, shots) of its trajectories
+    clean_runs = []
     for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
         if traj_shots == 0:
             continue
         rng = rng_from(seed, "trajectory", traj)
-        fired: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for layer_idx in range(p):
-            for entry_idx, entry in enumerate(layers[layer_idx]):
-                for edge, (la, lb) in entry.noise_points:
-                    err = edge_err[edge]
-                    if err > 0.0 and rng.random() < err:
-                        pauli = int(rng.integers(1, 16))
-                        fired.setdefault((layer_idx, entry_idx), []).append((la, lb, pauli))
+        fired = _draw_fires(rng, points, rates)
         if fired:
-            probs = _trajectory_probabilities(n, layers, params, fired, sign_cache)
+            fires.append(fired)
+            runs.append([(rng, traj_shots)])
         else:
-            if clean is None:
-                clean = _trajectory_probabilities(n, layers, params, fired, sign_cache)
-            probs = clean
-        hist = rng.multinomial(traj_shots, probs)
-        if any_readout:
-            outcomes = np.repeat(np.arange(1 << n, dtype=np.int64), hist)
-            bits = (outcomes[:, None] >> np.arange(n)) & 1
-            flips = (rng.random(bits.shape) < readout[None, :]).astype(np.int64)
-            bits ^= flips
-            outcomes = bits @ qubit_weights
-            totals += np.bincount(outcomes, minlength=1 << n)
-        else:
-            totals += hist
+            clean_runs.append((rng, traj_shots))
+    if clean_runs:
+        fires.append({})
+        runs.append(clean_runs)
+
+    basis = np.arange(1 << n, dtype=np.int64)
+    qubit_weights = 1 << np.arange(n, dtype=np.int64)
+    totals = np.zeros(1 << n, dtype=np.int64)
+    outcomes, flips = [], []
+    for probs, row_runs in zip(_trajectory_rows(n, layers, params, fires), runs):
+        for rng, traj_shots in row_runs:
+            hist = rng.multinomial(traj_shots, probs)
+            if any_readout:
+                outcomes.append(np.repeat(basis, hist))
+                flips.append((rng.random((traj_shots, n)) < readout) @ qubit_weights)
+            else:
+                totals += hist
+    if any_readout:
+        # Bits are distinct powers of two, so flipping them is one xor per shot.
+        totals = np.bincount(np.concatenate(outcomes) ^ np.concatenate(flips), minlength=1 << n)
 
     counts = {
         index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c

@@ -28,6 +28,7 @@ from qdisco.simulator import (
     ShotCounts,
     StateVector,
     _apply_pauli,
+    _apply_rx_all,
     _sign_product,
     _split_shots,
     apply_mixer,
@@ -394,6 +395,48 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
         index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
     }
     return ShotCounts(counts, shots, n)
+
+
+def reference_trajectory_probabilities(
+    n: int,
+    layers: list,
+    params: QaoaParams,
+    fired: dict[tuple[int, int], list[tuple[int, int, int]]],
+    sign_cache: dict,
+) -> np.ndarray:
+    """Outcome distribution of one trajectory of the placed circuit.
+
+    Walks the schedule entry by entry; ``fired`` maps (layer, entry) to the
+    two-qubit Paulis, as (logical a, logical b, Pauli index), applied after
+    that entry's phase.
+    """
+    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    for layer_idx, entries in enumerate(layers):
+        gamma = params.gammas[layer_idx]
+        for entry_idx, entry in enumerate(entries):
+            prod = _sign_product(n, entry.support, sign_cache)
+            angle = gamma * entry.weight
+            amps *= math.cos(angle) - 1j * math.sin(angle) * prod
+            for la, lb, pauli in fired.get((layer_idx, entry_idx), ()):
+                _apply_pauli(amps, la, _PAULIS[pauli >> 2])
+                _apply_pauli(amps, lb, _PAULIS[pauli & 3])
+        _apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum()
+    return probs
+
+
+def reference_draw_fires(rng, layers, two_qubit_error_prob):
+    """One trajectory's errors, one scalar draw per channel application."""
+    fired = {}
+    for layer_idx, entries in enumerate(layers):
+        for entry_idx, entry in enumerate(entries):
+            for edge, (la, lb) in entry.noise_points:
+                err = two_qubit_error_prob.get(edge, 0.0)
+                if err > 0.0 and rng.random() < err:
+                    pauli = int(rng.integers(1, 16))
+                    fired.setdefault((layer_idx, entry_idx), []).append((la, lb, pauli))
+    return fired
 
 
 def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:

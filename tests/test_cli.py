@@ -20,6 +20,8 @@ HEX16 = str(data_path("qpu_hex16.json"))
 T7 = str(data_path("qpu_t7_a.json"))
 VA = str(data_path("scenario_va.json"))
 VB = str(data_path("scenario_vb.json"))
+V15 = str(data_path("problem_v15.json"))
+ALPHA7 = str(data_path("qpu_alpha7.json"))
 
 
 # child processes import qdisco from the same source tree as the tests
@@ -484,6 +486,48 @@ class TestMalformedInputFiles:
         assert "Traceback" not in err
         if named is not None:
             assert re.search(rf"\b{re.escape(named)}'? must be", err)
+
+
+def labs_config(tmp_path, n):
+    """scenario_vb's fleet running LABS of size n directly."""
+    path = tmp_path / "labs.json"
+    path.write_text(json.dumps({"labs": n}))
+    return vb_config(tmp_path, problem=str(path), capacities=None)
+
+
+PLAN_ERRORS = [
+    pytest.param(
+        lambda tmp: ["benchmark", "--problem", V15, "--qpu", ALPHA7, "--mref", "100", "--m", "10"],
+        "15-qubit regions",
+        id="benchmark-problem-larger-than-qpu",
+    ),
+    pytest.param(
+        lambda tmp: ["plan", "--config", vb_config(tmp, capacities=[2, 2])],
+        "cannot cover 15 vertices",
+        id="plan-capacities-too-small",
+    ),
+    pytest.param(
+        lambda tmp: ["plan", "--config", vb_config(tmp, eta=1e-6)],
+        "no QPU has a usable qubit",
+        id="plan-eta-filters-every-qubit",
+    ),
+    pytest.param(
+        lambda tmp: ["plan", "--config", labs_config(tmp, 20)],
+        "cannot be decomposed",
+        id="plan-labs-larger-than-any-region",
+    ),
+]
+
+
+class TestPlanErrors:
+    @pytest.mark.parametrize("command, message", PLAN_ERRORS)
+    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, message):
+        assert main(command(tmp_path)) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert message in err
 
 
 class TestBrokenPipe:

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -18,10 +19,28 @@ from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, m
 from qdisco.errors import ConfigError, PlacementError, SchemaError
 from qdisco.hardware import load_calibration
 from qdisco.hscore import best_region_placement
-from qdisco.problem import ProblemGraph, SpinAssignment, SpinPolynomial
-from qdisco.simulator import QaoaParams, _trajectory_probabilities, build_qaoa_state
+from qdisco.problem import (
+    ProblemGraph,
+    SpinAssignment,
+    SpinPolynomial,
+    cost_vector,
+    parse_problem_json,
+)
+from qdisco.simulator import (
+    _BLOCK_AMPLITUDES,
+    NoiseSpec,
+    QaoaParams,
+    _draw_fires,
+    _fire_points,
+    _trajectory_rows,
+    build_qaoa_state,
+)
 
-from oracles import reference_steiner_tree_edges
+from oracles import (
+    reference_draw_fires,
+    reference_steiner_tree_edges,
+    reference_trajectory_probabilities,
+)
 
 WEIGHTS = st.one_of(
     st.integers(-5, 5).map(float),
@@ -205,16 +224,150 @@ def placed_circuits(draw):
     return poly, params
 
 
-@settings(max_examples=100, deadline=None)
-@given(placed_circuits())
-def test_zero_noise_trajectory_equals_noiseless_distribution(circuit):
-    poly, params = circuit
+def routed_layers(poly, params):
+    """The phase layers ``noisy_sample`` walks for this circuit on hex16."""
     placement = best_region_placement(poly, HEX16)
     layers = [placement.schedule]
     mapping = placement.final_map
     for _ in range(1, params.p):  # later layers re-route from the evolved layout
         entries, mapping = route_phase_layer(placement.region, mapping, ordered_terms(poly))
         layers.append(entries)
-    probs = _trajectory_probabilities(poly.num_spins, layers, params, {}, {})
+    return layers
+
+
+@settings(max_examples=100, deadline=None)
+@given(placed_circuits())
+def test_zero_noise_trajectory_equals_noiseless_distribution(circuit):
+    poly, params = circuit
+    [probs] = _trajectory_rows(poly.num_spins, routed_layers(poly, params), params, [{}])
     want = build_qaoa_state(poly, params).probabilities()
     np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+
+def random_fires(rng, layers, n, rows):
+    """``rows`` fire maps of 0-3 Paulis each, drawn from a numpy generator."""
+    slots = [(l, e) for l, entries in enumerate(layers) for e in range(len(entries))]
+    fires = []
+    for _ in range(rows):
+        fired = {}
+        for _ in range(rng.integers(0, 4)):
+            la, lb = (int(q) for q in rng.choice(n, size=2, replace=False))
+            slot = slots[rng.integers(len(slots))]
+            fired.setdefault(slot, []).append((la, lb, int(rng.integers(1, 16))))
+        fires.append(fired)
+    return fires
+
+
+@st.composite
+def fired_trajectories(draw):
+    """A placed circuit, its routed layers and the fire maps of 1-6 trajectories."""
+    poly, params = draw(placed_circuits())
+    layers = routed_layers(poly, params)
+    n = poly.num_spins
+    slots = [(l, e) for l, entries in enumerate(layers) for e in range(len(entries))]
+    fires = []
+    for _ in range(draw(st.integers(1, 6))):
+        fired = {}
+        if slots and n >= 2:
+            for slot in draw(st.lists(st.sampled_from(slots), max_size=4)):
+                la, lb = draw(st.permutations(range(n)))[:2]
+                fired.setdefault(slot, []).append((la, lb, draw(st.integers(1, 15))))
+        fires.append(fired)
+    return n, layers, params, fires
+
+
+def assert_rows_equal_single_row_walks(n, layers, params, fires):
+    rows = list(_trajectory_rows(n, layers, params, fires))
+    assert len(rows) == len(fires)
+    for row, fired in zip(rows, fires):
+        want = reference_trajectory_probabilities(n, layers, params, fired, {})
+        assert np.array_equal(row, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fired_trajectories())
+def test_block_rows_equal_single_row_walk(case):
+    assert_rows_equal_single_row_walks(*case)
+
+
+def test_block_rows_spanning_two_chunks_equal_single_row_walk():
+    ring6 = parse_problem_json(data_path("problem_ring6.json").read_text()).polynomial
+    params = QaoaParams((0.4, -0.9), (0.7, 0.2))
+    layers = routed_layers(ring6, params)
+    fires = random_fires(np.random.default_rng(8), layers, 6, 300)
+    assert len(fires) > _BLOCK_AMPLITUDES >> 6  # two blocks
+    assert_rows_equal_single_row_walks(6, layers, params, fires)
+
+
+@st.composite
+def noise_schedules(draw):
+    """Layers of entries holding 0-60 channel applications, and a rate per edge."""
+    edges = [(q, q + 1) for q in range(draw(st.integers(1, 8)))]
+    rates = {e: draw(st.sampled_from([0.0, 0.005, 0.3, 0.9])) for e in edges}
+    k = draw(st.integers(0, 60))
+    pair = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    points = [(draw(st.sampled_from(edges)), draw(pair)) for _ in range(k)]
+    cuts = sorted(draw(st.lists(st.integers(0, k), max_size=8)))
+    entries = [
+        SimpleNamespace(noise_points=tuple(points[a:b]))
+        for a, b in zip([0, *cuts], [*cuts, k])
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(entries)), max_size=2)))
+    layers = [entries[a:b] for a, b in zip([0, *cuts], [*cuts, len(entries)])]
+    return layers, rates
+
+
+@settings(max_examples=300, deadline=None)
+@given(noise_schedules(), st.integers(0, 2**64 - 1))
+def test_vector_fire_draws_equal_scalar_draws(schedule, seed):
+    layers, rates = schedule
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_fires(got_rng, *_fire_points(layers, NoiseSpec((), rates)))
+    assert got == reference_draw_fires(want_rng, layers, rates)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the multinomial and readout draws that follow see the same stream
+    pvals = [0.5, 0.25, 0.25]
+    assert np.array_equal(got_rng.multinomial(40, pvals), want_rng.multinomial(40, pvals))
+    assert np.array_equal(got_rng.random((5, 3)), want_rng.random((5, 3)))
+
+
+EIGHTHS = st.integers(-40, 40).map(lambda k: k / 8)  # sums of these are exact
+
+
+@st.composite
+def polynomial_rewrites(draw):
+    """Raw terms of a polynomial and the same function rewritten.
+
+    The rewrite permutes the terms, splits weights across duplicate
+    supports and pads supports with repeated indices (s_i^2 = 1).
+    """
+    n = draw(st.integers(1, 6))
+    support = st.lists(st.sampled_from(range(n)), max_size=4, unique=True).map(tuple)
+    terms = draw(st.lists(st.tuples(EIGHTHS, support), max_size=8))
+    rewritten = []
+    for w, s in terms:
+        pieces = [(w, s)]
+        if draw(st.booleans()):
+            split = draw(EIGHTHS)
+            pieces = [(w - split, s), (split, s)]
+        for piece_w, piece_s in pieces:
+            pad = draw(st.lists(st.sampled_from(range(n)), max_size=2))
+            rewritten.append((piece_w, tuple(draw(st.permutations([*piece_s, *pad, *pad])))))
+    return n, terms, draw(st.permutations(rewritten)), draw(EIGHTHS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_rewrites())
+def test_rewritten_polynomials_are_canonically_equal(case):
+    n, terms, rewritten, offset = case
+    a = SpinPolynomial(n, tuple(terms), constant_offset=offset)
+    b = SpinPolynomial(n, tuple(rewritten), constant_offset=offset)
+    assert a == b
+    assert a.canonical_key() == b.canonical_key()
+    spins = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    raw = np.full(1 << n, offset)
+    for w, s in rewritten:
+        raw += w * np.prod(spins[:, list(s)], axis=1)
+    built = cost_vector.__wrapped__  # uncached: each polynomial is enumerated itself
+    assert np.array_equal(built(a), built(b))
+    assert np.array_equal(built(b), raw)
