@@ -156,27 +156,21 @@ def _connected_subsets_exact(adj: dict[int, set[int]], n: int) -> list[frozenset
 
     Root-anchored extension: grow only with vertices larger than the root
     and outside the current exclusive neighbourhood, which makes every
-    subgraph reachable by a unique call path.
+    subgraph reachable by a unique path.  An explicit stack, not a recursive
+    closure: that would be a reference cycle holding each call's subsets
+    until the cyclic collector runs.  The caller sorts, so order is free.
     """
     out: list[frozenset[int]] = []
-
-    def extend(sub: set[int], ext: list[int], root: int, closed: set[int]) -> None:
-        if len(sub) == n:
-            out.append(frozenset(sub))
-            return
-        ext = list(ext)
-        while ext:
-            w = ext.pop(0)
-            new_closed = closed | adj[w]
-            new_ext = ext + sorted(u for u in adj[w] if u > root and u not in closed)
-            extend(sub | {w}, new_ext, root, new_closed)
-
     for root in sorted(adj):
-        if n == 1:
-            out.append(frozenset({root}))
-            continue
-        ext0 = sorted(u for u in adj[root] if u > root)
-        extend({root}, ext0, root, {root} | adj[root])
+        stack = [({root}, sorted(u for u in adj[root] if u > root), {root} | adj[root])]
+        while stack:
+            sub, ext, closed = stack.pop()
+            if len(sub) == n:
+                out.append(frozenset(sub))
+                continue
+            for i, w in enumerate(ext):
+                grown = ext[i + 1 :] + sorted(u for u in adj[w] if u > root and u not in closed)
+                stack.append((sub | {w}, grown, closed | adj[w]))
     return out
 
 

@@ -5,13 +5,17 @@ grid scan at p=1.  Every objective call is recorded in the trace and
 counted against the evaluation budget, which makes runs reproducible and
 comparable across evaluators.  Each run is a generator that yields points
 and receives their values, so ``optimize_batch`` can advance many seeded
-runs in lockstep and evaluate each step's points in one kernel call.
+runs in lockstep and evaluate each step's points in one kernel call; the
+seed-free grid points are evaluated once per batch.  A run keeps its
+simplex as Python floats, computed in numpy's operation order so traces
+match array state bit for bit, and records its trace as flat doubles.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from array import array
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
@@ -112,29 +116,34 @@ class _Spent(Exception):
     """The budget, or the cap of the current search, has no evaluation left."""
 
 
+_Point = tuple[float, ...]
+_Run = Generator[_Point, float, None]
+
+
 class _Budget:
     """Records the evaluated points and values; enforces the budget."""
 
     def __init__(self, limit: int, dim: int):
         self.limit = limit
         self.cap = limit
-        self.used = 0
-        self.points = np.empty((limit, dim))
-        self.values = np.empty(limit)
+        self.dim = dim
+        # flat doubles grown as used: the limit may be huge, many runs alive at once
+        self.points = array("d")
+        self.values = array("d")
 
-    def evaluate(self, x: np.ndarray) -> Generator[np.ndarray, float, float]:
+    def evaluate(self, x: _Point) -> Generator[_Point, float, float]:
         """Yield the point, receive its objective value, record both."""
-        if self.used >= self.cap:
+        if len(self.values) >= self.cap:
             raise _Spent
         raw = float((yield x))
-        self.points[self.used] = x
-        self.values[self.used] = raw
-        self.used += 1
+        self.points.extend(x)
+        self.values.append(raw)
         return raw if math.isfinite(raw) else math.inf
 
-    def search(
-        self, run: Generator[np.ndarray, float, None], cap: int
-    ) -> Generator[np.ndarray, float, None]:
+    def point(self, i: int) -> _Point:
+        return tuple(self.points[i * self.dim : (i + 1) * self.dim])
+
+    def search(self, run: _Run, cap: int) -> _Run:
         """Drive ``run`` until it ends or ``cap`` evaluations are used in total."""
         self.cap = min(cap, self.limit)
         with contextlib.suppress(_Spent):
@@ -150,43 +159,37 @@ def noiseless_evaluator(poly: SpinPolynomial) -> Callable[[QaoaParams], float]:
     return evaluate
 
 
-def _spans(p: int) -> np.ndarray:
-    return np.array([GAMMA_SPAN] * p + [BETA_SPAN] * p)
+def _spans(p: int) -> list[float]:
+    return [GAMMA_SPAN] * p + [BETA_SPAN] * p
 
 
-def _random_point(rng: np.random.Generator, p: int) -> np.ndarray:
-    return rng.random(2 * p) * _spans(p)
+def _step(a: _Point, k: float, b: _Point, c: _Point) -> _Point:
+    """a + k * (b - c), coordinate by coordinate."""
+    return tuple(x + k * (y - z) for x, y, z in zip(a, b, c))
 
 
-def _nelder_mead(
-    budget: _Budget,
-    x0: np.ndarray,
-    p: int,
-    tolerance: float,
-    noisy: bool,
-) -> Generator[np.ndarray, float, None]:
+def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float, noisy: bool) -> _Run:
     """Minimize until converged; the budget ends the run when it is spent."""
     dim = 2 * p
     spans = _spans(p)
 
-    simplex = [np.array(x0, dtype=float)]
+    simplex = [x0]
     for i in range(dim):
         step = 0.1 * spans[i]
-        vertex = simplex[0].copy()
+        vertex = list(x0)
         vertex[i] += step if vertex[i] + step < spans[i] else -step
-        simplex.append(vertex)
+        simplex.append(tuple(vertex))
     values = []
     for v in simplex:
         values.append((yield from budget.evaluate(v)))
 
     iteration = 0
     while True:
-        order = np.argsort(np.array(values), kind="stable")
+        order = sorted(range(dim + 1), key=values.__getitem__)  # stable: ties keep their order
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
 
-        finite = [v for v in values if math.isfinite(v)]
-        if len(finite) == len(values) and max(values) - min(values) < tolerance:
+        if all(map(math.isfinite, values)) and max(values) - min(values) < tolerance:
             return
 
         iteration += 1
@@ -194,88 +197,84 @@ def _nelder_mead(
             values[0] = yield from budget.evaluate(simplex[0])
             continue
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        # rows added in order, then divided, as np.mean(axis=0); sum() and fsum round otherwise
+        total = simplex[0]
+        for vertex in simplex[1:-1]:
+            total = tuple(t + x for t, x in zip(total, vertex))
+        centroid = tuple(t / dim for t in total)
         worst = simplex[-1]
 
-        reflected = centroid + _REFLECT * (centroid - worst)
+        reflected = _step(centroid, _REFLECT, centroid, worst)
         f_r = yield from budget.evaluate(reflected)
 
         if f_r < values[0]:
-            expanded = centroid + _EXPAND * (centroid - worst)
+            expanded = _step(centroid, _EXPAND, centroid, worst)
             f_e = yield from budget.evaluate(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
+            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
         elif f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
         else:
-            if f_r < values[-1]:
-                contracted = centroid + _CONTRACT * (reflected - centroid)
-            else:
-                contracted = centroid + _CONTRACT * (worst - centroid)
+            inner = reflected if f_r < values[-1] else worst
+            contracted = _step(centroid, _CONTRACT, inner, centroid)
             f_c = yield from budget.evaluate(contracted)
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 # shrink toward the best vertex
                 for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
+                    simplex[i] = _step(simplex[0], _SHRINK, simplex[i], simplex[0])
                     values[i] = yield from budget.evaluate(simplex[i])
 
 
-def _grid_scan(budget: _Budget, resolution: int) -> Generator[np.ndarray, float, None]:
-    """Coarse p=1 scan over (gamma, beta), row by row."""
-    for gi in range(resolution):
-        for bi in range(resolution):
-            yield from budget.evaluate(
-                np.array([GAMMA_SPAN * gi / resolution, BETA_SPAN * bi / resolution])
-            )
+def _grid_points(p: int, cfg: OptimizerConfig) -> list[_Point]:
+    """The p=1 grid points the scan's budget reaches, row by row; only those are built."""
+    if cfg.method != "grid_then_nelder_mead" or p != 1:
+        return []
+    res = cfg.grid_resolution
+    count = min(res**2, max(1, cfg.max_evaluations // 2))
+    return [(GAMMA_SPAN * (j // res) / res, BETA_SPAN * (j % res) / res) for j in range(count)]
 
 
-def _best_index(values: np.ndarray) -> int | None:
+def _best_index(values: array) -> int | None:
     """Index of the first lowest finite value, or None if none is finite."""
-    finite = [(v, i) for i, v in enumerate(values.tolist()) if math.isfinite(v)]
+    finite = [(v, i) for i, v in enumerate(values) if math.isfinite(v)]
     return min(finite)[1] if finite else None
 
 
 def _optimization(
-    p: int, cfg: OptimizerConfig, seed: int
-) -> Generator[np.ndarray, float, OptimizationTrace]:
-    """One run of ``optimize``: yields points, receives their values."""
+    p: int, cfg: OptimizerConfig, seed: int, grid: list[_Point], grid_values: list[float]
+) -> Generator[_Point, float, OptimizationTrace]:
+    """One run of ``optimize``, its grid already evaluated: yields points, receives values."""
     budget = _Budget(cfg.max_evaluations, 2 * p)
+    budget.points.extend(c for x in grid for c in x)
+    budget.values.extend(grid_values)
 
     # start points in priority order: grid scan result, explicit initial,
     # then seeded random points, truncated to the configured restart count
-    starts: list[np.ndarray] = []
-    if cfg.method == "grid_then_nelder_mead" and p == 1:
-        grid_budget = min(cfg.grid_resolution**2, max(1, cfg.max_evaluations // 2))
-        yield from budget.search(_grid_scan(budget, cfg.grid_resolution), grid_budget)
-        best = _best_index(budget.values[: budget.used])
-        if best is not None:
-            starts.append(budget.points[best])
+    starts: list[_Point] = []
+    best = _best_index(budget.values)
+    if best is not None:
+        starts.append(budget.point(best))
     if cfg.initial is not None:
-        starts.append(np.array(cfg.initial, dtype=float))
-    for r in range(cfg.restarts):
-        if len(starts) >= cfg.restarts:
-            break
-        starts.append(_random_point(rng_from(seed, "nm-start", r), p))
+        starts.append(tuple(float(x) for x in cfg.initial))
+    for r in range(cfg.restarts - len(starts)):
+        rng = rng_from(seed, "nm-start", r)
+        starts.append(tuple((rng.random(2 * p) * _spans(p)).tolist()))
     starts = starts[: cfg.restarts]
 
-    per_start = max(1, (budget.limit - budget.used) // len(starts))
+    per_start = max(1, (budget.limit - len(budget.values)) // len(starts))
     for i, x0 in enumerate(starts):
-        cap = budget.used + per_start if i < len(starts) - 1 else budget.limit
+        cap = len(budget.values) + per_start if i < len(starts) - 1 else budget.limit
         yield from budget.search(_nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy), cap)
 
-    best = _best_index(budget.values[: budget.used])
+    best = _best_index(budget.values)
     if best is None:
         raise ConfigError("optimizer saw no finite objective value")
-    points = budget.points[: budget.used]
     return OptimizationTrace(
-        points=points,
-        values=budget.values[: budget.used],
-        best_params=QaoaParams.from_flat(points[best]),
-        best_value=float(budget.values[best]),
+        points=np.array(budget.points).reshape(-1, 2 * p),
+        values=np.array(budget.values),
+        best_params=QaoaParams.from_flat(budget.point(best)),
+        best_value=budget.values[best],
     )
 
 
@@ -288,19 +287,25 @@ def optimize_batch(
 ) -> list[OptimizationTrace]:
     """One ``optimize`` run per seed, all advanced in lockstep.
 
-    Each step collects the next point of every unfinished run.  The
-    default noiseless objective evaluates them in one ``qaoa_expectations``
-    call; a custom ``evaluator`` is called point by point in seed order.
-    Trace i equals ``optimize(poly, p, evaluator, cfg, seeds[i])``.
+    The grid scan is the same for every run: the default noiseless objective
+    evaluates its points once, in one ``qaoa_expectations`` call, and a custom
+    ``evaluator`` takes grid point j for every run in seed order, then point
+    j+1.  Then each step collects the next point of every unfinished run and
+    evaluates them in one ``qaoa_expectations`` call, or point by point in
+    seed order.  Trace i equals ``optimize(poly, p, evaluator, cfg, seeds[i])``.
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     if cfg.initial is not None and len(cfg.initial) != 2 * p:
-        raise ConfigError(
-            f"initial point has {len(cfg.initial)} values, expected {2 * p}"
-        )
+        raise ConfigError(f"initial point has {len(cfg.initial)} values, expected {2 * p}")
+    grid = _grid_points(p, cfg) if seeds else []
+    if evaluator is None:
+        columns = [qaoa_expectations(poly, grid).tolist() if grid else []] * len(seeds)
+    else:
+        rows = [[float(evaluator(QaoaParams.from_flat(x))) for _ in seeds] for x in grid]
+        columns = [[row[i] for row in rows] for i in range(len(seeds))]
     traces: list[OptimizationTrace | None] = [None] * len(seeds)
-    runs = [(i, _optimization(p, cfg, seed)) for i, seed in enumerate(seeds)]
+    runs = [(i, _optimization(p, cfg, s, grid, columns[i])) for i, s in enumerate(seeds)]
     values: Sequence[float | None] = [None] * len(runs)
     while runs:
         pending = []
@@ -313,7 +318,7 @@ def optimize_batch(
         if not points:
             break
         if evaluator is None:
-            values = qaoa_expectations(poly, points)
+            values = qaoa_expectations(poly, points).tolist()
         else:
             values = [evaluator(QaoaParams.from_flat(point)) for point in points]
         runs = [(i, run) for i, run, _ in pending]

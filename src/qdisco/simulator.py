@@ -181,18 +181,18 @@ def _apply_phase_block(block: np.ndarray, diag: np.ndarray, gammas) -> np.ndarra
 
 
 def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
-    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place."""
+    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place.
+
+    Per qubit, (a0, a1) becomes c (a0, a1) + s (a1, a0), c = cos beta, s = -i sin beta:
+    one product with the pair-swapped view.  Negation is exact, so c a0 + s a1 equals
+    the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.
+    """
     rows = len(betas)
-    sines = [math.sin(b) for b in betas]
-    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1)
-    pos = np.array([1j * s for s in sines]).reshape(rows, 1, 1)
-    neg = np.array([-1j * s for s in sines]).reshape(rows, 1, 1)
+    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1, 1)
+    s = np.array([-1j * math.sin(b) for b in betas]).reshape(rows, 1, 1, 1)
     for q in range(n):
         view = block.reshape(rows, -1, 2, 1 << q)
-        a0 = view[:, :, 0, :].copy()
-        a1 = view[:, :, 1, :]
-        view[:, :, 0, :] = c * a0 - pos * a1
-        view[:, :, 1, :] = neg * a0 + c * a1
+        np.add(c * view, s * view[:, :, ::-1, :], out=view)
 
 
 def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:

@@ -28,7 +28,6 @@ from qdisco.simulator import (
     ShotCounts,
     StateVector,
     _apply_pauli,
-    _apply_rx_all,
     _sign_product,
     _split_shots,
     apply_mixer,
@@ -308,6 +307,26 @@ def reference_kl_refine(n, capacities, adj, assign):
     return assign
 
 
+def reference_apply_rx_all(block: np.ndarray, n: int, betas) -> None:
+    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place.
+
+    The textbook butterfly: each half of every amplitude pair is written
+    from a saved copy of the other, with separate products for +i sin and
+    -i sin.
+    """
+    rows = len(betas)
+    sines = [math.sin(b) for b in betas]
+    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1)
+    pos = np.array([1j * s for s in sines]).reshape(rows, 1, 1)
+    neg = np.array([-1j * s for s in sines]).reshape(rows, 1, 1)
+    for q in range(n):
+        view = block.reshape(rows, -1, 2, 1 << q)
+        a0 = view[:, :, 0, :].copy()
+        a1 = view[:, :, 1, :]
+        view[:, :, 0, :] = c * a0 - pos * a1
+        view[:, :, 1, :] = neg * a0 + c * a1
+
+
 def _rx_all_single(amps, n, beta):
     """exp(-i beta X) on every qubit of one statevector, in place."""
     c = math.cos(beta)
@@ -420,7 +439,7 @@ def reference_trajectory_probabilities(
             for la, lb, pauli in fired.get((layer_idx, entry_idx), ()):
                 _apply_pauli(amps, la, _PAULIS[pauli >> 2])
                 _apply_pauli(amps, lb, _PAULIS[pauli & 3])
-        _apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
+        reference_apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
     return probs

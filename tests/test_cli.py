@@ -243,6 +243,13 @@ class TestPlanAndRun:
         assert main(["run", "--config", VB, "-o", str(b), "--seed", "2"]) == 0
         assert (a / "result.json").read_bytes() != (b / "result.json").read_bytes()
 
+    def test_huge_evaluation_budget_runs(self, tmp_path, capsys):
+        # the budget caps the evaluations; nothing is sized by it up front
+        optimizer = {"method": "grid_then_nelder_mead", "max_evaluations": 10**12}
+        path = scenario_config(tmp_path, "scenario_va.json", optimizer=optimizer)
+        assert main(["run", "--config", path, "-o", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_labs_problem_runs_direct(self, tmp_path, capsys):
         cfg = {
             "problem": str(data_path("problem_labs6.json")),
@@ -323,9 +330,9 @@ class TestSeedHandling:
         assert a.stdout == b.stdout
 
 
-def vb_config(tmp_path, **fields):
-    """scenario_vb with absolute paths; a field set to None is removed."""
-    doc = json.loads(data_path("scenario_vb.json").read_text())
+def scenario_config(tmp_path, scenario="scenario_vb.json", **fields):
+    """A bundled scenario with absolute paths; a field set to None is removed."""
+    doc = json.loads(data_path(scenario).read_text())
     doc["problem"] = str(data_path(doc["problem"]))
     for entry in doc["fleet"]:
         entry["calibration"] = str(data_path(entry["calibration"]))
@@ -384,20 +391,20 @@ class TestMalformedConfig:
     ):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        assert main(["plan", "--config", vb_config(tmp_path, **fields)]) == 2
+        assert main(["plan", "--config", scenario_config(tmp_path, **fields)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert re.search(rf"\b{re.escape(named)}'? must be", lines[0])
 
     def test_integral_floats_are_accepted(self, tmp_path):
-        path = vb_config(tmp_path, p=2.0, shots=300.0, capacities=[4.0, 5.0, 6.0])
+        path = scenario_config(tmp_path, p=2.0, shots=300.0, capacities=[4.0, 5.0, 6.0])
         cfg = load_run_config(path)
         assert (cfg.p, cfg.shots, cfg.capacities) == (2, 300, (4, 5, 6))
         assert type(cfg.p) is int
 
     def test_labs_with_capacities_is_config_error(self, tmp_path, capsys):
-        path = vb_config(tmp_path, problem=str(data_path("problem_labs6.json")))
+        path = scenario_config(tmp_path, problem=str(data_path("problem_labs6.json")))
         assert main(["plan", "--config", path]) == 2
         assert "graph problem" in capsys.readouterr().err
 
@@ -492,7 +499,7 @@ def labs_config(tmp_path, n):
     """scenario_vb's fleet running LABS of size n directly."""
     path = tmp_path / "labs.json"
     path.write_text(json.dumps({"labs": n}))
-    return vb_config(tmp_path, problem=str(path), capacities=None)
+    return scenario_config(tmp_path, problem=str(path), capacities=None)
 
 
 PLAN_ERRORS = [
@@ -502,12 +509,12 @@ PLAN_ERRORS = [
         id="benchmark-problem-larger-than-qpu",
     ),
     pytest.param(
-        lambda tmp: ["plan", "--config", vb_config(tmp, capacities=[2, 2])],
+        lambda tmp: ["plan", "--config", scenario_config(tmp, capacities=[2, 2])],
         "cannot cover 15 vertices",
         id="plan-capacities-too-small",
     ),
     pytest.param(
-        lambda tmp: ["plan", "--config", vb_config(tmp, eta=1e-6)],
+        lambda tmp: ["plan", "--config", scenario_config(tmp, eta=1e-6)],
         "no QPU has a usable qubit",
         id="plan-eta-filters-every-qubit",
     ),

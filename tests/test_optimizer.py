@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisco import optimizer
 from qdisco.errors import ConfigError
 from qdisco.optimizer import (
     BETA_SPAN,
@@ -15,7 +16,7 @@ from qdisco.optimizer import (
     optimize_batch,
 )
 from qdisco.problem import ProblemGraph, SpinPolynomial, maxcut_to_spin_polynomial
-from qdisco.simulator import QaoaParams
+from qdisco.simulator import QaoaParams, qaoa_expectations
 
 from oracles import reference_optimize
 
@@ -140,6 +141,15 @@ class TestOptimize:
         trace = optimize(EDGE_POLY, 1, None, cfg, seed=10)
         assert trace.evaluations[0][0] == QaoaParams((0.5,), (0.25,))
 
+    @pytest.mark.parametrize("method", ["nelder_mead", "grid_then_nelder_mead"])
+    def test_huge_budget_is_not_allocated_up_front(self, method):
+        # the run converges long before either budget is spent
+        huge = OptimizerConfig(method=method, max_evaluations=10**12, restarts=1)
+        large = OptimizerConfig(method=method, max_evaluations=10**5, restarts=1)
+        trace = optimize(RING5, 1, None, huge, seed=11)
+        assert trace == optimize(RING5, 1, None, large, seed=11)
+        assert trace.num_evaluations < 10**4
+
 
 LOCKSTEP_CONFIGS = [
     pytest.param(OptimizerConfig(max_evaluations=90), id="nelder_mead"),
@@ -184,6 +194,51 @@ class TestOptimizeBatch:
         # lockstep: the two runs alternate while both are active
         assert calls[:2] == [batch[0].evaluations[0][0], batch[1].evaluations[0][0]]
 
+    def test_grid_is_one_shared_block(self, monkeypatch):
+        shapes = []
+
+        def recording(poly, angles):
+            shapes.append(np.shape(angles))
+            return qaoa_expectations(poly, angles)
+
+        monkeypatch.setattr(optimizer, "qaoa_expectations", recording)
+        cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=90)
+        seeds = [3, 1, 4, 1, 5]
+        batch = optimize_batch(RING5, 1, None, cfg, seeds)
+        grid = 45  # half the budget, under the 144-point grid
+        assert shapes[0] == (grid, 2)
+        assert all(rows <= len(seeds) for rows, _ in shapes[1:])
+        assert all(t.num_evaluations > grid for t in batch)
+        monkeypatch.undo()
+        assert batch == [optimize(RING5, 1, None, cfg, seed=s) for s in seeds]
+
+    def test_custom_evaluator_walks_the_grid_step_major(self):
+        calls = []
+
+        def evaluate(params):
+            calls.append(params)
+            return noiseless_evaluator(RING5)(params)
+
+        cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=40, grid_resolution=4)
+        seeds = [1, 2, 3]
+        optimize_batch(RING5, 1, evaluate, cfg, seeds)
+        grid = [
+            QaoaParams((GAMMA_SPAN * gi / 4,), (BETA_SPAN * bi / 4,))
+            for gi in range(4)
+            for bi in range(4)
+        ]
+        # grid point j for every run in seed order, then point j+1
+        assert calls[: 3 * len(grid)] == [point for point in grid for _ in seeds]
+
+    def test_fine_grid_builds_only_the_scanned_points(self):
+        cfg = OptimizerConfig(
+            method="grid_then_nelder_mead", max_evaluations=40, grid_resolution=10**6
+        )
+        [trace] = optimize_batch(RING5, 1, None, cfg, [2])
+        assert trace.num_evaluations == 40
+        want = [(0.0, BETA_SPAN * j / 10**6) for j in range(20)]
+        assert trace.points[:20].tolist() == [list(x) for x in want]
+
     def test_empty_batch_and_bad_depth(self):
         assert optimize_batch(RING5, 1, None, OptimizerConfig(), []) == []
         with pytest.raises(ConfigError):
@@ -201,7 +256,7 @@ def optimizer_runs(draw):
     term = st.tuples(weight, supports.map(lambda s: tuple(sorted(s))))
     terms = draw(st.lists(term, max_size=6))
     poly = SpinPolynomial(n, tuple(terms), constant_offset=draw(weight))
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5))
     angle = st.floats(0.0, 2 * math.pi, allow_nan=False)
     cfg = OptimizerConfig(
         method=draw(st.sampled_from(["nelder_mead", "grid_then_nelder_mead"])),

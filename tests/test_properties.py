@@ -30,6 +30,7 @@ from qdisco.simulator import (
     _BLOCK_AMPLITUDES,
     NoiseSpec,
     QaoaParams,
+    _apply_rx_all,
     _draw_fires,
     _fire_points,
     _trajectory_rows,
@@ -37,6 +38,7 @@ from qdisco.simulator import (
 )
 
 from oracles import (
+    reference_apply_rx_all,
     reference_draw_fires,
     reference_steiner_tree_edges,
     reference_trajectory_probabilities,
@@ -371,3 +373,34 @@ def test_rewritten_polynomials_are_canonically_equal(case):
     built = cost_vector.__wrapped__  # uncached: each polynomial is enumerated itself
     assert np.array_equal(built(a), built(b))
     assert np.array_equal(built(b), raw)
+
+
+MIXER_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, -math.pi, 2 * math.pi]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def mixer_blocks(draw):
+    """A (B, 2^n) complex block, part of whose real and imaginary parts are exact
+    zeros of either sign, and one mixer angle per row."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    parts = rng.standard_normal((rows, 1 << n, 2))
+    parts[rng.random(parts.shape) < zeros] = 0.0
+    parts[rng.random(parts.shape) < zeros / 3] = -0.0
+    block = parts.view(np.complex128)[:, :, 0]
+    return n, block, draw(st.lists(MIXER_ANGLES, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixer_blocks())
+def test_fused_mixer_equals_textbook_butterfly(case):
+    n, block, betas = case
+    got, want = block.copy(), block.copy()
+    _apply_rx_all(got, n, betas)
+    reference_apply_rx_all(want, n, betas)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
