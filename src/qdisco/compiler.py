@@ -256,6 +256,7 @@ def _select_exact(
         search(pos + 1, used_mask, picked, product)
 
     search(0, 0, [], 1.0)
+    del search  # a recursive closure is a reference cycle; break it so the call's state frees now
     assert best is not None
     return [candidates[i] for i in best[3]]
 
@@ -407,7 +408,9 @@ def _find_monomorphism(
             used.discard(cand)
         return False
 
-    return dict(assign) if backtrack(0) else None
+    found = backtrack(0)
+    del backtrack  # a recursive closure is a reference cycle; break it so the call's state frees now
+    return dict(assign) if found else None
 
 
 def _greedy_assignment(

@@ -26,7 +26,7 @@ from .simulator import (
     ShotCounts,
     bitstring_to_index,
     build_qaoa_state,
-    noisy_sample,
+    noisy_sample_batch,
     sample,
 )
 
@@ -202,16 +202,14 @@ def benchmark_qpu(
     noise = noise or NoiseSpec.from_qpu(qpu)
     run_seeds = [derive_seed(seed, "score-run", i) for i in range(m)]
     traces = optimize_batch(poly, p, None, cfg, run_seeds)
-    accs = []
-    for run_seed, trace in zip(run_seeds, traces):
-        counts = noisy_sample(
-            poly,
-            trace.best_params,
-            placement,
-            qpu,
-            noise,
-            shots,
-            seed=derive_seed(run_seed, "measure"),
-        )
-        accs.append(accuracy(counts, poly))
+    runs = noisy_sample_batch(
+        poly,
+        [trace.best_params for trace in traces],
+        placement,
+        qpu,
+        noise,
+        shots,
+        [derive_seed(run_seed, "measure") for run_seed in run_seeds],
+    )
+    accs = [accuracy(counts, poly) for counts in runs]
     return h_score(accs, reference), reference

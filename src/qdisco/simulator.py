@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import rng_from
+from ._seeds import default_rng_states, derive_seeds, rng_from
 from .compiler import Placement, ordered_terms, route_phase_layer
 from .errors import CapacityError, DimensionError, PlacementError
 from .hardware import QpuModel
@@ -109,7 +109,10 @@ class ShotCounts:
 
 
 def index_to_bitstring(index: int, num_bits: int) -> str:
-    return "".join("1" if (index >> j) & 1 else "0" for j in range(num_bits))
+    """Qubit j's bit at string position j: the low ``num_bits`` binary digits, reversed."""
+    if num_bits <= 0:
+        return ""
+    return format(index & ((1 << num_bits) - 1), f"0{num_bits}b")[::-1]
 
 
 def bitstring_to_index(bits: str) -> int:
@@ -352,7 +355,7 @@ def _fire_points(layers: list, noise: NoiseSpec) -> tuple[list, np.ndarray]:
     return points, np.array(rates, dtype=np.float64)
 
 
-def _draw_fires(rng: np.random.Generator, points: list, rates: np.ndarray) -> dict:
+def _draw_fires(rng: np.random.Generator, points: list, rates: np.ndarray, state=None) -> dict:
     """One trajectory's errors: (layer, entry) -> [(logical a, logical b, Pauli)].
 
     Point i fires when its double from ``rng`` is below its rate, and a fire
@@ -360,56 +363,74 @@ def _draw_fires(rng: np.random.Generator, points: list, rates: np.ndarray) -> di
     The doubles of all points left are drawn at once; at the first fire the
     generator is rewound and advanced to just past that point's double, so
     every Pauli draw keeps its place in the stream and a trajectory that
-    fires nothing costs one vector draw.
+    fires nothing costs one vector draw.  ``state``, when the caller knows
+    it, is ``rng.bit_generator.state`` as it stands, which saves reading it.
     """
     fired: dict = {}
     start = 0
     while start < len(rates):
-        state = rng.bit_generator.state
+        if state is None:
+            state = rng.bit_generator.state
         hits = rng.random(len(rates) - start) < rates[start:]
-        if not hits.any():
+        j = int(hits.argmax())
+        if not hits[j]:
             break
-        i = start + int(hits.argmax())
+        i = start + j
         rng.bit_generator.state = state
         rng.random(i + 1 - start)
         key, la, lb = points[i]
         fired.setdefault(key, []).append((la, lb, int(rng.integers(1, 16))))
+        state = None
         start = i + 1
     return fired
 
 
-def _trajectory_rows(n: int, layers: list, params: QaoaParams, fires: list):
+def _trajectory_rows(n: int, layers: list, params: list, fires: list):
     """Yield the outcome distribution of each trajectory of the placed circuit.
 
-    ``fires[r]`` maps (layer, entry) to row r's two-qubit Paulis, as
-    (logical a, logical b, Pauli index), applied after that entry's phase;
-    an empty map is an error-free trajectory.  Rows walk the schedule
-    together, entry by entry, in blocks of at most ``_BLOCK_AMPLITUDES``
-    amplitudes (one state when a state is larger); each yielded row is a
-    view into its block.
+    Row r runs the angles ``params[r]``; ``fires[r]`` maps (layer, entry) to
+    its two-qubit Paulis, as (logical a, logical b, Pauli index), applied
+    after that entry's phase; an empty map is an error-free trajectory.
+    Rows walk the schedule together, entry by entry, in blocks of at most
+    ``_BLOCK_AMPLITUDES`` amplitudes (one state when a state is larger);
+    each entry's phase factor is computed once per distinct angle set in a
+    block, and each yielded row is a view into its block.
     """
     sign_cache: dict[tuple[int, ...], np.ndarray] = {}
     step = max(1, _BLOCK_AMPLITUDES >> n)
     for start in range(0, len(fires), step):
         chunk = fires[start : start + step]
+        row_params = params[start : start + step]
         events: dict = {}
         for row, fired in enumerate(chunk):
             for key, paulis in fired.items():
                 events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
+        distinct: dict[QaoaParams, int] = {}
+        row_factor = [distinct.setdefault(pr, len(distinct)) for pr in row_params]
         block = np.full((len(chunk), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
         for layer_idx, entries in enumerate(layers):
-            gamma = params.gammas[layer_idx]
+            gammas = [pr.gammas[layer_idx] for pr in distinct]
             for entry_idx, entry in enumerate(entries):
                 prod = _sign_product(n, entry.support, sign_cache)
-                angle = gamma * entry.weight
-                block *= math.cos(angle) - 1j * math.sin(angle) * prod
+                angles = [gamma * entry.weight for gamma in gammas]
+                if len(angles) == 1:
+                    block *= math.cos(angles[0]) - 1j * math.sin(angles[0]) * prod
+                else:
+                    cos = np.array([math.cos(a) for a in angles])[:, None]
+                    sin = np.array([1j * math.sin(a) for a in angles])[:, None]
+                    block *= (cos - sin * prod)[row_factor]
                 for row, la, lb, pauli in events.get((layer_idx, entry_idx), ()):
                     _apply_pauli(block[row], la, _PAULIS[pauli >> 2])
                     _apply_pauli(block[row], lb, _PAULIS[pauli & 3])
-            _apply_rx_all(block, n, [params.betas[layer_idx]] * len(chunk))
+            _apply_rx_all(block, n, [pr.betas[layer_idx] for pr in row_params])
         for probs in np.abs(block) ** 2:
             probs /= probs.sum()
             yield probs
+
+
+# A batch seeds and draws about this many trajectories at once, whole runs
+# at a time; only their start states and fire maps are held together.
+_TRAJECTORIES_AT_ONCE = 256
 
 
 def noisy_sample(
@@ -428,23 +449,57 @@ def noisy_sample(
     two-qubit Pauli to the logical qubits sitting on that edge; measurement
     flips each bit independently with its physical qubit's readout
     probability.  Shots are split as evenly as possible across trajectories
-    and per-trajectory generators are derived by counter from the master
-    seed, so results do not depend on trajectory execution order.
+    and trajectory t draws from ``np.random.default_rng(derive_seed(seed,
+    "trajectory", t))``, so results do not depend on execution order.
 
     Each trajectory's generator draws, in this order: one double per
     channel application on an edge with nonzero error rate, in schedule
     order, each fire followed by its Pauli (``integers(1, 16)``); then the
     multinomial over its shots; then, if any readout rate is nonzero, a
-    (shots, n) array of readout doubles.  Every trajectory that fires is a
-    row of one (B, 2^n) block, and all trajectories that fire nothing share
-    one more row; the block walks the schedule once, each fired Pauli
-    applied in place to its own row after its entry's phase.
+    (shots, n) array of readout doubles.  This is the batch of one of
+    ``noisy_sample_batch``, which says how the trajectories are simulated.
     """
+    return noisy_sample_batch(poly, [params], placement, qpu, noise, shots, [seed])[0]
+
+
+def noisy_sample_batch(
+    poly: SpinPolynomial,
+    params_list,
+    placement: Placement,
+    qpu: QpuModel,
+    noise: NoiseSpec,
+    shots: int,
+    seeds,
+) -> list[ShotCounts]:
+    """Sample many runs of one placed circuit in one pass.
+
+    Run i samples ``params_list[i]`` under ``seeds[i]``, all at one depth,
+    and result i equals ``noisy_sample(poly, params_list[i], placement, qpu,
+    noise, shots, seeds[i])`` count for count: every trajectory keeps the
+    stream described there.  Validation, the routing of layers 2..p and the
+    list of channel applications are done once.  Trajectory generator
+    states are computed in bulk (``_seeds.default_rng_states``) and set in
+    turn on one generator.  Each trajectory that fires is a row of a
+    (B, 2^n) block, and a run's trajectories that fire nothing share one
+    more row; the block walks the schedule once per chunk of rows, each
+    fired Pauli applied in place to its own row after its entry's phase.
+    Each trajectory then resumes its stream for its multinomial and readout
+    draws, and each run is reduced with one xor and one ``bincount``.  Runs
+    go in groups of about ``_TRAJECTORIES_AT_ONCE`` trajectories, so memory
+    does not grow with their number.
+    """
+    params_list, seeds = list(params_list), [int(s) for s in seeds]
+    if len(params_list) != len(seeds):
+        raise DimensionError(f"{len(params_list)} parameter sets vs {len(seeds)} seeds")
     validate_placement(placement, poly, qpu)
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    n = poly.num_spins
-    p = params.p
+    if not params_list:
+        return []
+    depths = sorted({params.p for params in params_list})
+    if len(depths) > 1:
+        raise DimensionError(f"runs of one batch need one depth, got {depths}")
+    n, p = poly.num_spins, depths[0]
 
     # Layer schedules are deterministic: layer 1 comes from the placement,
     # later layers re-route from the evolved layout.
@@ -457,51 +512,82 @@ def noisy_sample(
         for _ in range(1, p):
             entries, mapping = route_phase_layer(placement.region, mapping, terms)
             layers.append(entries)
-    final_map = mapping
-
-    readout = np.array(
-        [noise.readout_flip_prob[final_map[l]] for l in range(n)], dtype=np.float64
-    )
-    any_readout = bool(readout.any())
+    readout = np.array([noise.readout_flip_prob[mapping[l]] for l in range(n)], dtype=np.float64)
     points, rates = _fire_points(layers, noise)
-
-    fires: list[dict] = []  # one block row per fired trajectory, then the clean row
-    runs: list[list] = []  # per row, the (generator, shots) of its trajectories
-    clean_runs = []
+    trajectories = []  # (trajectory index, first shot, shots) of those that get shots
+    first = 0
     for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
-        if traj_shots == 0:
-            continue
-        rng = rng_from(seed, "trajectory", traj)
-        fired = _draw_fires(rng, points, rates)
-        if fired:
-            fires.append(fired)
-            runs.append([(rng, traj_shots)])
-        else:
-            clean_runs.append((rng, traj_shots))
-    if clean_runs:
-        fires.append({})
-        runs.append(clean_runs)
+        if traj_shots:
+            trajectories.append((traj, first, traj_shots))
+            first += traj_shots
 
+    rng = np.random.Generator(np.random.PCG64(0))  # each trajectory sets its own state
+    labels = [traj for traj, _, _ in trajectories]
+    group = max(1, _TRAJECTORIES_AT_ONCE // len(trajectories))
+    results = []
+    for g in range(0, len(seeds), group):
+        starts = default_rng_states(derive_seeds(seeds[g : g + group], ("trajectory",), labels))
+        rows = _draw_rows(rng, points, rates, trajectories, params_list[g : g + group], starts)
+        results.extend(_sample_rows(rng, n, layers, rows, shots, readout))
+    return results
+
+
+def _draw_rows(rng, points, rates, trajectories, params_list, starts) -> list:
+    """Draw every trajectory's fires; return the block rows, run by run.
+
+    A row is (run, params, fire map, draws): each fired trajectory is a row,
+    and a run's trajectories that fire nothing share one more row with an
+    empty map.  A draw is (first shot, shots, generator state, doubles to
+    skip): the state to resume its stream from after the fire draws.
+    """
+    bit_generator = rng.bit_generator
+    starts = iter(starts)
+    rows = []
+    for run, params in enumerate(params_list):
+        clean = []
+        for _, first, traj_shots in trajectories:
+            state = next(starts)
+            bit_generator.state = state
+            fired = _draw_fires(rng, points, rates, state)
+            if fired:
+                rows.append((run, params, fired, [(first, traj_shots, bit_generator.state, 0)]))
+            else:  # resumes past the fire doubles it drew
+                clean.append((first, traj_shots, state, len(rates)))
+        if clean:
+            rows.append((run, params, {}, clean))
+    return rows
+
+
+def _sample_rows(rng, n: int, layers: list, rows: list, shots: int, readout: np.ndarray):
+    """Walk the rows, resume each trajectory's stream on its row; yield each run's counts.
+
+    A trajectory's multinomial outcomes and readout doubles fill its place
+    in its run's (shots,) and (shots, n) arrays; a run is reduced once its
+    last row is done.
+    """
+    bit_generator = rng.bit_generator
+    any_readout = bool(readout.any())
     basis = np.arange(1 << n, dtype=np.int64)
-    qubit_weights = 1 << np.arange(n, dtype=np.int64)
-    totals = np.zeros(1 << n, dtype=np.int64)
-    outcomes, flips = [], []
-    for probs, row_runs in zip(_trajectory_rows(n, layers, params, fires), runs):
-        for rng, traj_shots in row_runs:
-            hist = rng.multinomial(traj_shots, probs)
+    outcomes = np.empty(shots, dtype=np.int64)
+    doubles = np.empty((shots, n), dtype=np.float64)
+    walk = _trajectory_rows(n, layers, [row[1] for row in rows], [row[2] for row in rows])
+    for i, (probs, (run, _, _, draws)) in enumerate(zip(walk, rows)):
+        for first, traj_shots, state, skip in draws:
+            bit_generator.state = state
+            if skip:
+                bit_generator.advance(skip)
+            outcomes[first : first + traj_shots] = basis.repeat(rng.multinomial(traj_shots, probs))
             if any_readout:
-                outcomes.append(np.repeat(basis, hist))
-                flips.append((rng.random((traj_shots, n)) < readout) @ qubit_weights)
+                rng.random(out=doubles[first : first + traj_shots])
+        if i + 1 == len(rows) or rows[i + 1][0] != run:
+            if any_readout:
+                # Bits are distinct powers of two, so flipping them is one xor per shot.
+                flips = (doubles < readout) @ (1 << np.arange(n, dtype=np.int64))
+                totals = np.bincount(outcomes ^ flips, minlength=1 << n)
             else:
-                totals += hist
-    if any_readout:
-        # Bits are distinct powers of two, so flipping them is one xor per shot.
-        totals = np.bincount(np.concatenate(outcomes) ^ np.concatenate(flips), minlength=1 << n)
-
-    counts = {
-        index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
-    }
-    return ShotCounts(counts, shots, n)
+                totals = np.bincount(outcomes, minlength=1 << n)
+            counts = {index_to_bitstring(b, n): c for b, c in enumerate(totals.tolist()) if c}
+            yield ShotCounts(counts, shots, n)
 
 
 def counts_to_probabilities(counts: ShotCounts) -> np.ndarray:

@@ -33,7 +33,6 @@ from qdisco.simulator import (
     apply_mixer,
     build_qaoa_state,
     expectation,
-    index_to_bitstring,
     validate_placement,
 )
 
@@ -340,6 +339,11 @@ def _rx_all_single(amps, n, beta):
     return amps
 
 
+def reference_index_to_bitstring(index: int, num_bits: int) -> str:
+    """Qubit j's bit at string position j, one bit at a time."""
+    return "".join("1" if (index >> j) & 1 else "0" for j in range(num_bits))
+
+
 def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
     """Trajectory sampling that simulates every trajectory from scratch.
 
@@ -411,7 +415,7 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
             totals += hist
 
     counts = {
-        index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
+        reference_index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
     }
     return ShotCounts(counts, shots, n)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import networkx as nx
@@ -6,6 +7,7 @@ import pytest
 
 from qdisco.compiler import (
     OpCounter,
+    _find_monomorphism,
     SamplingRegion,
     ScheduleEntry,
     enumerate_regions,
@@ -390,3 +392,31 @@ class TestMapCircuit:
         a = route_phase_layer(region, mapping, ordered_terms(poly))
         b = route_phase_layer(region, mapping, ordered_terms(poly))
         assert a == b
+
+
+def cyclic_garbage_left_by(call) -> int:
+    """Objects the cyclic collector frees after ``call()``, run with it disabled."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """Recursive searches must free their state on return, not at the next collection."""
+
+    def test_select_regions(self):
+        qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        candidates = enumerate_regions(filter_by_threshold(qpu, 1.0), 4)[:10]
+        assert cyclic_garbage_left_by(lambda: select_regions(candidates, 2)) == 0
+        assert cyclic_garbage_left_by(lambda: select_regions(candidates, 3, isomorphic=True)) == 0
+
+    def test_find_monomorphism(self):
+        def path(n):
+            return {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+
+        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(4), path(5), 4)) == 0
+        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(5), path(4), 5)) == 0

@@ -4,14 +4,16 @@ import collections
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdisco import _graphs
+from qdisco import _graphs, simulator
+from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
 from qdisco.compiler import _steiner_tree_edges, ordered_terms, route_phase_layer
 from qdisco.datasets import data_path
@@ -34,12 +36,17 @@ from qdisco.simulator import (
     _draw_fires,
     _fire_points,
     _trajectory_rows,
+    bitstring_to_index,
     build_qaoa_state,
+    index_to_bitstring,
+    noisy_sample_batch,
 )
 
 from oracles import (
     reference_apply_rx_all,
     reference_draw_fires,
+    reference_index_to_bitstring,
+    reference_noisy_sample,
     reference_steiner_tree_edges,
     reference_trajectory_probabilities,
 )
@@ -241,7 +248,7 @@ def routed_layers(poly, params):
 @given(placed_circuits())
 def test_zero_noise_trajectory_equals_noiseless_distribution(circuit):
     poly, params = circuit
-    [probs] = _trajectory_rows(poly.num_spins, routed_layers(poly, params), params, [{}])
+    [probs] = _trajectory_rows(poly.num_spins, routed_layers(poly, params), [params], [{}])
     want = build_qaoa_state(poly, params).probabilities()
     np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
 
@@ -279,7 +286,7 @@ def fired_trajectories(draw):
 
 
 def assert_rows_equal_single_row_walks(n, layers, params, fires):
-    rows = list(_trajectory_rows(n, layers, params, fires))
+    rows = list(_trajectory_rows(n, layers, [params] * len(fires), fires))
     assert len(rows) == len(fires)
     for row, fired in zip(rows, fires):
         want = reference_trajectory_probabilities(n, layers, params, fired, {})
@@ -404,3 +411,75 @@ def test_fused_mixer_equals_textbook_butterfly(case):
     _apply_rx_all(got, n, betas)
     reference_apply_rx_all(want, n, betas)
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+SEED = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SEED, min_size=1, max_size=40))
+@example([0])
+@example([1])
+@example([2**32 - 1])  # the largest one-word entropy
+@example([2**32])  # the smallest two-word entropy
+@example([2**63 - 1])
+@example([0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+def test_bulk_seeding_equals_default_rng(seeds):
+    assert default_rng_states(seeds) == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SEED, max_size=4), st.lists(st.integers(0, 200), max_size=6))
+def test_derive_seeds_equals_derive_seed(seeds, labels):
+    want = [derive_seed(seed, "trajectory", label) for seed in seeds for label in labels]
+    assert derive_seeds(seeds, ("trajectory",), labels) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_index_to_bitstring_equals_bit_loop(case):
+    n, index = case
+    bits = index_to_bitstring(index, n)
+    assert bits == reference_index_to_bitstring(index, n)
+    assert bitstring_to_index(bits) == index
+
+
+def scaled_hex16_noise(gate_factor, readout_factor, trajectories):
+    return NoiseSpec(
+        readout_flip_prob=tuple(min(0.9, readout_factor * x) for x in HEX16.readout_error),
+        two_qubit_error_prob={e: min(0.9, gate_factor * x) for e, x in HEX16.gate_error.items()},
+        trajectories=trajectories,
+    )
+
+
+@st.composite
+def sample_batches(draw):
+    """1-12 runs of one placed circuit on hex16, each with its own angles and seed."""
+    poly, params = draw(placed_circuits())
+    angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    runs = [params] + [
+        QaoaParams(tuple(draw(angle) for _ in range(params.p)), tuple(draw(angle) for _ in range(params.p)))
+        for _ in range(draw(st.integers(0, 11)))
+    ]
+    noise = scaled_hex16_noise(
+        draw(st.sampled_from([0.0, 1.0, 10.0])),  # at 10x, trajectories fire more than once
+        draw(st.sampled_from([0.0, 1.0, 10.0])),  # readout off at 0
+        draw(st.integers(1, 16)),
+    )
+    shots = draw(st.integers(1, 40))  # often fewer shots than trajectories
+    seeds = draw(st.lists(SEED, min_size=len(runs), max_size=len(runs)))
+    return poly, runs, noise, shots, seeds, draw(st.integers(1, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_batches())
+def test_noisy_sample_batch_equals_reference_run_by_run(batch):
+    poly, runs, noise, shots, seeds, at_once = batch
+    placement = best_region_placement(poly, HEX16)
+    with mock.patch.object(simulator, "_TRAJECTORIES_AT_ONCE", at_once):  # groups of runs
+        got = noisy_sample_batch(poly, runs, placement, HEX16, noise, shots, seeds)
+    want = [
+        reference_noisy_sample(poly, params, placement, HEX16, noise, shots, seed)
+        for params, seed in zip(runs, seeds)
+    ]
+    assert got == want

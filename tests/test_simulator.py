@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from qdisco.simulator import (
     build_qaoa_state,
     counts_to_probabilities,
     expectation,
+    _BLOCK_AMPLITUDES,
+    _TRAJECTORIES_AT_ONCE,
     noisy_sample,
+    noisy_sample_batch,
     qaoa_expectations,
     sample,
     uniform_state,
@@ -476,3 +480,62 @@ class TestNoisySampleMatchesReference:
     def test_more_trajectories_than_shots(self):
         noise = scaled_noise(self.qpu, 10.0, trajectories=64)
         self.check(self.ring6, 2, noise, 10, seed=4)
+
+
+class TestNoisySampleBatch:
+    """Many runs of one placement in one pass, each equal to its own ``noisy_sample``."""
+
+    def setup_method(self):
+        self.qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        self.ring6 = maxcut_to_spin_polynomial(
+            ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)))
+        )
+        self.placement = best_region_placement(self.ring6, self.qpu)
+
+    def runs(self, count, p, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            QaoaParams(tuple(rng.uniform(0, 2 * math.pi, p)), tuple(rng.uniform(0, math.pi, p)))
+            for _ in range(count)
+        ]
+
+    def test_runs_span_groups_and_blocks(self):
+        # at 10x nearly every trajectory fires: 12 runs make 3 groups of
+        # 4 runs, and each group's ~256 rows fill more than one block
+        noise = scaled_noise(self.qpu, 10.0)
+        assert _TRAJECTORIES_AT_ONCE // noise.trajectories == 4
+        assert 4 * noise.trajectories > _BLOCK_AMPLITUDES >> 6
+        runs, seeds = self.runs(12, 2), list(range(100, 112))
+        got = noisy_sample_batch(self.ring6, runs, self.placement, self.qpu, noise, 256, seeds)
+        for counts, params, seed in zip(got, runs, seeds):
+            args = (self.ring6, params, self.placement, self.qpu, noise, 256, seed)
+            assert counts == reference_noisy_sample(*args)
+
+    def test_empty_batch(self):
+        noise = NoiseSpec.from_qpu(self.qpu)
+        assert noisy_sample_batch(self.ring6, [], self.placement, self.qpu, noise, 10, []) == []
+
+    def test_rejects_mismatched_runs(self):
+        noise = NoiseSpec.from_qpu(self.qpu)
+        with pytest.raises(DimensionError):
+            noisy_sample_batch(self.ring6, self.runs(2, 1), self.placement, self.qpu, noise, 10, [1])
+        with pytest.raises(DimensionError):
+            mixed = self.runs(1, 1) + self.runs(1, 2)
+            noisy_sample_batch(self.ring6, mixed, self.placement, self.qpu, noise, 10, [1, 2])
+        with pytest.raises(ValueError):
+            noisy_sample_batch(self.ring6, self.runs(1, 1), self.placement, self.qpu, noise, 0, [1])
+
+    def test_memory_does_not_grow_with_runs(self):
+        # A device score samples M runs at once.  Runs go in groups, so the
+        # peak is the kept results plus one group's work: about 1 MB here.
+        # Holding every run's start states and rows at once peaks near 6 MB.
+        noise = NoiseSpec.from_qpu(self.qpu)
+        runs, seeds = self.runs(100, 2), list(range(100))
+        noisy_sample_batch(self.ring6, runs[:1], self.placement, self.qpu, noise, 256, seeds[:1])
+        tracemalloc.start()
+        try:
+            noisy_sample_batch(self.ring6, runs, self.placement, self.qpu, noise, 256, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
