@@ -36,24 +36,20 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, out: Path | None) -> None:
-    text = _dump(doc)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+def _emit_files(output: str | None, files: dict[str, str] | None, stdout: str) -> None:
+    """Write each named file into the ``output`` directory, else ``stdout`` to stdout.
 
-
-def _emit_files(output: str | None, files: dict[str, str], stdout: str) -> None:
-    """Write each named file into the ``output`` directory, else ``stdout`` to stdout."""
-    if output:
-        out_dir = Path(output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (out_dir / name).write_text(text)
-    else:
+    Without ``files``, ``output`` is the one file that gets ``stdout``.
+    """
+    if not output:
         sys.stdout.write(stdout)
+        return
+    out_dir = Path(output)
+    if files is None:
+        out_dir, files = out_dir.parent, {out_dir.name: stdout}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
 
 def _eta_flag(value: str) -> float:
@@ -287,7 +283,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         "requested_regions": args.regions,
         "placements": [p.to_json_dict() for p in placements],
     }
-    _emit(doc, Path(args.output) if args.output else None)
+    _emit_files(args.output, None, _dump(doc))
     return 0
 
 
@@ -314,7 +310,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plan_ = _build_plan(cfg)
     doc = plan_.to_json_dict()
     doc["speedup"] = speedup_report(plan_).to_json_dict()
-    _emit(doc, Path(args.output) if args.output else None)
+    _emit_files(args.output, None, _dump(doc))
     return 0
 
 
@@ -421,7 +417,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     if trace_doc:
         doc["optimization"] = trace_doc
-    _emit(doc, Path(args.output) if args.output else None)
+    _emit_files(args.output, None, _dump(doc))
     return 0
 
 

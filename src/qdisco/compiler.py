@@ -278,11 +278,6 @@ def _select_greedy(
     return chosen
 
 
-def mutually_isomorphic(regions: list[SamplingRegion]) -> bool:
-    """True when all regions are pairwise isomorphic as graphs."""
-    return all(_isomorphic(regions[0], other) for other in regions[1:])
-
-
 def _isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
     if a.size != b.size or len(a.edges) != len(b.edges):
         return False

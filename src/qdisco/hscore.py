@@ -24,8 +24,8 @@ from .problem import SpinPolynomial, minimum_cost_indices
 from .simulator import (
     NoiseSpec,
     ShotCounts,
-    bitstring_to_index,
     build_qaoa_state,
+    index_to_bitstring,
     noisy_sample_batch,
     sample,
 )
@@ -35,9 +35,9 @@ DEFAULT_REFERENCE_SHOTS = 256
 
 
 @functools.lru_cache(maxsize=256)
-def _optimal_index_set(poly: SpinPolynomial) -> frozenset[int]:
+def _optimal_outcomes(poly: SpinPolynomial) -> frozenset[str]:
     _, indices = minimum_cost_indices(poly)
-    return frozenset(int(i) for i in indices)
+    return frozenset(index_to_bitstring(int(i), poly.num_spins) for i in indices)
 
 
 def accuracy(counts: ShotCounts, poly: SpinPolynomial) -> float:
@@ -48,10 +48,8 @@ def accuracy(counts: ShotCounts, poly: SpinPolynomial) -> float:
         raise ConfigError(
             f"counts over {counts.num_bits} bits vs {poly.num_spins} spins"
         )
-    optimal = _optimal_index_set(poly)
-    hits = sum(
-        c for key, c in counts.counts.items() if bitstring_to_index(key) in optimal
-    )
+    optimal = _optimal_outcomes(poly)
+    hits = sum(c for key, c in counts.counts.items() if key in optimal)
     return hits / counts.total_shots
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._seeds import rng_from
 from .errors import ConfigError
 from .problem import SpinPolynomial
-from .simulator import QaoaParams, build_qaoa_state, expectation, qaoa_expectations
+from .simulator import QaoaParams, qaoa_expectations
 
 GAMMA_SPAN = 2.0 * math.pi  # search box: gamma in [0, 2pi)
 BETA_SPAN = math.pi  # beta in [0, pi)
@@ -92,25 +92,6 @@ class OptimizationTrace:
     def num_evaluations(self) -> int:
         return len(self.values)
 
-    @property
-    def evaluations(self) -> tuple[tuple[QaoaParams, float], ...]:
-        return tuple(
-            (QaoaParams.from_flat(x), v) for x, v in zip(self.points, self.values.tolist())
-        )
-
-    @property
-    def evaluation_errors(self) -> int:
-        return int(np.count_nonzero(~np.isfinite(self.values)))
-
-    def running_best(self) -> list[float]:
-        best = math.inf
-        out = []
-        for v in self.values.tolist():
-            if math.isfinite(v) and v < best:
-                best = v
-            out.append(best)
-        return out
-
 
 class _Spent(Exception):
     """The budget, or the cap of the current search, has no evaluation left."""
@@ -148,15 +129,6 @@ class _Budget:
         self.cap = min(cap, self.limit)
         with contextlib.suppress(_Spent):
             yield from run
-
-
-def noiseless_evaluator(poly: SpinPolynomial) -> Callable[[QaoaParams], float]:
-    """Expectation of the cost over the exact ansatz state."""
-
-    def evaluate(params: QaoaParams) -> float:
-        return expectation(build_qaoa_state(poly, params), poly)
-
-    return evaluate
 
 
 def _spans(p: int) -> list[float]:

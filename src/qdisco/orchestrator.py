@@ -117,14 +117,6 @@ class ExecutionPlan:
             len(a.regions) for leaf in self.root.leaves() for a in leaf.assignments
         )
 
-    def regions_on(self, qpu_name: str) -> list[SamplingRegion]:
-        out = []
-        for leaf in self.root.leaves():
-            for a in leaf.assignments:
-                if a.qpu_name == qpu_name:
-                    out.extend(a.regions)
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "eta": self.eta,
@@ -263,6 +255,7 @@ def plan(
         )
 
     root = build(tuple(range(poly.num_spins)), poly, graph, 0)
+    del build  # a recursive closure is a reference cycle; break it so the call's state frees now
     root = _assign_leaves(root, fleet, usable, eta, shots, seed)
     return ExecutionPlan(
         root=root,
@@ -340,7 +333,9 @@ def _assign_leaves(
             return replace(node, assignments=assignments[node.vertices])
         return replace(node, children=tuple(attach(c) for c in node.children))
 
-    return attach(root)
+    root = attach(root)
+    del attach  # a recursive closure is a reference cycle; break it so the call's state frees now
+    return root
 
 
 @dataclass(frozen=True)
@@ -555,6 +550,7 @@ def execute(
         return merge_solutions(node.graph, node.partition, child_solutions)
 
     merged = resolve(plan_.root)
+    del resolve  # a recursive closure is a reference cycle; break it so the call's state frees now
     root_poly = plan_.root.polynomial
 
     # end-to-end dominance guard: plain concatenation must never win

@@ -160,27 +160,10 @@ class NoiseSpec:
             trajectories=trajectories,
         )
 
-    def is_noiseless(self) -> bool:
-        return not any(self.readout_flip_prob) and not any(
-            self.two_qubit_error_prob.values()
-        )
-
 
 def _check_size(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"statevector simulation supports 1..{MAX_QUBITS} qubits, got {n}")
-
-
-def uniform_state(n: int) -> StateVector:
-    """Uniform superposition |s> with all amplitudes 2^(-n/2)."""
-    _check_size(n)
-    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-    return StateVector(amps, n)
-
-
-def _apply_phase_block(block: np.ndarray, diag: np.ndarray, gammas) -> np.ndarray:
-    """Row b times exp(-i * gamma_b * C): a new (B, 2^n) block."""
-    return block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
 
 
 def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
@@ -206,26 +189,10 @@ def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:
     diag = cost_vector(poly)
     block = np.full((len(angles), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
     for layer in range(p):
-        block = _apply_phase_block(block, diag, [row[layer] for row in angles])
+        gammas = [row[layer] for row in angles]
+        block = block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
         _apply_rx_all(block, n, [row[p + layer] for row in angles])
     return block
-
-
-def apply_phase(state: StateVector, poly: SpinPolynomial, gamma: float) -> StateVector:
-    """Multiply amplitude b by exp(-i * gamma * C(s(b)))."""
-    if poly.num_spins != state.num_qubits:
-        raise DimensionError(
-            f"polynomial on {poly.num_spins} spins vs state on {state.num_qubits} qubits"
-        )
-    block = _apply_phase_block(state.amplitudes[None, :], cost_vector(poly), [gamma])
-    return StateVector(block[0], state.num_qubits)
-
-
-def apply_mixer(state: StateVector, beta: float) -> StateVector:
-    """Transverse-field mixer: X-rotation by angle 2*beta on each qubit."""
-    block = state.amplitudes[None, :].copy()
-    _apply_rx_all(block, state.num_qubits, [beta])
-    return StateVector(block[0], state.num_qubits)
 
 
 def build_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> StateVector:
@@ -272,13 +239,13 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
     rng = rng_from(seed, "sample")
-    hist = rng.multinomial(shots, state.probabilities())
-    counts = {
-        index_to_bitstring(int(b), state.num_qubits): int(c)
-        for b, c in enumerate(hist)
-        if c
-    }
-    return ShotCounts(counts, shots, state.num_qubits)
+    return _counts(rng.multinomial(shots, state.probabilities()), shots, state.num_qubits)
+
+
+def _counts(hist: np.ndarray, shots: int, n: int) -> ShotCounts:
+    """The nonzero bins of a basis-state histogram, keyed by outcome string."""
+    counts = {index_to_bitstring(b, n): c for b, c in enumerate(hist.tolist()) if c}
+    return ShotCounts(counts, shots, n)
 
 
 # --- noisy trajectory execution -------------------------------------------
@@ -582,17 +549,5 @@ def _sample_rows(rng, n: int, layers: list, rows: list, shots: int, readout: np.
         if i + 1 == len(rows) or rows[i + 1][0] != run:
             if any_readout:
                 # Bits are distinct powers of two, so flipping them is one xor per shot.
-                flips = (doubles < readout) @ (1 << np.arange(n, dtype=np.int64))
-                totals = np.bincount(outcomes ^ flips, minlength=1 << n)
-            else:
-                totals = np.bincount(outcomes, minlength=1 << n)
-            counts = {index_to_bitstring(b, n): c for b, c in enumerate(totals.tolist()) if c}
-            yield ShotCounts(counts, shots, n)
-
-
-def counts_to_probabilities(counts: ShotCounts) -> np.ndarray:
-    """Empirical outcome distribution indexed by basis state."""
-    probs = np.zeros(1 << counts.num_bits, dtype=np.float64)
-    for key, c in counts.counts.items():
-        probs[bitstring_to_index(key)] = c
-    return probs / counts.total_shots
+                outcomes ^= (doubles < readout) @ (1 << np.arange(n, dtype=np.int64))
+            yield _counts(np.bincount(outcomes, minlength=1 << n), shots, n)

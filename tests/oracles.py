@@ -26,11 +26,9 @@ from qdisco.simulator import (
     _PAULIS,
     QaoaParams,
     ShotCounts,
-    StateVector,
     _apply_pauli,
     _sign_product,
     _split_shots,
-    apply_mixer,
     build_qaoa_state,
     expectation,
     validate_placement,
@@ -127,8 +125,7 @@ def physical_statevector(poly, placement, params) -> np.ndarray:
                 prod = prod * slot_sign(local[phys])
             angle = gamma * entry.weight
             amps = amps * (np.cos(angle) - 1j * np.sin(angle) * prod)
-        state = apply_mixer(StateVector(amps / np.linalg.norm(amps), n), beta)
-        amps = state.amplitudes
+        amps = _rx_all_single(amps / np.linalg.norm(amps), n, beta)
 
     # logical qubit l ended on physical layout[l] -> local slot
     perm = [local[layout[l]] for l in range(n)]

@@ -84,7 +84,12 @@ def test_criterion_03_five_qpus_six_samplings():
     cfg = load_run_config(str(data_path("scenario_va.json")))
     plan_ = plan(cfg.problem.graph, cfg.fleet, cfg.eta, cfg.p, cfg.shots, seed=cfg.seed)
     rep = speedup_report(plan_)
-    regions_16 = len(plan_.regions_on("guadalupe_sim"))
+    regions_16 = sum(
+        len(a.regions)
+        for leaf in plan_.root.leaves()
+        for a in leaf.assignments
+        if a.qpu_name == "guadalupe_sim"
+    )
     ok = (
         plan_.num_regions == 6
         and regions_16 == 2

@@ -11,7 +11,6 @@ from qdisco.optimizer import (
     BETA_SPAN,
     GAMMA_SPAN,
     OptimizerConfig,
-    noiseless_evaluator,
     optimize,
     optimize_batch,
 )
@@ -28,13 +27,12 @@ RING5 = maxcut_to_spin_polynomial(
 
 def grid_oracle(poly, resolution=200):
     """Dense p=1 grid scan, independent of the optimizer."""
-    fn = noiseless_evaluator(poly)
-    best = math.inf
-    for gi in range(resolution):
-        for bi in range(resolution):
-            v = fn(QaoaParams((GAMMA_SPAN * gi / resolution,), (BETA_SPAN * bi / resolution,)))
-            best = min(best, v)
-    return best
+    grid = [
+        (GAMMA_SPAN * gi / resolution, BETA_SPAN * bi / resolution)
+        for gi in range(resolution)
+        for bi in range(resolution)
+    ]
+    return float(qaoa_expectations(poly, grid).min())
 
 
 class TestOptimize:
@@ -69,32 +67,28 @@ class TestOptimize:
         cfg = OptimizerConfig(max_evaluations=60)
         a = optimize(EDGE_POLY, 1, None, cfg, seed=1)
         b = optimize(EDGE_POLY, 1, None, cfg, seed=2)
-        assert a.evaluations[0][0] != b.evaluations[0][0]
+        assert a.points[0].tolist() != b.points[0].tolist()
 
     def test_budget_respected(self):
         cfg = OptimizerConfig(max_evaluations=37)
         trace = optimize(EDGE_POLY, 2, None, cfg, seed=4)
         assert trace.num_evaluations <= 37
 
-    def test_monotone_running_best(self):
+    def test_best_value_is_lowest_evaluation(self):
         cfg = OptimizerConfig(max_evaluations=200)
         trace = optimize(EDGE_POLY, 2, None, cfg, seed=5)
-        best_values = trace.running_best()
-        assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best_values, best_values[1:]))
-        assert trace.best_value == min(v for _, v in trace.evaluations)
+        assert trace.best_value == min(trace.values.tolist())
 
     def test_periodicity_for_integer_coefficients(self):
         # integer-weight polynomial: objective(gamma + 2pi) == objective(gamma)
         poly = maxcut_to_spin_polynomial(
             ProblemGraph(3, ((0, 1, 2.0), (1, 2, 4.0)))
         )
-        fn = noiseless_evaluator(poly)
         rng = np.random.default_rng(6)
         for _ in range(10):
             gamma = float(rng.uniform(0, 2 * math.pi))
             beta = float(rng.uniform(0, math.pi))
-            a = fn(QaoaParams((gamma,), (beta,)))
-            b = fn(QaoaParams((gamma + 2 * math.pi,), (beta,)))
+            a, b = qaoa_expectations(poly, [(gamma, beta), (gamma + 2 * math.pi, beta)])
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_non_finite_values_surface_in_trace(self):
@@ -104,11 +98,11 @@ class TestOptimize:
             calls["n"] += 1
             if calls["n"] % 5 == 0:
                 return math.nan
-            return noiseless_evaluator(EDGE_POLY)(params)
+            return float(qaoa_expectations(EDGE_POLY, [params.to_flat()])[0])
 
         cfg = OptimizerConfig(max_evaluations=60)
         trace = optimize(EDGE_POLY, 1, flaky, cfg, seed=8)
-        assert trace.evaluation_errors > 0
+        assert not np.isfinite(trace.values).all()
         assert math.isfinite(trace.best_value)
 
     def test_noisy_mode_reevaluates_incumbent(self):
@@ -116,7 +110,7 @@ class TestOptimize:
 
         def noisy_fn(params):
             calls.append(params)
-            return noiseless_evaluator(EDGE_POLY)(params)
+            return float(qaoa_expectations(EDGE_POLY, [params.to_flat()])[0])
 
         cfg = OptimizerConfig(max_evaluations=120, noisy=True, tolerance=1e-12)
         optimize(EDGE_POLY, 1, noisy_fn, cfg, seed=9)
@@ -139,7 +133,7 @@ class TestOptimize:
     def test_explicit_initial_point(self):
         cfg = OptimizerConfig(max_evaluations=80, initial=(0.5, 0.25))
         trace = optimize(EDGE_POLY, 1, None, cfg, seed=10)
-        assert trace.evaluations[0][0] == QaoaParams((0.5,), (0.25,))
+        assert trace.points[0].tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("method", ["nelder_mead", "grid_then_nelder_mead"])
     def test_huge_budget_is_not_allocated_up_front(self, method):
@@ -178,21 +172,21 @@ class TestOptimizeBatch:
         seeds = [0, 7, 8]
         batch = optimize_batch(RING5, p, None, cfg, seeds)
         assert batch == [optimize(RING5, p, None, cfg, seed=s) for s in seeds]
-        assert all(t.evaluations[0][0].to_flat() == cfg.initial for t in batch)
+        assert all(tuple(t.points[0].tolist()) == cfg.initial for t in batch)
 
     def test_custom_evaluator_is_called_point_by_point(self):
         calls = []
 
         def evaluate(params):
             calls.append(params)
-            return noiseless_evaluator(RING5)(params)
+            return float(qaoa_expectations(RING5, [params.to_flat()])[0])
 
         cfg = OptimizerConfig(max_evaluations=40)
         batch = optimize_batch(RING5, 2, evaluate, cfg, [1, 2])
         assert batch == [optimize(RING5, 2, None, cfg, seed=s) for s in (1, 2)]
         assert len(calls) == sum(t.num_evaluations for t in batch)
         # lockstep: the two runs alternate while both are active
-        assert calls[:2] == [batch[0].evaluations[0][0], batch[1].evaluations[0][0]]
+        assert calls[:2] == [QaoaParams.from_flat(t.points[0]) for t in batch]
 
     def test_grid_is_one_shared_block(self, monkeypatch):
         shapes = []
@@ -217,7 +211,7 @@ class TestOptimizeBatch:
 
         def evaluate(params):
             calls.append(params)
-            return noiseless_evaluator(RING5)(params)
+            return float(qaoa_expectations(RING5, [params.to_flat()])[0])
 
         cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=40, grid_resolution=4)
         seeds = [1, 2, 3]

@@ -27,6 +27,7 @@ from qdisco.problem import (
 )
 
 from oracles import random_maxcut_graph
+from test_compiler import cyclic_garbage_left_by
 
 TWO_TRIANGLES = ProblemGraph(
     6,
@@ -55,7 +56,8 @@ class TestPlanShapes:
         )
         assert plan_.num_leaves == 1
         assert plan_.num_regions == 6
-        assert len(plan_.regions_on("guadalupe_sim")) == 2
+        [leaf] = plan_.root.leaves()
+        assert {a.qpu_name: len(a.regions) for a in leaf.assignments}["guadalupe_sim"] == 2
         report = speedup_report(plan_)
         assert report.speedup == pytest.approx(6.0)
 
@@ -339,3 +341,29 @@ class TestExecute:
         res = execute(plan_, fleet, noise=False, seed=9, with_hscore=True, hscore_m_ref=100)
         assert res.leaf_outcomes[0].hscore is not None
         assert 0.0 <= res.leaf_outcomes[0].hscore.c <= 2.0
+
+
+class TestNoReferenceCycles:
+    """Recursive plan walks must free their state on return, not at the next collection."""
+
+    @pytest.mark.parametrize("scenario", ["scenario_va", "scenario_vb"])
+    def test_plan_and_execute(self, scenario):
+        cfg = load_run_config(str(data_path(f"{scenario}.json")))
+        graph = cfg.problem.graph
+        caps = list(cfg.capacities) if cfg.capacities is not None else None
+
+        def plan_():
+            return plan(graph, cfg.fleet, cfg.eta, cfg.p, cfg.shots, capacities=caps, seed=cfg.seed)
+
+        assert cyclic_garbage_left_by(plan_) == 0
+        built = plan_()
+        assert cyclic_garbage_left_by(
+            lambda: execute(
+                built,
+                cfg.fleet,
+                noise=cfg.noise,
+                seed=cfg.seed,
+                optimizer_cfg=cfg.optimizer,
+                trajectories=cfg.trajectories,
+            )
+        ) == 0

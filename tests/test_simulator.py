@@ -23,22 +23,20 @@ from qdisco.simulator import (
     NoiseSpec,
     QaoaParams,
     StateVector,
-    apply_mixer,
-    apply_phase,
     build_qaoa_state,
-    counts_to_probabilities,
     expectation,
     _BLOCK_AMPLITUDES,
+    _apply_rx_all,
     _TRAJECTORIES_AT_ONCE,
     noisy_sample,
     noisy_sample_batch,
     qaoa_expectations,
     sample,
-    uniform_state,
 )
 
 from oracles import (
     dense_qaoa_oracle,
+    direct_cost,
     random_maxcut_graph,
     reference_noisy_sample,
     reference_qaoa_state,
@@ -53,78 +51,81 @@ def single_region_placement(poly, qpu, eta=1.0):
     return map_circuit(poly, region)
 
 
+NO_LAYERS = QaoaParams((), ())
+
+
+def phase_only(*gammas):
+    """Layers whose mixer angle is 0: only the phase separators act."""
+    return QaoaParams(gammas, (0.0,) * len(gammas))
+
+
 class TestUniformState:
+    """The ansatz at p = 0 is the uniform start state."""
+
     def test_one_qubit(self):
-        state = uniform_state(1)
+        state = build_qaoa_state(SpinPolynomial(1), NO_LAYERS)
         assert np.allclose(state.amplitudes, [math.sqrt(0.5)] * 2)
 
     def test_two_qubits(self):
-        assert np.allclose(uniform_state(2).amplitudes, [0.5] * 4)
+        assert np.allclose(build_qaoa_state(EDGE_POLY, NO_LAYERS).amplitudes, [0.5] * 4)
 
     def test_norm_exact(self):
-        state = uniform_state(3)
+        state = build_qaoa_state(SpinPolynomial(3), NO_LAYERS)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            uniform_state(25)
+            build_qaoa_state(SpinPolynomial(25), NO_LAYERS)
         with pytest.raises(CapacityError):
-            uniform_state(0)
+            build_qaoa_state(SpinPolynomial(0), NO_LAYERS)
 
 
 class TestApplyPhase:
     def test_gamma_zero_is_identity(self):
-        state = uniform_state(2)
-        out = apply_phase(state, EDGE_POLY, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes)
+        out = build_qaoa_state(EDGE_POLY, phase_only(0.0))
+        assert np.allclose(out.amplitudes, [0.5] * 4)
 
     def test_constant_polynomial_is_global_phase(self):
         poly = SpinPolynomial(2, (), constant_offset=1.7)
-        state = uniform_state(2)
-        out = apply_phase(state, poly, 0.9)
-        assert np.allclose(out.amplitudes, state.amplitudes * np.exp(-1j * 0.9 * 1.7))
-        assert np.allclose(out.probabilities(), state.probabilities())
-
-    def test_diagonal_preserves_magnitudes(self):
-        out = apply_phase(uniform_state(2), EDGE_POLY, math.pi)
+        out = build_qaoa_state(poly, phase_only(0.9))
+        assert np.allclose(out.amplitudes, 0.5 * np.exp(-1j * 0.9 * 1.7))
         assert np.allclose(out.probabilities(), [0.25] * 4)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_phase(uniform_state(3), EDGE_POLY, 0.1)
+    def test_diagonal_preserves_magnitudes(self):
+        out = build_qaoa_state(EDGE_POLY, phase_only(math.pi))
+        assert np.allclose(out.probabilities(), [0.25] * 4)
 
     def test_phase_composition(self):
         rng = np.random.default_rng(0)
         poly = maxcut_to_spin_polynomial(random_maxcut_graph(rng, 4, 0.6, True))
-        state = uniform_state(4)
-        two_step = apply_phase(apply_phase(state, poly, 0.4), poly, 0.8)
-        one_step = apply_phase(state, poly, 1.2)
+        two_step = build_qaoa_state(poly, phase_only(0.4, 0.8))
+        one_step = build_qaoa_state(poly, phase_only(1.2))
         assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) < 1e-9
 
 
 class TestApplyMixer:
     def test_beta_zero_is_identity(self):
-        state = uniform_state(3)
-        assert np.allclose(apply_mixer(state, 0.0).amplitudes, state.amplitudes)
+        amps = np.random.default_rng(5).normal(size=(1, 8)) + 0j
+        block = amps.copy()
+        _apply_rx_all(block, 3, [0.0])
+        assert np.allclose(block, amps)
 
     def test_half_period_flips_all(self):
-        zero = StateVector(np.eye(8)[0].astype(complex), 3)
-        out = apply_mixer(zero, math.pi / 2)
-        probs = out.probabilities()
-        assert probs[-1] == pytest.approx(1.0)
+        block = np.eye(8)[:1].astype(complex)
+        _apply_rx_all(block, 3, [math.pi / 2])
+        assert np.abs(block[0, -1]) ** 2 == pytest.approx(1.0)
 
     def test_quarter_rotation_single_qubit(self):
         # 2x2 rotation arithmetic: cos^2(pi/4) = sin^2(pi/4) = 1/2
-        zero = StateVector(np.array([1.0, 0.0], dtype=complex), 1)
-        out = apply_mixer(zero, math.pi / 4)
-        assert np.allclose(out.probabilities(), [0.5, 0.5])
+        block = np.array([[1.0, 0.0]], dtype=complex)
+        _apply_rx_all(block, 1, [math.pi / 4])
+        assert np.allclose(np.abs(block[0]) ** 2, [0.5, 0.5])
 
 
 class TestBuildQaoaState:
     def test_p_zero_is_uniform(self):
-        poly = EDGE_POLY
-        state = build_qaoa_state(poly, QaoaParams((), ()))
-        assert np.allclose(state.amplitudes, uniform_state(2).amplitudes)
+        state = build_qaoa_state(EDGE_POLY, NO_LAYERS)
+        assert np.array_equal(state.amplitudes, np.full(4, 0.5, dtype=complex))
 
     def test_norm_is_one(self):
         rng = np.random.default_rng(1)
@@ -168,7 +169,7 @@ class TestBuildQaoaState:
 
 class TestExpectation:
     def test_uniform_single_edge(self):
-        assert expectation(uniform_state(2), EDGE_POLY) == pytest.approx(-0.5)
+        assert expectation(build_qaoa_state(EDGE_POLY, NO_LAYERS), EDGE_POLY) == pytest.approx(-0.5)
 
     def test_basis_state_at_argmin(self):
         poly = maxcut_to_spin_polynomial(ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0))))
@@ -196,7 +197,7 @@ class TestSample:
         assert counts.counts == {"01": 50}
 
     def test_uniform_within_binomial_bound(self):
-        counts = sample(uniform_state(2), 100000, seed=2)
+        counts = sample(build_qaoa_state(EDGE_POLY, NO_LAYERS), 100000, seed=2)
         sigma = math.sqrt(100000 * 0.25 * 0.75)
         for key in ("00", "01", "10", "11"):
             assert abs(counts.counts[key] - 25000) < 5 * sigma
@@ -212,8 +213,10 @@ class TestSample:
         state = build_qaoa_state(poly, params)
         counts = sample(state, 100000, seed=6)
         costs = cost_vector(poly)
-        probs = counts_to_probabilities(counts)
-        estimate = float(probs @ costs)
+        estimate = sum(
+            c * direct_cost(poly, [1 - 2 * int(bit) for bit in key])
+            for key, c in counts.counts.items()
+        ) / counts.total_shots
         exact = expectation(state, poly)
         spread = float(np.sqrt(np.sum(state.probabilities() * (costs - exact) ** 2)))
         assert abs(estimate - exact) < 5 * spread / math.sqrt(100000)
@@ -233,8 +236,9 @@ class TestNoiseSpec:
         spec = NoiseSpec.from_qpu(qpu, trajectories=8)
         assert spec.readout_flip_prob == (0.02, 0.02, 0.02)
         assert spec.two_qubit_error_prob[(0, 1)] == 0.01
-        assert not spec.is_noiseless()
-        assert NoiseSpec.zero(qpu).is_noiseless()
+        zero = NoiseSpec.zero(qpu)
+        assert zero.readout_flip_prob == (0.0, 0.0, 0.0)
+        assert zero.two_qubit_error_prob == {(0, 1): 0.0, (1, 2): 0.0}
 
 
 class TestNoisySample:
