@@ -19,9 +19,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from ._fields import load_object, number
-from .compiler import enumerate_regions, filter_by_threshold, map_circuit, select_regions
+from .compiler import best_regions, filter_by_threshold, map_circuit
 from .decomposer import balanced_mincut, extract_subproblems
 from .errors import ConfigError, QdiscoError
 from .hardware import Fleet, QpuModel, load_calibration
@@ -273,8 +275,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     qpu = _read_qpu(args.qpu)
     n = instance.num_spins
     fg = filter_by_threshold(qpu, args.eta)
-    candidates = enumerate_regions(fg, n, seed=seed)
-    regions = select_regions(candidates, args.regions, isomorphic=args.isomorphic_regions)
+    regions = best_regions(fg, n, args.regions, isomorphic=args.isomorphic_regions, seed=seed)
     placements = [map_circuit(instance.polynomial, r) for r in regions]
     doc = {
         "qpu": qpu.name,
@@ -403,7 +404,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "best_value": trace.best_value,
             "num_evaluations": trace.num_evaluations,
         }
-    state = build_qaoa_state(poly, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        state = build_qaoa_state(poly, params)
+    if not np.isfinite(state.amplitudes).all():  # a phase gamma * cost past the float range
+        raise ConfigError("--gammas times the problem's costs leave the float range")
     counts = sample(state, args.shots, seed)
     doc = {
         "problem_kind": instance.kind,
@@ -517,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QdiscoError as exc:
+    except (QdiscoError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from . import _graphs
 from ._seeds import rng_from
@@ -112,14 +114,37 @@ def region_fidelity(
     return fid
 
 
-def _make_region(fg: FilteredGraph, qubit_set: frozenset[int]) -> SamplingRegion:
-    edges = tuple(e for e in fg.edges if e[0] in qubit_set and e[1] in qubit_set)
-    return SamplingRegion(
-        qpu_name=fg.qpu.name,
-        qubits=tuple(sorted(qubit_set)),
-        edges=edges,
-        fidelity=region_fidelity(qubit_set, edges, fg.qpu),
-    )
+def _ranked_sets(
+    fg: FilteredGraph, n: int, seed: int = 0, max_candidates: int = 256
+) -> list[tuple[tuple[float, tuple[int, ...]], tuple[tuple[int, int], ...]]]:
+    """Connected n-qubit sets as ((-fidelity, sorted qubits), internal edges), best first.
+
+    The key is the region's ``sort_key``, with the fidelity of
+    ``region_fidelity`` itself; no region is built.
+    """
+    if n < 1:
+        raise ConfigError(f"region size must be >= 1, got {n}")
+    if n > len(fg.qubits):
+        raise NoRegionError(
+            f"requested {n}-qubit regions but only {len(fg.qubits)} qubits "
+            f"survived filtering at eta={fg.eta}"
+        )
+    adj = fg.adjacency()
+    if len(fg.qubits) <= EXACT_ENUMERATION_LIMIT:
+        subsets = _connected_subsets_exact(adj, n)
+    else:
+        subsets = _connected_subsets_sampled(adj, n, seed, max_candidates)
+    ranked = []
+    for s in subsets:
+        edges = tuple(e for e in fg.edges if e[0] in s and e[1] in s)
+        ranked.append(((-region_fidelity(s, edges, fg.qpu), tuple(sorted(s))), edges))
+    ranked.sort(key=itemgetter(0))
+    return ranked
+
+
+def _make_region(qpu_name: str, ranked_set) -> SamplingRegion:
+    (neg_fidelity, qubits), edges = ranked_set
+    return SamplingRegion(qpu_name, qubits, edges, -neg_fidelity)
 
 
 def enumerate_regions(
@@ -134,21 +159,7 @@ def enumerate_regions(
     below EXACT_ENUMERATION_LIMIT; beyond that, seeded random region
     growth collects up to ``max_candidates`` distinct candidates.
     """
-    if n < 1:
-        raise ConfigError(f"region size must be >= 1, got {n}")
-    if n > len(fg.qubits):
-        raise NoRegionError(
-            f"requested {n}-qubit regions but only {len(fg.qubits)} qubits "
-            f"survived filtering at eta={fg.eta}"
-        )
-    adj = fg.adjacency()
-    if len(fg.qubits) <= EXACT_ENUMERATION_LIMIT:
-        subsets = _connected_subsets_exact(adj, n)
-    else:
-        subsets = _connected_subsets_sampled(adj, n, seed, max_candidates)
-    regions = [_make_region(fg, s) for s in subsets]
-    regions.sort(key=SamplingRegion.sort_key)
-    return regions
+    return [_make_region(fg.qpu.name, r) for r in _ranked_sets(fg, n, seed, max_candidates)]
 
 
 def _connected_subsets_exact(adj: dict[int, set[int]], n: int) -> list[frozenset[int]]:
@@ -208,14 +219,37 @@ def select_regions(
     Deterministic: ties fall back to the lowest qubit tuple.  With
     ``isomorphic`` the returned regions must be mutually isomorphic.
     """
+    ranked = sorted(((r.sort_key(), r) for r in candidates), key=itemgetter(0))
+    return _select_ranked(ranked, k, isomorphic, itemgetter(1))
+
+
+def best_regions(
+    fg: FilteredGraph,
+    n: int,
+    k: int,
+    isomorphic: bool = False,
+    seed: int = 0,
+    max_candidates: int = 256,
+) -> list[SamplingRegion]:
+    """``select_regions(enumerate_regions(fg, n, ...), k, isomorphic)``.
+
+    Builds only the regions that selection keeps or compares, or all of
+    them when exact selection needs every candidate.
+    """
+    ranked = _ranked_sets(fg, n, seed, max_candidates)
+    return _select_ranked(ranked, k, isomorphic, partial(_make_region, fg.qpu.name))
+
+
+def _select_ranked(ranked: list, k: int, isomorphic: bool, build) -> list[SamplingRegion]:
+    """Selection over (sort key, item) pairs, best first; ``build(pair)`` makes the region."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not candidates:
+    if not ranked:
         raise NoRegionError("empty candidate list")
-    if len(candidates) <= EXACT_SELECTION_LIMIT:
-        chosen = _select_exact(candidates, k, isomorphic)
+    if len(ranked) <= EXACT_SELECTION_LIMIT:
+        chosen = _select_exact([build(r) for r in ranked], k, isomorphic)
     else:
-        chosen = _select_greedy(candidates, k, isomorphic)
+        chosen = _select_greedy(ranked, k, isomorphic, build)
     return sorted(chosen, key=SamplingRegion.sort_key)
 
 
@@ -261,20 +295,20 @@ def _select_exact(
     return [candidates[i] for i in best[3]]
 
 
-def _select_greedy(
-    candidates: list[SamplingRegion], k: int, isomorphic: bool
-) -> list[SamplingRegion]:
+def _select_greedy(ranked: list, k: int, isomorphic: bool, build) -> list[SamplingRegion]:
     chosen: list[SamplingRegion] = []
     used: set[int] = set()
-    for reg in sorted(candidates, key=SamplingRegion.sort_key):
+    for pair in ranked:
         if len(chosen) == k:
             break
-        if used & set(reg.qubits):
+        qubits = pair[0][1]
+        if not used.isdisjoint(qubits):
             continue
+        reg = build(pair)
         if isomorphic and chosen and not _isomorphic(chosen[0], reg):
             continue
         chosen.append(reg)
-        used |= set(reg.qubits)
+        used.update(qubits)
     return chosen
 
 

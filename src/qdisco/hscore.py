@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .compiler import filter_by_threshold, enumerate_regions, map_circuit
+from .compiler import _make_region, _ranked_sets, filter_by_threshold, map_circuit
 from .errors import ConfigError, QdiscoError
 from .hardware import QpuModel
 from .optimizer import OptimizerConfig, optimize_batch
@@ -159,12 +159,12 @@ def best_region_placement(poly: SpinPolynomial, qpu: QpuModel):
     filtering is applied here (eta = 1 keeps everything below certainty).
     """
     fg = filter_by_threshold(qpu, 1.0)
-    candidates = enumerate_regions(fg, poly.num_spins)
-    if not candidates:
+    ranked = _ranked_sets(fg, poly.num_spins)
+    if not ranked:
         raise QdiscoError(
             f"QPU '{qpu.name}' has no connected {poly.num_spins}-qubit region"
         )
-    return map_circuit(poly, candidates[0])  # candidates come best first
+    return map_circuit(poly, _make_region(qpu.name, ranked[0]))  # ranked best first
 
 
 def benchmark_qpu(

@@ -250,6 +250,21 @@ def _optimization(
     )
 
 
+def _step_values(poly: SpinPolynomial, evaluator, points: list[_Point]) -> list[float]:
+    """Objective values of one step's points, in order.
+
+    A point a step took out of the finite range is not evaluated: it scores
+    NaN, a failed evaluation, and the other points keep their values.
+    """
+    finite = [all(map(math.isfinite, x)) for x in points]
+    kept = [x for x, ok in zip(points, finite) if ok]
+    if evaluator is None:
+        got = iter(qaoa_expectations(poly, kept).tolist() if kept else ())
+    else:
+        got = (evaluator(QaoaParams.from_flat(x)) for x in kept)
+    return [next(got) if ok else math.nan for ok in finite]
+
+
 def optimize_batch(
     poly: SpinPolynomial,
     p: int,
@@ -289,10 +304,7 @@ def optimize_batch(
         points = [point for _, _, point in pending]
         if not points:
             break
-        if evaluator is None:
-            values = qaoa_expectations(poly, points).tolist()
-        else:
-            values = [evaluator(QaoaParams.from_flat(point)) for point in points]
+        values = _step_values(poly, evaluator, points)
         runs = [(i, run) for i, run, _ in pending]
     return traces
 

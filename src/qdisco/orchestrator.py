@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ._seeds import derive_seed
-from .compiler import (
-    SamplingRegion,
-    enumerate_regions,
-    filter_by_threshold,
-    map_circuit,
-    select_regions,
-)
+from .compiler import SamplingRegion, best_regions, filter_by_threshold, map_circuit
 from .decomposer import (
     RECURSION_LIMIT,
     Partition,
@@ -158,8 +152,7 @@ def _qpu_region_set(
     """As many disjoint n-qubit regions as fit on this QPU."""
     fg = filter_by_threshold(qpu, eta)
     try:
-        candidates = enumerate_regions(fg, n, seed=seed)
-        return tuple(select_regions(candidates, max(1, len(fg.qubits) // n)))
+        return tuple(best_regions(fg, n, max(1, len(fg.qubits) // n), seed=seed))
     except NoRegionError:
         return ()
 
@@ -277,6 +270,8 @@ def _assign_leaves(
     """Attach QPU regions to every leaf and split shots evenly."""
     priority = _qpu_priority(fleet, usable)
     load = {q.name: 0 for q in fleet}
+    # eta and seed are fixed within a plan, so one region set per (QPU, size)
+    region_sets: dict[tuple[str, int], tuple[SamplingRegion, ...]] = {}
     # leaves partition the root's vertices, so their vertex tuples are unique
     assignments: dict[tuple[int, ...], tuple[RegionAssignment, ...]] = {}
 
@@ -318,7 +313,9 @@ def _assign_leaves(
                 ),
             )
             load[qpu.name] += 1
-            regions = _qpu_region_set(qpu, eta, n, seed)
+            if (qpu.name, n) not in region_sets:
+                region_sets[qpu.name, n] = _qpu_region_set(qpu, eta, n, seed)
+            regions = region_sets[qpu.name, n]
             if not regions:
                 raise CapacityError(
                     f"QPU '{qpu.name}' has no connected {n}-qubit region at eta={eta}"

@@ -147,6 +147,9 @@ class ProblemGraph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
             canon.append((u, v, w))
+        # bounds every cost value and every subgraph's total weight
+        if not math.isfinite(sum(abs(w) for _, _, w in canon)):
+            raise ValueError("edges: the weights' magnitudes sum past the float range")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @property

@@ -18,8 +18,9 @@ from scipy.linalg import expm
 
 from qdisco._graphs import norm_edge
 from qdisco._seeds import rng_from
-from qdisco.compiler import SamplingRegion, ordered_terms, route_phase_layer
-from qdisco.errors import ConfigError, PlacementError
+from qdisco import compiler
+from qdisco.compiler import SamplingRegion, ordered_terms, region_fidelity, route_phase_layer
+from qdisco.errors import ConfigError, NoRegionError, PlacementError
 from qdisco.optimizer import BETA_SPAN, GAMMA_SPAN, OptimizationTrace
 from qdisco.problem import SpinPolynomial, cost_vector
 from qdisco.simulator import (
@@ -618,3 +619,65 @@ def reference_steiner_tree_edges(adj, terminals):
         tree_nodes.update(best_path)
         remaining = sorted(set(remaining) - {best_t} - tree_nodes)
     return sorted(edges)
+
+
+def reference_enumerate_regions(fg, n, seed=0, max_candidates=256) -> list[SamplingRegion]:
+    """``enumerate_regions`` as it was before ranking came apart from building:
+    one full ``SamplingRegion`` per connected set, then a sort by ``sort_key``."""
+    if n < 1:
+        raise ConfigError(f"region size must be >= 1, got {n}")
+    if n > len(fg.qubits):
+        raise NoRegionError(
+            f"requested {n}-qubit regions but only {len(fg.qubits)} qubits "
+            f"survived filtering at eta={fg.eta}"
+        )
+    adj = fg.adjacency()
+    if len(fg.qubits) <= compiler.EXACT_ENUMERATION_LIMIT:
+        subsets = compiler._connected_subsets_exact(adj, n)
+    else:
+        subsets = compiler._connected_subsets_sampled(adj, n, seed, max_candidates)
+    regions = []
+    for qubit_set in subsets:
+        edges = tuple(e for e in fg.edges if e[0] in qubit_set and e[1] in qubit_set)
+        regions.append(
+            SamplingRegion(
+                qpu_name=fg.qpu.name,
+                qubits=tuple(sorted(qubit_set)),
+                edges=edges,
+                fidelity=region_fidelity(qubit_set, edges, fg.qpu),
+            )
+        )
+    regions.sort(key=SamplingRegion.sort_key)
+    return regions
+
+
+def reference_select_regions(candidates, k, isomorphic=False) -> list[SamplingRegion]:
+    """``select_regions`` with its greedy branch over built regions, as it was."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not candidates:
+        raise NoRegionError("empty candidate list")
+    if len(candidates) <= compiler.EXACT_SELECTION_LIMIT:
+        chosen = compiler._select_exact(candidates, k, isomorphic)
+    else:
+        chosen, used = [], set()
+        for reg in sorted(candidates, key=SamplingRegion.sort_key):
+            if len(chosen) == k:
+                break
+            if used & set(reg.qubits):
+                continue
+            if isomorphic and chosen and not compiler._isomorphic(chosen[0], reg):
+                continue
+            chosen.append(reg)
+            used |= set(reg.qubits)
+    return sorted(chosen, key=SamplingRegion.sort_key)
+
+
+def reference_qpu_region_set(qpu, eta, n, seed) -> tuple[SamplingRegion, ...]:
+    """``orchestrator._qpu_region_set`` over the reference enumeration and selection."""
+    fg = compiler.filter_by_threshold(qpu, eta)
+    try:
+        candidates = reference_enumerate_regions(fg, n, seed=seed)
+        return tuple(reference_select_regions(candidates, max(1, len(fg.qubits) // n)))
+    except NoRegionError:
+        return ()

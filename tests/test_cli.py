@@ -11,6 +11,7 @@ import pytest
 import qdisco
 from qdisco.cli import load_run_config, main
 from qdisco.datasets import data_path
+from qdisco.errors import SchemaError
 from qdisco.hardware import load_calibration
 from qdisco.problem import parse_problem_json
 
@@ -535,6 +536,53 @@ class TestPlanErrors:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert message in err
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+class TestExtremeFiniteInput:
+    @pytest.mark.parametrize("command", ["simulate", "partition"])
+    def test_weight_sum_overflow_names_edges(self, tmp_path, capsys, command):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps({"num_vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 1e308], [0, 2, 1e308]]})
+        )
+        with pytest.raises(SchemaError, match="edges"):
+            parse_problem_json(path.read_text())
+        args = ["--layers", "1"] if command == "simulate" else ["--capacities", "2,1"]
+        assert main([command, "--problem", str(path), *args]) == 1
+        assert "edges" in one_error_line(capsys)
+
+    def test_overflowing_phase_is_usage_error(self, capsys):
+        argv = ["simulate", "--problem", TRIANGLE, "--layers", "1", "--gammas", "1e308", "--betas", "1"]
+        assert main(argv) == 2
+        assert "--gammas" in one_error_line(capsys)
+
+    def test_overflowing_optimizer_steps_end_in_one_error_line(self, tmp_path, capsys):
+        # every cost of ring6 times 1e308 overflows, so no evaluation is finite
+        optimizer = {"method": "nelder_mead", "initial": [1e308, 1.0]}
+        path = scenario_config(tmp_path, "scenario_va.json", optimizer=optimizer)
+        assert main(["run", "--config", path, "-o", str(tmp_path / "run")]) == 2
+        assert "no finite objective value" in one_error_line(capsys)
+
+
+class TestUnwritableOutput:
+    def test_simulate_into_a_directory(self, tmp_path, capsys):
+        argv = ["simulate", "--problem", RING6, "--layers", "1", "--seed", "7", "-o", str(tmp_path)]
+        assert main(argv) == 1
+        assert "Is a directory" in one_error_line(capsys)
+
+    def test_partition_into_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        argv = ["partition", "--problem", V15, "--capacities", "4,5,6", "-o", str(taken)]
+        assert main(argv) == 1
+        assert "File exists" in one_error_line(capsys)
 
 
 class TestBrokenPipe:

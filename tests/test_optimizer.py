@@ -233,6 +233,43 @@ class TestOptimizeBatch:
         want = [(0.0, BETA_SPAN * j / 10**6) for j in range(20)]
         assert trace.points[:20].tolist() == [list(x) for x in want]
 
+    def test_steps_past_the_float_range_are_failed_evaluations(self, monkeypatch):
+        # half-weight edge: at gamma = 1e308 every phase stays finite, so the start
+        # point evaluates, and the steps away from it leave the float range
+        poly = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 0.5),)))
+        rows = []
+
+        def recording(poly, angles):
+            rows.extend(angles)
+            return qaoa_expectations(poly, angles)
+
+        monkeypatch.setattr(optimizer, "qaoa_expectations", recording)
+        cfg = OptimizerConfig(method="nelder_mead", initial=(1e308, 1.0), max_evaluations=40)
+        [trace] = optimize_batch(poly, 1, None, cfg, [0])
+        assert np.isfinite(rows).all()  # the kernel sees finite rows only
+        overflowed = ~np.isfinite(trace.points).all(axis=1)
+        assert overflowed.any()
+        assert np.isnan(trace.values[overflowed]).all()
+        assert np.isfinite(trace.values[~overflowed]).all()
+        assert trace.num_evaluations == 40
+        assert trace.best_value == trace.values[0]
+
+    def test_step_values_skip_only_the_points_out_of_range(self):
+        points = [(0.3, 0.2), (math.inf, 0.2), (0.5, 0.1), (math.nan, 0.4), (1e300, 0.4)]
+        kept = [points[i] for i in (0, 2, 4)]
+        want = qaoa_expectations(RING5, kept).tolist()
+        got = optimizer._step_values(RING5, None, points)
+        assert np.isnan([got[1], got[3]]).all()
+        assert [got[i] for i in (0, 2, 4)] == want
+        calls = []
+
+        def evaluate(params):
+            calls.append(params.to_flat())
+            return len(calls)
+
+        assert optimizer._step_values(RING5, evaluate, points)[::2] == [1, 2, 3]
+        assert calls == kept
+
     def test_empty_batch_and_bad_depth(self):
         assert optimize_batch(RING5, 1, None, OptimizerConfig(), []) == []
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import typing
 import numpy as np
 import pytest
 
+from qdisco import orchestrator
 from qdisco.cli import load_run_config
 from qdisco.compiler import SamplingRegion
 from qdisco.datasets import data_path
@@ -113,6 +114,27 @@ class TestPlanShapes:
         # leaves partition the root vertex set
         seen = sorted(v for leaf in plan_.root.leaves() for v in leaf.vertices)
         assert seen == list(range(8))
+
+    def test_forced_split_builds_one_region_set_per_qpu_and_size(self, monkeypatch):
+        real = orchestrator._qpu_region_set
+        calls = []
+
+        def counted(qpu, eta, n, seed):
+            calls.append((qpu.name, n))
+            return real(qpu, eta, n, seed)
+
+        monkeypatch.setattr(orchestrator, "_qpu_region_set", counted)
+        fleet = small_fleet(n=5)
+        g = random_maxcut_graph(np.random.default_rng(3), 20, 0.3)
+        plan_ = plan(g, fleet, eta=1.0, p=1, shots=60, capacities=[4] * 5, seed=2)
+        leaves = plan_.root.leaves()
+        keys = [(leaf.assignments[0].qpu_name, leaf.size) for leaf in leaves]
+        assert len(set(keys)) < len(keys)  # several leaves share a (QPU, size)
+        assert sorted(calls) == sorted(set(keys))
+        qpus = {q.name: q for q in fleet}
+        for leaf in leaves:
+            [a] = leaf.assignments
+            assert a.regions == real(qpus[a.qpu_name], 1.0, leaf.size, 2)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError):

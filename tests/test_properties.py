@@ -12,20 +12,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdisco import _graphs, simulator
+from qdisco import _graphs, orchestrator, simulator
 from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
-from qdisco.compiler import _steiner_tree_edges, ordered_terms, route_phase_layer
+from qdisco.compiler import (
+    _steiner_tree_edges,
+    best_regions,
+    enumerate_regions,
+    filter_by_threshold,
+    ordered_terms,
+    route_phase_layer,
+)
 from qdisco.datasets import data_path
 from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
-from qdisco.errors import ConfigError, PlacementError, SchemaError
-from qdisco.hardware import load_calibration
+from qdisco.errors import ConfigError, NoRegionError, PlacementError, SchemaError
+from qdisco.hardware import QpuModel, load_calibration
 from qdisco.hscore import best_region_placement
 from qdisco.problem import (
     ProblemGraph,
     SpinAssignment,
     SpinPolynomial,
     cost_vector,
+    maxcut_to_spin_polynomial,
     parse_problem_json,
 )
 from qdisco.simulator import (
@@ -45,8 +53,11 @@ from qdisco.simulator import (
 from oracles import (
     reference_apply_rx_all,
     reference_draw_fires,
+    reference_enumerate_regions,
     reference_index_to_bitstring,
     reference_noisy_sample,
+    reference_qpu_region_set,
+    reference_select_regions,
     reference_steiner_tree_edges,
     reference_trajectory_probabilities,
 )
@@ -483,3 +494,66 @@ def test_noisy_sample_batch_equals_reference_run_by_run(batch):
         for params, seed in zip(runs, seeds)
     ]
     assert got == want
+
+
+# few distinct rates: many regions share their factors in different orders, so a
+# product taken in another order shows in the last bits and reorders near-ties
+REGION_ERROR_RATES = (0.0, 0.001, 0.003, 0.007, 0.011, 0.013, 0.029)
+
+
+@st.composite
+def region_cases(draw):
+    """A random QPU, eta, region size, seed and candidate bound: up to 20 qubits
+    enumerate exactly, 21-28 (most surviving the filter) by seeded growth."""
+    sampled = draw(st.booleans())
+    num_qubits = draw(st.integers(21, 28) if sampled else st.integers(1, 20))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, num_qubits)}  # a spanning tree
+    for _ in range(draw(st.integers(0, num_qubits // 2))):
+        u, v = draw(st.integers(0, num_qubits - 1)), draw(st.integers(0, num_qubits - 1))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    rate = st.sampled_from(REGION_ERROR_RATES)
+    qpu = QpuModel(
+        "rand",
+        num_qubits,
+        tuple(draw(rate) for _ in range(num_qubits)),
+        {e: draw(rate) for e in sorted(edges)},
+    )
+    eta = draw(st.sampled_from((0.02, 1.0) if sampled else (0.005, 0.012, 0.02, 1.0)))
+    # a small bound keeps growth short: with few connected sets it spends its whole budget
+    max_candidates = draw(st.integers(1, 64)) if sampled else 256
+    return qpu, eta, draw(st.integers(1, 6)), draw(SEED), max_candidates
+
+
+def region_fields(regions):
+    """Every field, the fidelity by its bits."""
+    return [(r.qpu_name, r.qubits, r.edges, type(r.fidelity), r.fidelity.hex()) for r in regions]
+
+
+def outcome(call, *args):
+    try:
+        return region_fields(call(*args))
+    except (ConfigError, NoRegionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region_cases(), st.integers(1, 4), st.booleans())
+def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
+    qpu, eta, n, seed, bound = case
+    fg = filter_by_threshold(qpu, eta)
+    assert outcome(enumerate_regions, fg, n, seed, bound) == outcome(
+        reference_enumerate_regions, fg, n, seed, bound
+    )
+    assert outcome(best_regions, fg, n, k, isomorphic, seed, bound) == outcome(
+        lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic)
+    )
+    if qpu.num_qubits > 20:
+        return  # the callers below use the default bound, which makes growth slow
+    assert region_fields(orchestrator._qpu_region_set(qpu, eta, n, seed)) == region_fields(
+        reference_qpu_region_set(qpu, eta, n, seed)
+    )
+    full = filter_by_threshold(qpu, 1.0)
+    if n <= len(full.qubits) and (candidates := reference_enumerate_regions(full, n)):
+        poly = maxcut_to_spin_polynomial(ProblemGraph(n, tuple((v, v + 1, 1.0) for v in range(n - 1))))
+        assert region_fields([best_region_placement(poly, qpu).region]) == region_fields(candidates[:1])
