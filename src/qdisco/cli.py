@@ -404,8 +404,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "best_value": trace.best_value,
             "num_evaluations": trace.num_evaluations,
         }
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        state = build_qaoa_state(poly, params)
+    state = build_qaoa_state(poly, params)
     if not np.isfinite(state.amplitudes).all():  # a phase gamma * cost past the float range
         raise ConfigError("--gammas times the problem's costs leave the float range")
     counts = sample(state, args.shots, seed)

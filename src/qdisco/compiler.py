@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 
 from . import _graphs
@@ -96,9 +95,6 @@ class SamplingRegion:
     def size(self) -> int:
         return len(self.qubits)
 
-    def sort_key(self) -> tuple:
-        return (-self.fidelity, self.qubits)
-
 
 def region_fidelity(
     qubits: tuple[int, ...] | frozenset[int],
@@ -119,8 +115,10 @@ def _ranked_sets(
 ) -> list[tuple[tuple[float, tuple[int, ...]], tuple[tuple[int, int], ...]]]:
     """Connected n-qubit sets as ((-fidelity, sorted qubits), internal edges), best first.
 
-    The key is the region's ``sort_key``, with the fidelity of
-    ``region_fidelity`` itself; no region is built.
+    Exact connected-induced-subgraph enumeration while |Q'| stays at or
+    below EXACT_ENUMERATION_LIMIT; beyond that, seeded random region
+    growth collects up to ``max_candidates`` distinct candidates.  The
+    fidelity is ``region_fidelity``'s own; no region is built.
     """
     if n < 1:
         raise ConfigError(f"region size must be >= 1, got {n}")
@@ -140,26 +138,6 @@ def _ranked_sets(
         ranked.append(((-region_fidelity(s, edges, fg.qpu), tuple(sorted(s))), edges))
     ranked.sort(key=itemgetter(0))
     return ranked
-
-
-def _make_region(qpu_name: str, ranked_set) -> SamplingRegion:
-    (neg_fidelity, qubits), edges = ranked_set
-    return SamplingRegion(qpu_name, qubits, edges, -neg_fidelity)
-
-
-def enumerate_regions(
-    fg: FilteredGraph,
-    n: int,
-    seed: int = 0,
-    max_candidates: int = 256,
-) -> list[SamplingRegion]:
-    """Candidate sampling regions of exactly n qubits, best fidelity first.
-
-    Exact connected-induced-subgraph enumeration while |Q'| stays at or
-    below EXACT_ENUMERATION_LIMIT; beyond that, seeded random region
-    growth collects up to ``max_candidates`` distinct candidates.
-    """
-    return [_make_region(fg.qpu.name, r) for r in _ranked_sets(fg, n, seed, max_candidates)]
 
 
 def _connected_subsets_exact(adj: dict[int, set[int]], n: int) -> list[frozenset[int]]:
@@ -208,21 +186,6 @@ def _connected_subsets_sampled(
     return sorted(found, key=sorted)
 
 
-def select_regions(
-    candidates: list[SamplingRegion], k: int, isomorphic: bool = False
-) -> list[SamplingRegion]:
-    """Pick up to k pairwise-disjoint regions maximizing fidelity.
-
-    Exact (exhaustive over subsets, maximizing region count first and then
-    the fidelity product) while the candidate list stays at or below
-    EXACT_SELECTION_LIMIT; greedy by descending fidelity beyond that.
-    Deterministic: ties fall back to the lowest qubit tuple.  With
-    ``isomorphic`` the returned regions must be mutually isomorphic.
-    """
-    ranked = sorted(((r.sort_key(), r) for r in candidates), key=itemgetter(0))
-    return _select_ranked(ranked, k, isomorphic, itemgetter(1))
-
-
 def best_regions(
     fg: FilteredGraph,
     n: int,
@@ -231,49 +194,42 @@ def best_regions(
     seed: int = 0,
     max_candidates: int = 256,
 ) -> list[SamplingRegion]:
-    """``select_regions(enumerate_regions(fg, n, ...), k, isomorphic)``.
+    """Up to k pairwise-disjoint connected n-qubit regions maximizing fidelity.
 
-    Builds only the regions that selection keeps or compares, or all of
-    them when exact selection needs every candidate.
+    Exact (exhaustive over subsets, maximizing region count first and then
+    the fidelity product) while the ranked candidate list stays at or below
+    EXACT_SELECTION_LIMIT; greedy by descending fidelity beyond that.
+    Deterministic: ties fall back to the lowest qubit tuple.  With
+    ``isomorphic`` the returned regions must be mutually isomorphic.
+    Selection works on the ranked sets; only the returned regions are built.
     """
-    ranked = _ranked_sets(fg, n, seed, max_candidates)
-    return _select_ranked(ranked, k, isomorphic, partial(_make_region, fg.qpu.name))
-
-
-def _select_ranked(ranked: list, k: int, isomorphic: bool, build) -> list[SamplingRegion]:
-    """Selection over (sort key, item) pairs, best first; ``build(pair)`` makes the region."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    ranked = _ranked_sets(fg, n, seed, max_candidates)
     if not ranked:
-        raise NoRegionError("empty candidate list")
-    if len(ranked) <= EXACT_SELECTION_LIMIT:
-        chosen = _select_exact([build(r) for r in ranked], k, isomorphic)
-    else:
-        chosen = _select_greedy(ranked, k, isomorphic, build)
-    return sorted(chosen, key=SamplingRegion.sort_key)
+        raise NoRegionError(
+            f"QPU '{fg.qpu.name}' has no connected {n}-qubit region at eta={fg.eta}"
+        )
+    select = _select_exact if len(ranked) <= EXACT_SELECTION_LIMIT else _select_greedy
+    chosen = sorted(select(ranked, k, isomorphic), key=itemgetter(0))
+    return [SamplingRegion(fg.qpu.name, qubits, edges, -neg) for (neg, qubits), edges in chosen]
 
 
-def _select_exact(
-    candidates: list[SamplingRegion], k: int, isomorphic: bool
-) -> list[SamplingRegion]:
-    masks = []
-    for reg in candidates:
-        m = 0
-        for q in reg.qubits:
-            m |= 1 << q
-        masks.append(m)
-    order = sorted(range(len(candidates)), key=lambda i: candidates[i].sort_key())
+def _select_exact(ranked: list, k: int, isomorphic: bool) -> list:
+    """Exhaustive selection over ranked entries; their keys are unique, so
+    the ranking is already the search order."""
+    masks = [sum(1 << q for q in qubits) for (_, qubits), _ in ranked]  # qubits are distinct
     best: tuple[int, float, tuple, list[int]] | None = None
 
     def compatible(i: int, picked: list[int]) -> bool:
         if not isomorphic or not picked:
             return True
-        return _isomorphic(candidates[picked[0]], candidates[i])
+        return _isomorphic(ranked[picked[0]], ranked[i])
 
-    def search(pos: int, used_mask: int, picked: list[int], product: float) -> None:
+    def search(i: int, used_mask: int, picked: list[int], product: float) -> None:
         nonlocal best
-        if len(picked) == k or pos == len(order):
-            key_regions = tuple(candidates[i].sort_key() for i in picked)
+        if len(picked) == k or i == len(ranked):
+            key_regions = tuple(ranked[j][0] for j in picked)
             cand = (len(picked), product, key_regions, list(picked))
             if best is None or (cand[0], cand[1]) > (best[0], best[1]) or (
                 (cand[0], cand[1]) == (best[0], best[1]) and cand[2] < best[2]
@@ -282,44 +238,44 @@ def _select_exact(
             return
         # upper-bound prune: even taking every remaining region cannot beat
         # the best count, and fidelities are <= 1 so product only shrinks
-        if best is not None and len(picked) + (len(order) - pos) < best[0]:
+        if best is not None and len(picked) + (len(ranked) - i) < best[0]:
             return
-        i = order[pos]
         if not masks[i] & used_mask and compatible(i, picked):
-            search(pos + 1, used_mask | masks[i], picked + [i], product * candidates[i].fidelity)
-        search(pos + 1, used_mask, picked, product)
+            search(i + 1, used_mask | masks[i], picked + [i], product * -ranked[i][0][0])
+        search(i + 1, used_mask, picked, product)
 
     search(0, 0, [], 1.0)
     del search  # a recursive closure is a reference cycle; break it so the call's state frees now
     assert best is not None
-    return [candidates[i] for i in best[3]]
+    return [ranked[i] for i in best[3]]
 
 
-def _select_greedy(ranked: list, k: int, isomorphic: bool, build) -> list[SamplingRegion]:
-    chosen: list[SamplingRegion] = []
+def _select_greedy(ranked: list, k: int, isomorphic: bool) -> list:
+    chosen: list = []
     used: set[int] = set()
-    for pair in ranked:
+    for entry in ranked:
         if len(chosen) == k:
             break
-        qubits = pair[0][1]
+        qubits = entry[0][1]
         if not used.isdisjoint(qubits):
             continue
-        reg = build(pair)
-        if isomorphic and chosen and not _isomorphic(chosen[0], reg):
+        if isomorphic and chosen and not _isomorphic(chosen[0], entry):
             continue
-        chosen.append(reg)
+        chosen.append(entry)
         used.update(qubits)
     return chosen
 
 
-def _isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
-    if a.size != b.size or len(a.edges) != len(b.edges):
+def _isomorphic(a, b) -> bool:
+    """Whether two ranked entries' regions are isomorphic graphs."""
+    ((_, qa), ea), ((_, qb), eb) = a, b
+    if len(qa) != len(qb) or len(ea) != len(eb):
         return False
-    la = {q: i for i, q in enumerate(a.qubits)}
-    lb = {q: i for i, q in enumerate(b.qubits)}
-    ea = {(min(la[u], la[v]), max(la[u], la[v])) for u, v in a.edges}
-    eb = {(min(lb[u], lb[v]), max(lb[u], lb[v])) for u, v in b.edges}
-    n = a.size
+    la = {q: i for i, q in enumerate(qa)}
+    lb = {q: i for i, q in enumerate(qb)}
+    ea = {(min(la[u], la[v]), max(la[u], la[v])) for u, v in ea}
+    eb = {(min(lb[u], lb[v]), max(lb[u], lb[v])) for u, v in eb}
+    n = len(qa)
     adj_a = _graphs.adjacency(range(n), ea)
     adj_b = _graphs.adjacency(range(n), eb)
     assign = _find_monomorphism(adj_a, adj_b, n, require_all_edges=True)

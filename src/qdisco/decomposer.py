@@ -73,10 +73,6 @@ def _cut_edges(g: ProblemGraph, assignment: list[int] | tuple[int, ...]):
     )
 
 
-def _cut_weight(g: ProblemGraph, assignment) -> float:
-    return sum(w for u, v, w in g.edges if assignment[u] != assignment[v])
-
-
 def balanced_mincut(
     g: ProblemGraph,
     capacities: list[int] | tuple[int, ...],
@@ -114,24 +110,25 @@ def balanced_mincut(
         adj[v][u] = adj[v].get(u, 0.0) + w
 
     best_assign: list[int] | None = None
-    best_cut = float("inf")
+    best_cut, best_edges = float("inf"), ()
     for restart in range(max(1, restarts)):
         rng = rng_from(seed, "mincut", restart)
         assign = _greedy_seed(n, targets, adj, rng, deterministic=restart == 0)
         assign = _kl_refine(n, caps, adj, assign)
-        cut = _cut_weight(g, assign)
+        cut_edges = _cut_edges(g, assign)
+        cut = sum(w for _, _, w in cut_edges)
         if cut < best_cut - 1e-12 or (
             abs(cut - best_cut) <= 1e-12
             and (best_assign is None or assign < best_assign)
         ):
-            best_cut, best_assign = cut, assign
+            best_cut, best_assign, best_edges = cut, assign, cut_edges
 
     assert best_assign is not None
     return Partition(
         assignment=tuple(best_assign),
         num_parts=num_parts,
         capacities=tuple(caps),
-        cut_edges=_cut_edges(g, best_assign),
+        cut_edges=best_edges,
     )
 
 

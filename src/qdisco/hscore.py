@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .compiler import _make_region, _ranked_sets, filter_by_threshold, map_circuit
-from .errors import ConfigError, QdiscoError
+from .compiler import best_regions, filter_by_threshold, map_circuit
+from .errors import ConfigError
 from .hardware import QpuModel
 from .optimizer import OptimizerConfig, optimize_batch
 from .problem import SpinPolynomial, minimum_cost_indices
@@ -158,13 +158,7 @@ def best_region_placement(poly: SpinPolynomial, qpu: QpuModel):
     Benchmarking evaluates the device as calibrated, so no threshold
     filtering is applied here (eta = 1 keeps everything below certainty).
     """
-    fg = filter_by_threshold(qpu, 1.0)
-    ranked = _ranked_sets(fg, poly.num_spins)
-    if not ranked:
-        raise QdiscoError(
-            f"QPU '{qpu.name}' has no connected {poly.num_spins}-qubit region"
-        )
-    return map_circuit(poly, _make_region(qpu.name, ranked[0]))  # ranked best first
+    return map_circuit(poly, best_regions(filter_by_threshold(qpu, 1.0), poly.num_spins, 1)[0])
 
 
 def benchmark_qpu(

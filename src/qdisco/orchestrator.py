@@ -32,7 +32,7 @@ from .problem import (
     evaluate_cost,
     maxcut_to_spin_polynomial,
 )
-from .simulator import NoiseSpec, ShotCounts, _split_shots, bitstring_to_index, noisy_sample
+from .simulator import NoiseSpec, ShotCounts, bitstring_to_index, noisy_sample, split_shots
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def _assign_leaves(
                 f"no QPU can host a {n}-qubit region at eta={eta}; bottleneck: "
                 f"largest usable region is {max(usable.values())}"
             )
-        split = _split_shots(shots, sum(len(regions) for _, regions in hosted))
+        split = split_shots(shots, sum(len(regions) for _, regions in hosted))
         entries = []
         for name, regions in hosted:
             entries.append(RegionAssignment(name, regions, tuple(split[: len(regions)])))
@@ -320,7 +320,7 @@ def _assign_leaves(
                 raise CapacityError(
                     f"QPU '{qpu.name}' has no connected {n}-qubit region at eta={eta}"
                 )
-            split = _split_shots(shots, len(regions))
+            split = split_shots(shots, len(regions))
             assignments[leaf.vertices] = (
                 RegionAssignment(qpu.name, regions, tuple(split)),
             )

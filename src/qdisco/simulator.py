@@ -188,10 +188,11 @@ def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:
     p = len(angles[0]) // 2
     diag = cost_vector(poly)
     block = np.full((len(angles), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
-    for layer in range(p):
-        gammas = [row[layer] for row in angles]
-        block = block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
-        _apply_rx_all(block, n, [row[p + layer] for row in angles])
+    with np.errstate(over="ignore", invalid="ignore"):  # gamma * cost may overflow; callers check
+        for layer in range(p):
+            gammas = [row[layer] for row in angles]
+            block = block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
+            _apply_rx_all(block, n, [row[p + layer] for row in angles])
     return block
 
 
@@ -300,7 +301,8 @@ def validate_placement(placement: Placement, poly: SpinPolynomial, qpu: QpuModel
         raise PlacementError("placement was compiled for a different polynomial")
 
 
-def _split_shots(shots: int, parts: int) -> list[int]:
+def split_shots(shots: int, parts: int) -> list[int]:
+    """``shots`` over ``parts`` as evenly as possible, the first parts taking the remainder."""
     base, extra = divmod(shots, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
@@ -481,12 +483,12 @@ def noisy_sample_batch(
             layers.append(entries)
     readout = np.array([noise.readout_flip_prob[mapping[l]] for l in range(n)], dtype=np.float64)
     points, rates = _fire_points(layers, noise)
-    trajectories = []  # (trajectory index, first shot, shots) of those that get shots
+    # (trajectory index, first shot, shots); trajectories past the first `shots` would get none
+    trajectories = []
     first = 0
-    for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
-        if traj_shots:
-            trajectories.append((traj, first, traj_shots))
-            first += traj_shots
+    for traj, traj_shots in enumerate(split_shots(shots, min(shots, noise.trajectories))):
+        trajectories.append((traj, first, traj_shots))
+        first += traj_shots
 
     rng = np.random.Generator(np.random.PCG64(0))  # each trajectory sets its own state
     labels = [traj for traj, _, _ in trajectories]

@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 from scipy.linalg import expm
 
-from qdisco._graphs import norm_edge
+from qdisco._graphs import adjacency, norm_edge
 from qdisco._seeds import rng_from
 from qdisco import compiler
 from qdisco.compiler import SamplingRegion, ordered_terms, region_fidelity, route_phase_layer
@@ -29,7 +29,7 @@ from qdisco.simulator import (
     ShotCounts,
     _apply_pauli,
     _sign_product,
-    _split_shots,
+    split_shots,
     build_qaoa_state,
     expectation,
     validate_placement,
@@ -381,7 +381,7 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
 
     totals = np.zeros(1 << n, dtype=np.int64)
     qubit_weights = 1 << np.arange(n, dtype=np.int64)
-    for traj, traj_shots in enumerate(_split_shots(shots, noise.trajectories)):
+    for traj, traj_shots in enumerate(split_shots(shots, noise.trajectories)):
         if traj_shots == 0:
             continue
         rng = rng_from(seed, "trajectory", traj)
@@ -621,9 +621,14 @@ def reference_steiner_tree_edges(adj, terminals):
     return sorted(edges)
 
 
+def region_key(region: SamplingRegion) -> tuple:
+    """The ranking key: best fidelity first, ties to the lowest qubit tuple."""
+    return (-region.fidelity, region.qubits)
+
+
 def reference_enumerate_regions(fg, n, seed=0, max_candidates=256) -> list[SamplingRegion]:
-    """``enumerate_regions`` as it was before ranking came apart from building:
-    one full ``SamplingRegion`` per connected set, then a sort by ``sort_key``."""
+    """Candidate regions as they were before ranking came apart from building:
+    one full ``SamplingRegion`` per connected set, then a sort by ``region_key``."""
     if n < 1:
         raise ConfigError(f"region size must be >= 1, got {n}")
     if n > len(fg.qubits):
@@ -647,30 +652,80 @@ def reference_enumerate_regions(fg, n, seed=0, max_candidates=256) -> list[Sampl
                 fidelity=region_fidelity(qubit_set, edges, fg.qpu),
             )
         )
-    regions.sort(key=SamplingRegion.sort_key)
+    regions.sort(key=region_key)
     return regions
 
 
 def reference_select_regions(candidates, k, isomorphic=False) -> list[SamplingRegion]:
-    """``select_regions`` with its greedy branch over built regions, as it was."""
+    """Region selection over built regions, as it was before it moved onto ranked sets."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if not candidates:
         raise NoRegionError("empty candidate list")
     if len(candidates) <= compiler.EXACT_SELECTION_LIMIT:
-        chosen = compiler._select_exact(candidates, k, isomorphic)
+        chosen = _reference_select_exact(candidates, k, isomorphic)
     else:
         chosen, used = [], set()
-        for reg in sorted(candidates, key=SamplingRegion.sort_key):
+        for reg in sorted(candidates, key=region_key):
             if len(chosen) == k:
                 break
             if used & set(reg.qubits):
                 continue
-            if isomorphic and chosen and not compiler._isomorphic(chosen[0], reg):
+            if isomorphic and chosen and not _reference_isomorphic(chosen[0], reg):
                 continue
             chosen.append(reg)
             used |= set(reg.qubits)
-    return sorted(chosen, key=SamplingRegion.sort_key)
+    return sorted(chosen, key=region_key)
+
+
+def _reference_select_exact(candidates, k, isomorphic) -> list[SamplingRegion]:
+    masks = []
+    for reg in candidates:
+        m = 0
+        for q in reg.qubits:
+            m |= 1 << q
+        masks.append(m)
+    order = sorted(range(len(candidates)), key=lambda i: region_key(candidates[i]))
+    best = None
+
+    def compatible(i, picked):
+        if not isomorphic or not picked:
+            return True
+        return _reference_isomorphic(candidates[picked[0]], candidates[i])
+
+    def search(pos, used_mask, picked, product):
+        nonlocal best
+        if len(picked) == k or pos == len(order):
+            key_regions = tuple(region_key(candidates[i]) for i in picked)
+            cand = (len(picked), product, key_regions, list(picked))
+            if best is None or (cand[0], cand[1]) > (best[0], best[1]) or (
+                (cand[0], cand[1]) == (best[0], best[1]) and cand[2] < best[2]
+            ):
+                best = cand
+            return
+        if best is not None and len(picked) + (len(order) - pos) < best[0]:
+            return
+        i = order[pos]
+        if not masks[i] & used_mask and compatible(i, picked):
+            search(pos + 1, used_mask | masks[i], picked + [i], product * candidates[i].fidelity)
+        search(pos + 1, used_mask, picked, product)
+
+    search(0, 0, [], 1.0)
+    del search
+    return [candidates[i] for i in best[3]]
+
+
+def _reference_isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
+    if a.size != b.size or len(a.edges) != len(b.edges):
+        return False
+    la = {q: i for i, q in enumerate(a.qubits)}
+    lb = {q: i for i, q in enumerate(b.qubits)}
+    ea = {(min(la[u], la[v]), max(la[u], la[v])) for u, v in a.edges}
+    eb = {(min(lb[u], lb[v]), max(lb[u], lb[v])) for u, v in b.edges}
+    n = a.size
+    adj_a = adjacency(range(n), ea)
+    adj_b = adjacency(range(n), eb)
+    return compiler._find_monomorphism(adj_a, adj_b, n, require_all_edges=True) is not None
 
 
 def reference_qpu_region_set(qpu, eta, n, seed) -> tuple[SamplingRegion, ...]:

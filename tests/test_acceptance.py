@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from qdisco.cli import load_run_config, main
-from qdisco.compiler import (
-    OpCounter,
-    enumerate_regions,
-    filter_by_threshold,
-    map_circuit,
-    select_regions,
-)
+from qdisco.compiler import OpCounter, best_regions, filter_by_threshold, map_circuit
 from qdisco.datasets import data_path
 from qdisco.hardware import ErrorProfile, Fleet, QpuModel, synthesize_topology
 from qdisco.hscore import benchmark_qpu, build_reference, h_score
@@ -42,6 +36,7 @@ from oracles import (
     labs_energy_direct,
     physical_statevector,
     random_maxcut_graph,
+    reference_enumerate_regions,
 )
 
 RING6 = ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)))
@@ -194,9 +189,9 @@ def test_criterion_06_compiler_exactness():
         full = filter_by_threshold(qpu, 1.0)
         n = 2 if models % 2 == 0 else size - 1
         k = int(rng.integers(1, 5)) if n == 2 else int(rng.integers(1, 3))
-        candidates = enumerate_regions(full, n)
+        candidates = reference_enumerate_regions(full, n)
         assert len(candidates) <= 12, "tree family keeps the exact regime"
-        chosen = select_regions(candidates, k)
+        chosen = best_regions(full, n, k)
         best_count, best_product, _ = exhaustive_region_selection(candidates, k)
         assert len(chosen) == best_count
         got = math.prod(r.fidelity for r in chosen)
@@ -235,7 +230,7 @@ def test_criterion_07_simulator_oracles():
         if not g.edges:
             continue
         poly = maxcut_to_spin_polynomial(g)
-        regions = enumerate_regions(fg, n)
+        regions = reference_enumerate_regions(fg, n)
         region = regions[int(rng.integers(len(regions)))]
         placement = map_circuit(poly, region)
         swaps += placement.swap_count

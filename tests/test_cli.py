@@ -571,6 +571,36 @@ class TestExtremeFiniteInput:
         assert "no finite objective value" in one_error_line(capsys)
 
 
+def overflowing_triangle(tmp_path) -> str:
+    """Finite weights whose costs times any gamma near 1 leave the float range."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"num_vertices": 3, "edges": [[0, 1, 5e307], [1, 2, 5e307], [0, 2, 5e307]]}))
+    return str(path)
+
+
+class TestPhaseOverflowIsQuiet:
+    """A phase past the float range prints no numpy warning, only the outcome."""
+
+    def test_run_with_overflowing_optimizer_steps(self, tmp_path):
+        optimizer = {"method": "nelder_mead", "initial": [1e308, 1.0]}
+        path = scenario_config(tmp_path, "scenario_va.json", optimizer=optimizer)
+        proc = run_cli(["run", "--config", path, "-o", str(tmp_path / "run")])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: optimizer saw no finite objective value"]
+
+    def test_run_of_overflowing_weights(self, tmp_path):
+        # under the default optimizer every evaluation overflows
+        problem, fleet = overflowing_triangle(tmp_path), [{"calibration": T7}]
+        path = scenario_config(tmp_path, "scenario_va.json", problem=problem, fleet=fleet, optimizer=None)
+        proc = run_cli(["run", "--config", path, "-o", str(tmp_path / "run")])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: optimizer saw no finite objective value"]
+
+    def test_simulate_of_overflowing_weights(self, tmp_path):
+        proc = run_cli(["simulate", "--problem", overflowing_triangle(tmp_path), "--layers", "1", "--seed", "7"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestUnwritableOutput:
     def test_simulate_into_a_directory(self, tmp_path, capsys):
         argv = ["simulate", "--problem", RING6, "--layers", "1", "--seed", "7", "-o", str(tmp_path)]

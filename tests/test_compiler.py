@@ -1,22 +1,25 @@
 import gc
 import math
+from operator import itemgetter
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from qdisco.compiler import (
+    EXACT_SELECTION_LIMIT,
     OpCounter,
     _find_monomorphism,
+    _ranked_sets,
+    _select_exact,
     SamplingRegion,
     ScheduleEntry,
-    enumerate_regions,
+    best_regions,
     filter_by_threshold,
     map_circuit,
     ordered_terms,
     region_fidelity,
     route_phase_layer,
-    select_regions,
 )
 from qdisco.datasets import data_path
 from qdisco.errors import ConfigError, DimensionError, NoRegionError
@@ -34,6 +37,7 @@ from oracles import (
     exhaustive_region_selection,
     physical_statevector,
     random_maxcut_graph,
+    reference_enumerate_regions,
 )
 
 
@@ -97,7 +101,13 @@ class TestFilterByThreshold:
             assert counter.count == qpu.num_qubits + len(qpu.edges)
 
 
+def ranked_qubits(ranked) -> list[tuple[int, ...]]:
+    return [qubits for (_, qubits), _ in ranked]
+
+
 class TestEnumerateRegions:
+    """Connected sets as ``_ranked_sets`` ranks them: ((-fidelity, qubits), edges)."""
+
     def path4(self) -> QpuModel:
         return synthesize_topology(
             "line", num_qubits=4, profile=ErrorProfile.uniform(0.005, 0.002), name="p4"
@@ -105,28 +115,27 @@ class TestEnumerateRegions:
 
     def test_path_pairs(self):
         fg = filter_by_threshold(self.path4(), 0.01)
-        regions = enumerate_regions(fg, 2)
-        assert len(regions) == 3
-        assert {r.qubits for r in regions} == {(0, 1), (1, 2), (2, 3)}
+        ranked = _ranked_sets(fg, 2)
+        assert len(ranked) == 3
+        assert set(ranked_qubits(ranked)) == {(0, 1), (1, 2), (2, 3)}
 
     def test_path_whole(self):
         fg = filter_by_threshold(self.path4(), 0.01)
-        regions = enumerate_regions(fg, 4)
-        assert len(regions) == 1
+        assert len(_ranked_sets(fg, 4)) == 1
 
     def test_too_large_raises(self):
         fg = filter_by_threshold(self.path4(), 0.01)
         with pytest.raises(NoRegionError):
-            enumerate_regions(fg, 5)
+            _ranked_sets(fg, 5)
 
     def test_heavy_hex_count_matches_bruteforce(self):
         qpu = synthesize_topology(
             "heavy_hex_16", profile=ErrorProfile.uniform(0.005, 0.002)
         )
         fg = filter_by_threshold(qpu, 0.01)
-        regions = enumerate_regions(fg, 6)
+        ranked = _ranked_sets(fg, 6)
         want = connected_subsets_bruteforce(fg.qubits, fg.edges, 6)
-        assert {frozenset(r.qubits) for r in regions} == want
+        assert {frozenset(q) for q in ranked_qubits(ranked)} == want
 
     def test_exact_counts_on_random_graphs(self):
         rng = np.random.default_rng(14)
@@ -136,8 +145,7 @@ class TestEnumerateRegions:
             n = int(rng.integers(2, 5))
             if n > len(fg.qubits):
                 continue
-            regions = enumerate_regions(fg, n)
-            got = [frozenset(r.qubits) for r in regions]
+            got = [frozenset(q) for q in ranked_qubits(_ranked_sets(fg, n))]
             # every subgraph exactly once
             assert len(got) == len(set(got))
             assert set(got) == connected_subsets_bruteforce(fg.qubits, fg.edges, n)
@@ -145,8 +153,7 @@ class TestEnumerateRegions:
     def test_sorted_by_fidelity(self):
         qpu = random_qpu(np.random.default_rng(15))
         fg = filter_by_threshold(qpu, 1.0)
-        regions = enumerate_regions(fg, 3)
-        fids = [r.fidelity for r in regions]
+        fids = [-neg_fidelity for (neg_fidelity, _), _ in _ranked_sets(fg, 3)]
         assert fids == sorted(fids, reverse=True)
 
     def test_stochastic_mode_on_large_graph(self):
@@ -155,14 +162,14 @@ class TestEnumerateRegions:
         )
         fg = filter_by_threshold(qpu, 0.01)
         assert len(fg.qubits) > 20
-        a = enumerate_regions(fg, 6, seed=3, max_candidates=50)
-        b = enumerate_regions(fg, 6, seed=3, max_candidates=50)
-        assert [r.qubits for r in a] == [r.qubits for r in b]
+        a = _ranked_sets(fg, 6, seed=3, max_candidates=50)
+        b = _ranked_sets(fg, 6, seed=3, max_candidates=50)
+        assert ranked_qubits(a) == ranked_qubits(b)
         assert len(a) >= 50
-        for r in a[:10]:
+        for (_, qubits), edges in a[:10]:
             sub = nx.Graph()
-            sub.add_nodes_from(r.qubits)
-            sub.add_edges_from(r.edges)
+            sub.add_nodes_from(qubits)
+            sub.add_edges_from(edges)
             assert nx.is_connected(sub)
 
     def test_stochastic_mode_handles_small_components(self):
@@ -179,10 +186,10 @@ class TestEnumerateRegions:
         qpu = QpuModel("frag", 22, tuple([0.001] * 22), edges)
         fg = filter_by_threshold(qpu, 0.01)
         assert len(fg.qubits) == 22
-        regions = enumerate_regions(fg, 6, seed=1, max_candidates=20)
-        assert regions
-        for r in regions:
-            assert set(r.qubits) <= set(range(12))
+        ranked = _ranked_sets(fg, 6, seed=1, max_candidates=20)
+        assert ranked
+        for qubits in ranked_qubits(ranked):
+            assert set(qubits) <= set(range(12))
 
 
 class TestRegionFidelity:
@@ -204,6 +211,13 @@ class TestRegionFidelity:
 
 
 class TestSelectRegions:
+    """Exact selection, fed the candidates as ranked entries."""
+
+    def select(self, candidates, k, isomorphic=False) -> list[SamplingRegion]:
+        ranked = sorted((((-r.fidelity, r.qubits), r.edges) for r in candidates), key=itemgetter(0))
+        chosen = _select_exact(ranked, k, isomorphic)
+        return [SamplingRegion("q", qubits, edges, -neg) for (neg, qubits), edges in chosen]
+
     def region(self, qubits, fid, edges=None):
         if edges is None:
             qs = sorted(qubits)
@@ -213,17 +227,18 @@ class TestSelectRegions:
     def test_overlap_keeps_best(self):
         a = self.region((0, 1), 0.9)
         b = self.region((1, 2), 0.8)
-        chosen = select_regions([a, b], 2)
+        chosen = self.select([a, b], 2)
         assert chosen == [a]
 
     def test_disjoint_top_k_by_fidelity(self):
         cands = [self.region((2 * i, 2 * i + 1), 0.5 + 0.05 * i) for i in range(6)]
-        chosen = select_regions(cands, 3)
+        chosen = self.select(cands, 3)
         assert {r.fidelity for r in chosen} == {0.75, 0.70, 0.65}
 
     def test_empty_candidates(self):
-        with pytest.raises(NoRegionError):
-            select_regions([], 1)
+        qpu = QpuModel("bare", 4, (0.001,) * 4, {})
+        with pytest.raises(NoRegionError, match="'bare' has no connected 2-qubit region at eta=0.01"):
+            best_regions(filter_by_threshold(qpu, 0.01), 2, 1)
 
     def test_exact_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(16)
@@ -236,7 +251,7 @@ class TestSelectRegions:
                 qubits = tuple(range(start, start + size))
                 cands.append(self.region(qubits, float(rng.uniform(0.5, 1.0))))
             k = int(rng.integers(1, 4))
-            chosen = select_regions(cands, k)
+            chosen = self.select(cands, k)
             best_count, best_product, _ = exhaustive_region_selection(cands, k)
             got_product = math.prod(r.fidelity for r in chosen)
             assert len(chosen) == best_count
@@ -246,7 +261,7 @@ class TestSelectRegions:
         line = self.region((0, 1, 2), 0.99)
         line2 = self.region((3, 4, 5), 0.98)
         star = SamplingRegion("q", (6, 7, 8, 9), ((6, 7), (6, 8), (6, 9)), 0.97)
-        chosen = select_regions([line, line2, star], 3, isomorphic=True)
+        chosen = self.select([line, line2, star], 3, isomorphic=True)
         assert chosen == [line, line2]
         assert nx.is_isomorphic(nx.Graph(line.edges), nx.Graph(line2.edges))
 
@@ -295,7 +310,7 @@ class TestMapCircuit:
             if not g.edges:
                 continue
             poly = maxcut_to_spin_polynomial(g)
-            regions = enumerate_regions(fg, n)
+            regions = reference_enumerate_regions(fg, n)
             region = regions[int(rng.integers(len(regions)))]
             placement = map_circuit(poly, region)
             region_edges = set(region.edges)
@@ -322,7 +337,7 @@ class TestMapCircuit:
             if not g.edges:
                 continue
             poly = maxcut_to_spin_polynomial(g)
-            region = enumerate_regions(fg, n)[0]
+            region = best_regions(fg, n, 1)[0]
             placement = map_circuit(poly, region)
             p = int(rng.integers(1, 3))
             params = QaoaParams(
@@ -341,7 +356,7 @@ class TestMapCircuit:
         fg = filter_by_threshold(qpu, 0.01)
         g = random_maxcut_graph(rng, 6, 0.9, weighted=True)
         poly = maxcut_to_spin_polynomial(g)
-        placement = map_circuit(poly, enumerate_regions(fg, 6)[0])
+        placement = map_circuit(poly, best_regions(fg, 6, 1)[0])
         assert placement.swap_count > 0
         params = QaoaParams(
             tuple(rng.uniform(0, 2 * math.pi, 4)), tuple(rng.uniform(0, math.pi, 4))
@@ -366,7 +381,7 @@ class TestMapCircuit:
         qpu = load_calibration(data_path("qpu_hex16.json").read_text())
         terms = ((0.7, (0,)), (-0.4, (2,)), (1.0, (0, 1)), (0.5, (1, 2)), (-0.8, (2, 3)))
         poly = SpinPolynomial(4, terms + ((0.6, (0, 1, 3)),))
-        region = enumerate_regions(filter_by_threshold(qpu, 0.05), 4)[0]
+        region = best_regions(filter_by_threshold(qpu, 0.05), 4, 1)[0]
         placement = map_circuit(poly, region)
         assert (placement.initial_map, placement.final_map) == ((0, 1, 3, 2), (0, 2, 3, 1))
         linear = [e for e in placement.schedule if len(e.support) == 1]
@@ -408,10 +423,10 @@ class TestNoReferenceCycles:
     """Recursive searches must free their state on return, not at the next collection."""
 
     def test_select_regions(self):
-        qpu = load_calibration(data_path("qpu_hex16.json").read_text())
-        candidates = enumerate_regions(filter_by_threshold(qpu, 1.0), 4)[:10]
-        assert cyclic_garbage_left_by(lambda: select_regions(candidates, 2)) == 0
-        assert cyclic_garbage_left_by(lambda: select_regions(candidates, 3, isomorphic=True)) == 0
+        fg = filter_by_threshold(load_calibration(data_path("qpu_t7_a.json").read_text()), 1.0)
+        assert len(_ranked_sets(fg, 3)) <= EXACT_SELECTION_LIMIT  # the recursive exact search
+        assert cyclic_garbage_left_by(lambda: best_regions(fg, 3, 2)) == 0
+        assert cyclic_garbage_left_by(lambda: best_regions(fg, 3, 3, isomorphic=True)) == 0
 
     def test_find_monomorphism(self):
         def path(n):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qdisco.datasets import data_path
-from qdisco.errors import ConfigError
-from qdisco.hardware import ErrorProfile, load_calibration, synthesize_topology
+from qdisco.errors import ConfigError, NoRegionError
+from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
 from qdisco.hscore import (
     ReferenceDistribution,
     accuracy,
@@ -176,6 +176,11 @@ class TestBenchmarkQpu:
         qpu = synthesize_topology("ring", num_qubits=6, name="q")
         with pytest.raises(ConfigError):
             benchmark_qpu(RING6, qpu, 1, m=10, seed=2, cfg=cfg, reference=ref)
+
+    def test_qpu_without_a_connected_region_is_refused(self):
+        qpu = QpuModel("bare", 6, (0.01,) * 6, {})
+        with pytest.raises(NoRegionError, match=r"^QPU 'bare' has no connected 2-qubit region at eta=1\.0$"):
+            benchmark_qpu(EDGE_POLY, qpu, 1, m=10, seed=2)
 
     def test_seeded_report_is_pinned(self):
         # recorded from the one-run-at-a-time implementation; the lockstep

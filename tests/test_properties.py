@@ -16,9 +16,9 @@ from qdisco import _graphs, orchestrator, simulator
 from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
 from qdisco.compiler import (
+    _ranked_sets,
     _steiner_tree_edges,
     best_regions,
-    enumerate_regions,
     filter_by_threshold,
     ordered_terms,
     route_phase_layer,
@@ -530,9 +530,17 @@ def region_fields(regions):
     return [(r.qpu_name, r.qubits, r.edges, type(r.fidelity), r.fidelity.hex()) for r in regions]
 
 
-def outcome(call, *args):
+def ranked_fields(fg, ranked):
+    """``region_fields`` of the regions that ranked entries describe, none built."""
+    return [
+        (fg.qpu.name, qubits, tuple(sorted(edges)), type(-neg), (-neg).hex())
+        for (neg, qubits), edges in ranked
+    ]
+
+
+def outcome(fields, call, *args):
     try:
-        return region_fields(call(*args))
+        return fields(call(*args))
     except (ConfigError, NoRegionError) as exc:
         return type(exc), str(exc)
 
@@ -542,12 +550,15 @@ def outcome(call, *args):
 def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
     qpu, eta, n, seed, bound = case
     fg = filter_by_threshold(qpu, eta)
-    assert outcome(enumerate_regions, fg, n, seed, bound) == outcome(
-        reference_enumerate_regions, fg, n, seed, bound
+    got = outcome(lambda ranked: ranked_fields(fg, ranked), _ranked_sets, fg, n, seed, bound)
+    assert got == outcome(region_fields, reference_enumerate_regions, fg, n, seed, bound)
+    want = outcome(
+        region_fields,
+        lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic),
     )
-    assert outcome(best_regions, fg, n, k, isomorphic, seed, bound) == outcome(
-        lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic)
-    )
+    if want == (NoRegionError, "empty candidate list"):  # best_regions names the QPU and eta
+        want = NoRegionError, f"QPU 'rand' has no connected {n}-qubit region at eta={eta}"
+    assert outcome(region_fields, best_regions, fg, n, k, isomorphic, seed, bound) == want
     if qpu.num_qubits > 20:
         return  # the callers below use the default bound, which makes growth slow
     assert region_fields(orchestrator._qpu_region_set(qpu, eta, n, seed)) == region_fields(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdisco.compiler import enumerate_regions, filter_by_threshold, map_circuit, select_regions
+from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.errors import CapacityError, DimensionError, PlacementError
 from qdisco.datasets import data_path
 from qdisco.hardware import ErrorProfile, load_calibration, synthesize_topology
@@ -47,7 +47,7 @@ EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
 
 def single_region_placement(poly, qpu, eta=1.0):
     fg = filter_by_threshold(qpu, eta)
-    region = select_regions(enumerate_regions(fg, poly.num_spins), 1)[0]
+    region = best_regions(fg, poly.num_spins, 1)[0]
     return map_circuit(poly, region)
 
 
@@ -543,3 +543,18 @@ class TestNoisySampleBatch:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+
+    def test_trajectories_past_the_shots_cost_nothing(self):
+        # trajectories past the first `shots` get no shots, so 10**6 of them
+        # sample as 64 do, and none of the idle ones is listed
+        params = self.runs(1, 2)[0]
+        args = (self.ring6, params, self.placement, self.qpu)
+        want = noisy_sample(*args, NoiseSpec.from_qpu(self.qpu, 64), 64, 5)
+        tracemalloc.start()
+        try:
+            got = noisy_sample(*args, NoiseSpec.from_qpu(self.qpu, 10**6), 64, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1024 * 1024
