@@ -227,6 +227,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
                 f"config field 'optimizer.initial' must be a list of numbers, got {initial!r}"
             )
         initial = tuple(_number(float, x, "optimizer.initial") for x in initial)
+    if _boolean(opt_doc.get("noisy", False), "optimizer.noisy"):
+        raise ConfigError("config field 'optimizer.noisy' must be false: the objective is noiseless")
     optimizer = OptimizerConfig(
         method=opt_doc.get("method", "nelder_mead"),
         max_evaluations=_number(int, opt_doc.get("max_evaluations", 200), "optimizer.max_evaluations"),
@@ -234,7 +236,6 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         initial=initial,
         grid_resolution=_number(int, opt_doc.get("grid_resolution", 12), "optimizer.grid_resolution"),
         restarts=_number(int, opt_doc.get("restarts", 1), "optimizer.restarts"),
-        noisy=_boolean(opt_doc.get("noisy", False), "optimizer.noisy"),
     )
 
     hs_doc = doc.get("hscore", {})
@@ -385,20 +386,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     instance = _read_problem(args.problem)
     poly = instance.polynomial
-    p = args.layers[0] if len(args.layers) == 1 else None
-    if p is None:
+    if len(args.layers) != 1:
         raise ConfigError("simulate takes a single --layers value")
+    p = args.layers[0]
     if args.gammas is not None or args.betas is not None:
         if args.gammas is None or args.betas is None or len(args.gammas) != p or len(args.betas) != p:
             raise ConfigError("--gammas and --betas must both supply p angles")
         params = QaoaParams(args.gammas, args.betas)
         trace_doc = None
     else:
-        cfg = OptimizerConfig(
-            method="grid_then_nelder_mead" if p == 1 else "nelder_mead",
-            max_evaluations=args.max_evaluations,
-        )
-        trace = optimize(poly, p, None, cfg, seed=seed)
+        # the grid scan runs at p = 1 only; deeper circuits start Nelder-Mead directly
+        cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=args.max_evaluations)
+        trace = optimize(poly, p, cfg, seed=seed)
         params = trace.best_params
         trace_doc = {
             "best_value": trace.best_value,

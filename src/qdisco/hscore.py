@@ -138,7 +138,7 @@ def build_reference(
     if m_ref < MIN_REFERENCE_SIZE:
         raise ConfigError(f"m_ref must be >= {MIN_REFERENCE_SIZE}, got {m_ref}")
     run_seeds = [derive_seed(seed, "ref-run", i) for i in range(m_ref)]
-    traces = optimize_batch(poly, p, None, cfg, run_seeds)
+    traces = optimize_batch(poly, p, cfg, run_seeds)
     samples = []
     for run_seed, trace in zip(run_seeds, traces):
         state = build_qaoa_state(poly, trace.best_params)
@@ -193,7 +193,7 @@ def benchmark_qpu(
         )
     noise = noise or NoiseSpec.from_qpu(qpu)
     run_seeds = [derive_seed(seed, "score-run", i) for i in range(m)]
-    traces = optimize_batch(poly, p, None, cfg, run_seeds)
+    traces = optimize_batch(poly, p, cfg, run_seeds)
     runs = noisy_sample_batch(
         poly,
         [trace.best_params for trace in traces],

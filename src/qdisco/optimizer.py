@@ -1,9 +1,10 @@
 """Classical outer loop: derivative-free minimization of the cost landscape.
 
 Nelder-Mead over the 2p angle parameters, optionally seeded by a coarse
-grid scan at p=1.  Every objective call is recorded in the trace and
-counted against the evaluation budget, which makes runs reproducible and
-comparable across evaluators.  Each run is a generator that yields points
+grid scan at p=1.  The objective is the noiseless expectation; noise
+enters through the compiler and the H-Score, not here.  Every objective
+call is recorded in the trace and counted against the evaluation budget,
+which makes runs reproducible.  Each run is a generator that yields points
 and receives their values, so ``optimize_batch`` can advance many seeded
 runs in lockstep and evaluate each step's points in one kernel call; the
 seed-free grid points are evaluated once per batch.  A run keeps its
@@ -16,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 from array import array
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,6 @@ _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
 
-_INCUMBENT_REEVAL_PERIOD = 10
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -46,7 +45,6 @@ class OptimizerConfig:
     initial: tuple[float, ...] | None = None
     grid_resolution: int = 12
     restarts: int = 1
-    noisy: bool = False  # re-evaluate the incumbent every 10 iterations
 
     def __post_init__(self) -> None:
         if self.method not in ("nelder_mead", "grid_then_nelder_mead"):
@@ -140,7 +138,7 @@ def _step(a: _Point, k: float, b: _Point, c: _Point) -> _Point:
     return tuple(x + k * (y - z) for x, y, z in zip(a, b, c))
 
 
-def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float, noisy: bool) -> _Run:
+def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float) -> _Run:
     """Minimize until converged; the budget ends the run when it is spent."""
     dim = 2 * p
     spans = _spans(p)
@@ -155,7 +153,6 @@ def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float, noisy: b
     for v in simplex:
         values.append((yield from budget.evaluate(v)))
 
-    iteration = 0
     while True:
         order = sorted(range(dim + 1), key=values.__getitem__)  # stable: ties keep their order
         simplex = [simplex[i] for i in order]
@@ -163,11 +160,6 @@ def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float, noisy: b
 
         if all(map(math.isfinite, values)) and max(values) - min(values) < tolerance:
             return
-
-        iteration += 1
-        if noisy and iteration % _INCUMBENT_REEVAL_PERIOD == 0:
-            values[0] = yield from budget.evaluate(simplex[0])
-            continue
 
         # rows added in order, then divided, as np.mean(axis=0); sum() and fsum round otherwise
         total = simplex[0]
@@ -237,7 +229,7 @@ def _optimization(
     per_start = max(1, (budget.limit - len(budget.values)) // len(starts))
     for i, x0 in enumerate(starts):
         cap = len(budget.values) + per_start if i < len(starts) - 1 else budget.limit
-        yield from budget.search(_nelder_mead(budget, x0, p, cfg.tolerance, cfg.noisy), cap)
+        yield from budget.search(_nelder_mead(budget, x0, p, cfg.tolerance), cap)
 
     best = _best_index(budget.values)
     if best is None:
@@ -250,49 +242,40 @@ def _optimization(
     )
 
 
-def _step_values(poly: SpinPolynomial, evaluator, points: list[_Point]) -> list[float]:
-    """Objective values of one step's points, in order.
+def _step_values(poly: SpinPolynomial, points: list[_Point]) -> list[float]:
+    """Noiseless expectations of one step's points, in order.
 
     A point a step took out of the finite range is not evaluated: it scores
     NaN, a failed evaluation, and the other points keep their values.
     """
     finite = [all(map(math.isfinite, x)) for x in points]
     kept = [x for x, ok in zip(points, finite) if ok]
-    if evaluator is None:
-        got = iter(qaoa_expectations(poly, kept).tolist() if kept else ())
-    else:
-        got = (evaluator(QaoaParams.from_flat(x)) for x in kept)
+    got = iter(qaoa_expectations(poly, kept).tolist() if kept else ())
     return [next(got) if ok else math.nan for ok in finite]
 
 
 def optimize_batch(
     poly: SpinPolynomial,
     p: int,
-    evaluator: Callable[[QaoaParams], float] | None,
     cfg: OptimizerConfig,
     seeds: Sequence[int],
 ) -> list[OptimizationTrace]:
     """One ``optimize`` run per seed, all advanced in lockstep.
 
-    The grid scan is the same for every run: the default noiseless objective
-    evaluates its points once, in one ``qaoa_expectations`` call, and a custom
-    ``evaluator`` takes grid point j for every run in seed order, then point
-    j+1.  Then each step collects the next point of every unfinished run and
-    evaluates them in one ``qaoa_expectations`` call, or point by point in
-    seed order.  Trace i equals ``optimize(poly, p, evaluator, cfg, seeds[i])``.
+    The grid scan is the same for every run, so its points are evaluated
+    once, in one ``qaoa_expectations`` call.  Then each step collects the
+    next point of every unfinished run and evaluates them in one
+    ``qaoa_expectations`` call.  Trace i equals
+    ``optimize(poly, p, cfg, seeds[i])``.
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     if cfg.initial is not None and len(cfg.initial) != 2 * p:
         raise ConfigError(f"initial point has {len(cfg.initial)} values, expected {2 * p}")
     grid = _grid_points(p, cfg) if seeds else []
-    if evaluator is None:
-        columns = [qaoa_expectations(poly, grid).tolist() if grid else []] * len(seeds)
-    else:
-        rows = [[float(evaluator(QaoaParams.from_flat(x))) for _ in seeds] for x in grid]
-        columns = [[row[i] for row in rows] for i in range(len(seeds))]
+    grid_values = qaoa_expectations(poly, grid).tolist() if grid else []
     traces: list[OptimizationTrace | None] = [None] * len(seeds)
-    runs = [(i, _optimization(p, cfg, s, grid, columns[i])) for i, s in enumerate(seeds)]
+    runs = [(i, _optimization(p, cfg, s, grid, grid_values)) for i, s in enumerate(seeds)]
     values: Sequence[float | None] = [None] * len(runs)
     while runs:
         pending = []
@@ -304,7 +287,7 @@ def optimize_batch(
         points = [point for _, _, point in pending]
         if not points:
             break
-        values = _step_values(poly, evaluator, points)
+        values = _step_values(poly, points)
         runs = [(i, run) for i, run, _ in pending]
     return traces
 
@@ -312,15 +295,14 @@ def optimize_batch(
 def optimize(
     poly: SpinPolynomial,
     p: int,
-    evaluator: Callable[[QaoaParams], float] | None,
     cfg: OptimizerConfig,
     seed: int = 0,
 ) -> OptimizationTrace:
-    """Minimize the evaluator over 2p angles; deterministic under seed.
+    """Minimize the noiseless expectation of ``poly`` over 2p angles;
+    deterministic under seed.
 
-    ``evaluator`` defaults to the noiseless expectation for ``poly``.
     Restarts split the evaluation budget evenly; the best point across the
     whole trace wins.  Non-finite objective values stay in the trace but
     never become the incumbent.
     """
-    return optimize_batch(poly, p, evaluator, cfg, [seed])[0]
+    return optimize_batch(poly, p, cfg, [seed])[0]

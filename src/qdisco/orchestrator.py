@@ -20,7 +20,7 @@ from .decomposer import (
     extract_subproblems,
     merge_solutions,
 )
-from .errors import CapacityError, ConfigError, NoRegionError
+from .errors import CapacityError, ConfigError
 from .hardware import Fleet, QpuModel
 from .hscore import HScoreReport, ReferenceDistribution, accuracy, build_reference, h_score
 from .optimizer import OptimizerConfig, optimize
@@ -151,10 +151,7 @@ def _qpu_region_set(
 ) -> tuple[SamplingRegion, ...]:
     """As many disjoint n-qubit regions as fit on this QPU."""
     fg = filter_by_threshold(qpu, eta)
-    try:
-        return tuple(best_regions(fg, n, max(1, len(fg.qubits) // n), seed=seed))
-    except NoRegionError:
-        return ()
+    return tuple(best_regions(fg, n, max(1, len(fg.qubits) // n), seed=seed))
 
 
 def plan(
@@ -279,9 +276,9 @@ def _assign_leaves(
         # direct plan: multi-sample across every QPU that can host the problem
         n = root.size
         hosted = [
-            (qpu.name, regions)
+            (qpu.name, _qpu_region_set(qpu, eta, n, seed))
             for qpu in priority
-            if usable[qpu.name] >= n and (regions := _qpu_region_set(qpu, eta, n, seed))
+            if usable[qpu.name] >= n
         ]
         if not hosted:
             raise CapacityError(
@@ -316,10 +313,6 @@ def _assign_leaves(
             if (qpu.name, n) not in region_sets:
                 region_sets[qpu.name, n] = _qpu_region_set(qpu, eta, n, seed)
             regions = region_sets[qpu.name, n]
-            if not regions:
-                raise CapacityError(
-                    f"QPU '{qpu.name}' has no connected {n}-qubit region at eta={eta}"
-                )
             split = split_shots(shots, len(regions))
             assignments[leaf.vertices] = (
                 RegionAssignment(qpu.name, regions, tuple(split)),
@@ -482,7 +475,7 @@ def execute(
 
     for i, leaf in enumerate(plan_.root.leaves()):
         poly = leaf.polynomial
-        trace = optimize(poly, plan_.p, None, cfg, seed=derive_seed(seed, "leaf", i, "opt"))
+        trace = optimize(poly, plan_.p, cfg, seed=derive_seed(seed, "leaf", i, "opt"))
         region_bests: list[str] = []
         aggregate: dict[str, int] = {}
         accs: list[float] = []

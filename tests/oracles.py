@@ -496,17 +496,12 @@ def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:
             if exhausted():
                 return
             values.append(evaluate(v))
-        iteration = 0
         while not exhausted():
             order = np.argsort(np.array(values), kind="stable")
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
             if all(math.isfinite(v) for v in values) and max(values) - min(values) < cfg.tolerance:
                 return
-            iteration += 1
-            if cfg.noisy and iteration % 10 == 0:
-                values[0] = evaluate(simplex[0])
-                continue
             centroid = np.mean(simplex[:-1], axis=0)
             worst = simplex[-1]
             reflected = centroid + 1.0 * (centroid - worst)
@@ -731,8 +726,5 @@ def _reference_isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
 def reference_qpu_region_set(qpu, eta, n, seed) -> tuple[SamplingRegion, ...]:
     """``orchestrator._qpu_region_set`` over the reference enumeration and selection."""
     fg = compiler.filter_by_threshold(qpu, eta)
-    try:
-        candidates = reference_enumerate_regions(fg, n, seed=seed)
-        return tuple(reference_select_regions(candidates, max(1, len(fg.qubits) // n)))
-    except NoRegionError:
-        return ()
+    candidates = reference_enumerate_regions(fg, n, seed=seed)
+    return tuple(reference_select_regions(candidates, max(1, len(fg.qubits) // n)))

@@ -306,7 +306,7 @@ def test_criterion_09_labs_correctness():
     optimal_indices = {a.to_index() for a in argmins}
     uniform_mass = len(argmins) / 64.0
     cfg = OptimizerConfig(max_evaluations=400, restarts=3)
-    trace = optimize(poly6, 2, None, cfg, seed=20)
+    trace = optimize(poly6, 2, cfg, seed=20)
     state = build_qaoa_state(poly6, trace.best_params)
     probs = state.probabilities()
     mass = float(sum(probs[i] for i in optimal_indices))

@@ -251,6 +251,14 @@ class TestPlanAndRun:
         assert main(["run", "--config", path, "-o", str(tmp_path / "run")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_noisy_false_runs_as_without_the_key(self, tmp_path):
+        optimizer = json.loads(data_path("scenario_vb.json").read_text())["optimizer"]
+        path = scenario_config(tmp_path, optimizer={**optimizer, "noisy": False})
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", VB, "-o", str(a)]) == 0
+        assert main(["run", "--config", path, "-o", str(b)]) == 0
+        assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
+
     def test_labs_problem_runs_direct(self, tmp_path, capsys):
         cfg = {
             "problem": str(data_path("problem_labs6.json")),
@@ -362,6 +370,8 @@ MALFORMED_CONFIGS = [
     malformed("noise", {"noise": "false"}),
     malformed("hscore.enabled", {"hscore": {"enabled": "no"}}),
     malformed("optimizer.noisy", {"optimizer": {"noisy": 1}}),
+    # the objective is noiseless: a config asking for a noisy one is refused, not ignored
+    malformed("optimizer.noisy", {"optimizer": {"noisy": True}}, id="optimizer.noisy-true"),
     # integers are neither truncated nor read from booleans
     malformed("p", {"p": 2.7}, id="p-fractional"),
     malformed("shots", {"shots": 300.5}, id="shots-fractional"),

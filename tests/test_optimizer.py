@@ -39,19 +39,19 @@ class TestOptimize:
     def test_single_edge_reaches_grid_optimum(self):
         want = grid_oracle(EDGE_POLY)
         cfg = OptimizerConfig(max_evaluations=500, restarts=3)
-        trace = optimize(EDGE_POLY, 1, None, cfg, seed=1)
+        trace = optimize(EDGE_POLY, 1, cfg, seed=1)
         assert trace.best_value <= want + 0.02
 
     def test_grid_seeded_variant_reaches_optimum(self):
         want = grid_oracle(EDGE_POLY)
         cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=300)
-        trace = optimize(EDGE_POLY, 1, None, cfg, seed=2)
+        trace = optimize(EDGE_POLY, 1, cfg, seed=2)
         assert trace.best_value <= want + 0.02
 
     def test_constant_polynomial_flat_objective(self):
         poly = SpinPolynomial(3, (), constant_offset=4.2)
         cfg = OptimizerConfig(max_evaluations=200, tolerance=1e-8)
-        trace = optimize(poly, 1, None, cfg, seed=3)
+        trace = optimize(poly, 1, cfg, seed=3)
         assert trace.best_value == pytest.approx(4.2)
         # flat landscape: simplex spread is zero immediately, so the run
         # stops long before the budget
@@ -59,24 +59,24 @@ class TestOptimize:
 
     def test_deterministic_under_seed(self):
         cfg = OptimizerConfig(max_evaluations=150, restarts=2)
-        a = optimize(EDGE_POLY, 1, None, cfg, seed=7)
-        b = optimize(EDGE_POLY, 1, None, cfg, seed=7)
+        a = optimize(EDGE_POLY, 1, cfg, seed=7)
+        b = optimize(EDGE_POLY, 1, cfg, seed=7)
         assert a == b
 
     def test_different_seeds_explore_differently(self):
         cfg = OptimizerConfig(max_evaluations=60)
-        a = optimize(EDGE_POLY, 1, None, cfg, seed=1)
-        b = optimize(EDGE_POLY, 1, None, cfg, seed=2)
+        a = optimize(EDGE_POLY, 1, cfg, seed=1)
+        b = optimize(EDGE_POLY, 1, cfg, seed=2)
         assert a.points[0].tolist() != b.points[0].tolist()
 
     def test_budget_respected(self):
         cfg = OptimizerConfig(max_evaluations=37)
-        trace = optimize(EDGE_POLY, 2, None, cfg, seed=4)
+        trace = optimize(EDGE_POLY, 2, cfg, seed=4)
         assert trace.num_evaluations <= 37
 
     def test_best_value_is_lowest_evaluation(self):
         cfg = OptimizerConfig(max_evaluations=200)
-        trace = optimize(EDGE_POLY, 2, None, cfg, seed=5)
+        trace = optimize(EDGE_POLY, 2, cfg, seed=5)
         assert trace.best_value == min(trace.values.tolist())
 
     def test_periodicity_for_integer_coefficients(self):
@@ -92,33 +92,14 @@ class TestOptimize:
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_non_finite_values_surface_in_trace(self):
-        calls = {"n": 0}
-
-        def flaky(params):
-            calls["n"] += 1
-            if calls["n"] % 5 == 0:
-                return math.nan
-            return float(qaoa_expectations(EDGE_POLY, [params.to_flat()])[0])
-
-        cfg = OptimizerConfig(max_evaluations=60)
-        trace = optimize(EDGE_POLY, 1, flaky, cfg, seed=8)
+        # half-weight edge started at gamma = 1e308: the steps away from the start
+        # leave the float range, so their values are NaN
+        poly = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 0.5),)))
+        cfg = OptimizerConfig(method="nelder_mead", initial=(1e308, 1.0), max_evaluations=60)
+        trace = optimize(poly, 1, cfg, seed=8)
         assert not np.isfinite(trace.values).all()
         assert math.isfinite(trace.best_value)
-
-    def test_noisy_mode_reevaluates_incumbent(self):
-        calls = []
-
-        def noisy_fn(params):
-            calls.append(params)
-            return float(qaoa_expectations(EDGE_POLY, [params.to_flat()])[0])
-
-        cfg = OptimizerConfig(max_evaluations=120, noisy=True, tolerance=1e-12)
-        optimize(EDGE_POLY, 1, noisy_fn, cfg, seed=9)
-        # the incumbent shows up at least twice thanks to re-evaluation
-        seen = {}
-        for p in calls:
-            seen[p] = seen.get(p, 0) + 1
-        assert max(seen.values()) >= 2
+        assert trace.best_value == np.nanmin(trace.values)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -128,11 +109,11 @@ class TestOptimize:
         with pytest.raises(ConfigError):
             OptimizerConfig(method="annealing")
         with pytest.raises(ConfigError):
-            optimize(EDGE_POLY, 0, None, OptimizerConfig(), seed=0)
+            optimize(EDGE_POLY, 0, OptimizerConfig(), seed=0)
 
     def test_explicit_initial_point(self):
         cfg = OptimizerConfig(max_evaluations=80, initial=(0.5, 0.25))
-        trace = optimize(EDGE_POLY, 1, None, cfg, seed=10)
+        trace = optimize(EDGE_POLY, 1, cfg, seed=10)
         assert trace.points[0].tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("method", ["nelder_mead", "grid_then_nelder_mead"])
@@ -140,8 +121,8 @@ class TestOptimize:
         # the run converges long before either budget is spent
         huge = OptimizerConfig(method=method, max_evaluations=10**12, restarts=1)
         large = OptimizerConfig(method=method, max_evaluations=10**5, restarts=1)
-        trace = optimize(RING5, 1, None, huge, seed=11)
-        assert trace == optimize(RING5, 1, None, large, seed=11)
+        trace = optimize(RING5, 1, huge, seed=11)
+        assert trace == optimize(RING5, 1, large, seed=11)
         assert trace.num_evaluations < 10**4
 
 
@@ -151,7 +132,6 @@ LOCKSTEP_CONFIGS = [
         OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=90), id="grid"
     ),
     pytest.param(OptimizerConfig(max_evaluations=90, restarts=3), id="restarts"),
-    pytest.param(OptimizerConfig(max_evaluations=90, noisy=True, tolerance=1e-12), id="noisy"),
     # the budget ends inside the initial simplex, or part way through later steps
     pytest.param(OptimizerConfig(max_evaluations=5), id="budget-in-simplex"),
     pytest.param(OptimizerConfig(max_evaluations=17, restarts=2), id="budget-mid-run"),
@@ -163,30 +143,16 @@ class TestOptimizeBatch:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_lockstep_runs_equal_single_runs(self, cfg, p):
         seeds = [3, 1, 4, 1, 5]
-        batch = optimize_batch(RING5, p, None, cfg, seeds)
-        assert batch == [optimize(RING5, p, None, cfg, seed=s) for s in seeds]
+        batch = optimize_batch(RING5, p, cfg, seeds)
+        assert batch == [optimize(RING5, p, cfg, seed=s) for s in seeds]
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_explicit_initial_point(self, p):
         cfg = OptimizerConfig(max_evaluations=60, initial=tuple([0.4] * p + [0.3] * p), restarts=2)
         seeds = [0, 7, 8]
-        batch = optimize_batch(RING5, p, None, cfg, seeds)
-        assert batch == [optimize(RING5, p, None, cfg, seed=s) for s in seeds]
+        batch = optimize_batch(RING5, p, cfg, seeds)
+        assert batch == [optimize(RING5, p, cfg, seed=s) for s in seeds]
         assert all(tuple(t.points[0].tolist()) == cfg.initial for t in batch)
-
-    def test_custom_evaluator_is_called_point_by_point(self):
-        calls = []
-
-        def evaluate(params):
-            calls.append(params)
-            return float(qaoa_expectations(RING5, [params.to_flat()])[0])
-
-        cfg = OptimizerConfig(max_evaluations=40)
-        batch = optimize_batch(RING5, 2, evaluate, cfg, [1, 2])
-        assert batch == [optimize(RING5, 2, None, cfg, seed=s) for s in (1, 2)]
-        assert len(calls) == sum(t.num_evaluations for t in batch)
-        # lockstep: the two runs alternate while both are active
-        assert calls[:2] == [QaoaParams.from_flat(t.points[0]) for t in batch]
 
     def test_grid_is_one_shared_block(self, monkeypatch):
         shapes = []
@@ -198,37 +164,19 @@ class TestOptimizeBatch:
         monkeypatch.setattr(optimizer, "qaoa_expectations", recording)
         cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=90)
         seeds = [3, 1, 4, 1, 5]
-        batch = optimize_batch(RING5, 1, None, cfg, seeds)
+        batch = optimize_batch(RING5, 1, cfg, seeds)
         grid = 45  # half the budget, under the 144-point grid
         assert shapes[0] == (grid, 2)
         assert all(rows <= len(seeds) for rows, _ in shapes[1:])
         assert all(t.num_evaluations > grid for t in batch)
         monkeypatch.undo()
-        assert batch == [optimize(RING5, 1, None, cfg, seed=s) for s in seeds]
-
-    def test_custom_evaluator_walks_the_grid_step_major(self):
-        calls = []
-
-        def evaluate(params):
-            calls.append(params)
-            return float(qaoa_expectations(RING5, [params.to_flat()])[0])
-
-        cfg = OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=40, grid_resolution=4)
-        seeds = [1, 2, 3]
-        optimize_batch(RING5, 1, evaluate, cfg, seeds)
-        grid = [
-            QaoaParams((GAMMA_SPAN * gi / 4,), (BETA_SPAN * bi / 4,))
-            for gi in range(4)
-            for bi in range(4)
-        ]
-        # grid point j for every run in seed order, then point j+1
-        assert calls[: 3 * len(grid)] == [point for point in grid for _ in seeds]
+        assert batch == [optimize(RING5, 1, cfg, seed=s) for s in seeds]
 
     def test_fine_grid_builds_only_the_scanned_points(self):
         cfg = OptimizerConfig(
             method="grid_then_nelder_mead", max_evaluations=40, grid_resolution=10**6
         )
-        [trace] = optimize_batch(RING5, 1, None, cfg, [2])
+        [trace] = optimize_batch(RING5, 1, cfg, [2])
         assert trace.num_evaluations == 40
         want = [(0.0, BETA_SPAN * j / 10**6) for j in range(20)]
         assert trace.points[:20].tolist() == [list(x) for x in want]
@@ -245,37 +193,31 @@ class TestOptimizeBatch:
 
         monkeypatch.setattr(optimizer, "qaoa_expectations", recording)
         cfg = OptimizerConfig(method="nelder_mead", initial=(1e308, 1.0), max_evaluations=40)
-        [trace] = optimize_batch(poly, 1, None, cfg, [0])
+        [trace] = optimize_batch(poly, 1, cfg, [0])
         assert np.isfinite(rows).all()  # the kernel sees finite rows only
         overflowed = ~np.isfinite(trace.points).all(axis=1)
         assert overflowed.any()
         assert np.isnan(trace.values[overflowed]).all()
         assert np.isfinite(trace.values[~overflowed]).all()
         assert trace.num_evaluations == 40
+        # the NaN values stay in the trace and never become the incumbent
         assert trace.best_value == trace.values[0]
+        assert trace.best_params == QaoaParams.from_flat(trace.points[0])
 
     def test_step_values_skip_only_the_points_out_of_range(self):
         points = [(0.3, 0.2), (math.inf, 0.2), (0.5, 0.1), (math.nan, 0.4), (1e300, 0.4)]
         kept = [points[i] for i in (0, 2, 4)]
         want = qaoa_expectations(RING5, kept).tolist()
-        got = optimizer._step_values(RING5, None, points)
+        got = optimizer._step_values(RING5, points)
         assert np.isnan([got[1], got[3]]).all()
         assert [got[i] for i in (0, 2, 4)] == want
-        calls = []
-
-        def evaluate(params):
-            calls.append(params.to_flat())
-            return len(calls)
-
-        assert optimizer._step_values(RING5, evaluate, points)[::2] == [1, 2, 3]
-        assert calls == kept
 
     def test_empty_batch_and_bad_depth(self):
-        assert optimize_batch(RING5, 1, None, OptimizerConfig(), []) == []
+        assert optimize_batch(RING5, 1, OptimizerConfig(), []) == []
         with pytest.raises(ConfigError):
-            optimize_batch(RING5, 0, None, OptimizerConfig(), [1])
+            optimize_batch(RING5, 0, OptimizerConfig(), [1])
         with pytest.raises(ConfigError):
-            optimize_batch(RING5, 2, None, OptimizerConfig(initial=(0.1, 0.2)), [1])
+            optimize_batch(RING5, 2, OptimizerConfig(initial=(0.1, 0.2)), [1])
 
 
 @st.composite
@@ -294,7 +236,6 @@ def optimizer_runs(draw):
         max_evaluations=draw(st.integers(1, 120)),
         initial=draw(st.none() | st.tuples(*[angle] * (2 * p))),
         restarts=draw(st.integers(1, 3)),
-        noisy=draw(st.booleans()),
     )
     return poly, p, cfg, draw(st.integers(0, 2**31 - 1))
 
@@ -303,7 +244,7 @@ def optimizer_runs(draw):
 @given(optimizer_runs())
 def test_trace_equals_guarded_loop_oracle(run):
     poly, p, cfg, seed = run
-    trace = optimize(poly, p, None, cfg, seed=seed)
+    trace = optimize(poly, p, cfg, seed=seed)
     want = reference_optimize(poly, p, cfg, seed)
     assert trace == want
     assert trace.points.tobytes() == want.points.tobytes()

@@ -545,6 +545,13 @@ def outcome(fields, call, *args):
         return type(exc), str(exc)
 
 
+def named_outcome(want, n, eta):
+    """A reference outcome as ``best_regions`` words it: its error names the QPU and eta."""
+    if want == (NoRegionError, "empty candidate list"):
+        return NoRegionError, f"QPU 'rand' has no connected {n}-qubit region at eta={eta}"
+    return want
+
+
 @settings(max_examples=100, deadline=None)
 @given(region_cases(), st.integers(1, 4), st.booleans())
 def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
@@ -556,14 +563,14 @@ def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
         region_fields,
         lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic),
     )
-    if want == (NoRegionError, "empty candidate list"):  # best_regions names the QPU and eta
-        want = NoRegionError, f"QPU 'rand' has no connected {n}-qubit region at eta={eta}"
-    assert outcome(region_fields, best_regions, fg, n, k, isomorphic, seed, bound) == want
+    got = outcome(region_fields, best_regions, fg, n, k, isomorphic, seed, bound)
+    assert got == named_outcome(want, n, eta)
     if qpu.num_qubits > 20:
         return  # the callers below use the default bound, which makes growth slow
-    assert region_fields(orchestrator._qpu_region_set(qpu, eta, n, seed)) == region_fields(
-        reference_qpu_region_set(qpu, eta, n, seed)
-    )
+    # a QPU without a region raises NoRegionError, the CapacityError the planner reports
+    want = outcome(region_fields, reference_qpu_region_set, qpu, eta, n, seed)
+    got = outcome(region_fields, orchestrator._qpu_region_set, qpu, eta, n, seed)
+    assert got == named_outcome(want, n, eta)
     full = filter_by_threshold(qpu, 1.0)
     if n <= len(full.qubits) and (candidates := reference_enumerate_regions(full, n)):
         poly = maxcut_to_spin_polynomial(ProblemGraph(n, tuple((v, v + 1, 1.0) for v in range(n - 1))))

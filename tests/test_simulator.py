@@ -286,7 +286,6 @@ class TestNoisySample:
         trace = optimize(
             EDGE_POLY,
             1,
-            None,
             OptimizerConfig(method="grid_then_nelder_mead", max_evaluations=300),
             seed=0,
         )
