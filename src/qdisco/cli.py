@@ -27,7 +27,7 @@ from .compiler import best_regions, filter_by_threshold, map_circuit
 from .decomposer import balanced_mincut, extract_subproblems
 from .errors import ConfigError, QdiscoError
 from .hardware import Fleet, QpuModel, load_calibration
-from .hscore import benchmark_qpu
+from .hscore import MIN_REFERENCE_SIZE, benchmark_qpu
 from .optimizer import OptimizerConfig, optimize
 from .orchestrator import execute, plan, speedup_report
 from .problem import ProblemInstance, parse_problem_json
@@ -241,6 +241,10 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     hs_doc = doc.get("hscore", {})
     if not isinstance(hs_doc, dict):
         raise ConfigError("config field 'hscore' must be an object")
+    with_hscore = _boolean(hs_doc.get("enabled", False), "hscore.enabled")
+    m_ref = _number(int, hs_doc.get("m_ref", 100), "hscore.m_ref")
+    if with_hscore and m_ref < MIN_REFERENCE_SIZE:
+        raise ConfigError(f"config field 'hscore.m_ref' must be >= {MIN_REFERENCE_SIZE}, got {m_ref}")
 
     return RunConfig(
         problem=problem,
@@ -253,8 +257,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         noise=_boolean(doc.get("noise", True), "noise"),
         trajectories=trajectories,
         optimizer=optimizer,
-        with_hscore=_boolean(hs_doc.get("enabled", False), "hscore.enabled"),
-        hscore_m_ref=_number(int, hs_doc.get("m_ref", 100), "hscore.m_ref"),
+        with_hscore=with_hscore,
+        hscore_m_ref=m_ref,
     )
 
 

@@ -278,8 +278,8 @@ def _isomorphic(a, b) -> bool:
     n = len(qa)
     adj_a = _graphs.adjacency(range(n), ea)
     adj_b = _graphs.adjacency(range(n), eb)
-    assign = _find_monomorphism(adj_a, adj_b, n, require_all_edges=True)
-    return assign is not None
+    # equal vertex and edge counts make every edge-preserving bijection an isomorphism
+    return _find_monomorphism(adj_a, adj_b) is not None
 
 
 @dataclass(frozen=True)
@@ -354,14 +354,10 @@ def _pair_weights(poly: SpinPolynomial) -> dict[tuple[int, int], float]:
 def _find_monomorphism(
     adj_logical: dict[int, set[int]],
     adj_phys: dict[int, set[int]],
-    n: int,
-    require_all_edges: bool = False,
 ) -> dict[int, int] | None:
     """Injective map sending every logical edge onto a physical edge.
 
     Deterministic backtracking, most-constrained logical vertex first.
-    With ``require_all_edges`` the edge counts must match both ways
-    (graph isomorphism instead of subgraph embedding).
     """
     logical_order = sorted(adj_logical, key=lambda v: (-len(adj_logical[v]), v))
     phys_nodes = sorted(adj_phys)
@@ -380,11 +376,6 @@ def _find_monomorphism(
                 continue
             if any(assign[u] not in adj_phys[cand] for u in placed_nbs):
                 continue
-            if require_all_edges:
-                # non-neighbours must not become neighbours
-                non_nbs = [u for u in assign if u not in adj_logical[v]]
-                if any(assign[u] in adj_phys[cand] for u in non_nbs):
-                    continue
             assign[v] = cand
             used.add(cand)
             if backtrack(idx + 1):
@@ -463,18 +454,13 @@ def route_phase_layer(
     entries: list[ScheduleEntry] = []
 
     for weight, support in terms:
-        if len(support) == 0:
-            continue
         if len(support) == 2:
             a, b = support
             swaps: list[tuple[int, int]] = []
             noise: list[tuple[tuple[int, int], tuple[int, int]]] = []
             if pos[b] not in adj[pos[a]]:
+                # regions are connected, so the path exists
                 path = _graphs.shortest_path(_graphs.bfs(adj, (pos[a],)), pos[b])
-                if path is None:
-                    raise PlacementError(
-                        f"region {region.qubits} cannot route pair {support}"
-                    )
                 for step in range(len(path) - 2):
                     here, there = path[step], path[step + 1]
                     other = inv[there]
@@ -547,7 +533,7 @@ def map_circuit(poly: SpinPolynomial, region: SamplingRegion) -> Placement:
         pair_w = _pair_weights(poly)
         adj_logical = _graphs.adjacency(range(n), pair_w)
         adj_phys = _graphs.adjacency(region.qubits, region.edges)
-        assign = _find_monomorphism(adj_logical, adj_phys, n)
+        assign = _find_monomorphism(adj_logical, adj_phys)
     if assign is None:
         assign = _greedy_assignment(poly, region)
     initial_map = tuple(assign[l] for l in range(n))

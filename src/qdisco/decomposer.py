@@ -21,7 +21,6 @@ from .problem import (
 )
 
 MERGE_PART_LIMIT = 24
-RECURSION_LIMIT = 8
 DEFAULT_RESTARTS = 8
 
 
@@ -30,7 +29,6 @@ class Partition:
     """Vertex-to-part assignment with its crossing edges."""
 
     assignment: tuple[int, ...]
-    num_parts: int
     capacities: tuple[int, ...]
     cut_edges: tuple[tuple[int, int, float], ...]
 
@@ -41,6 +39,10 @@ class Partition:
                 raise PartitionError(
                     f"part {part} holds {size} vertices, capacity {self.capacities[part]}"
                 )
+
+    @property
+    def num_parts(self) -> int:
+        return len(self.capacities)
 
     @property
     def part_sizes(self) -> tuple[int, ...]:
@@ -94,7 +96,6 @@ def balanced_mincut(
         raise PartitionError(
             f"capacities sum to {sum(caps)} but the graph has {n} vertices"
         )
-    num_parts = len(caps)
 
     # fixed target sizes keep the refinement size-preserving
     targets = []
@@ -126,7 +127,6 @@ def balanced_mincut(
     assert best_assign is not None
     return Partition(
         assignment=tuple(best_assign),
-        num_parts=num_parts,
         capacities=tuple(caps),
         cut_edges=best_edges,
     )

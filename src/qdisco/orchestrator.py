@@ -2,9 +2,9 @@
 
 A problem that fits the largest usable (threshold-filtered) region of some
 QPU runs directly with multi-sampling across the whole fleet; anything
-larger is split by balanced MinCut into capacity-bounded subproblems,
-recursively, and recombined by the flip-variable merge.  Larger
-subproblems land on QPUs with higher prior H-Scores.
+larger is split by balanced MinCut into capacity-bounded subproblems that
+each fit a usable region, and recombined by the flip-variable merge.
+Larger subproblems land on QPUs with higher prior H-Scores.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 
 from ._seeds import derive_seed
 from .compiler import SamplingRegion, best_regions, filter_by_threshold, map_circuit
-from .decomposer import (
-    RECURSION_LIMIT,
-    Partition,
-    balanced_mincut,
-    extract_subproblems,
-    merge_solutions,
-)
+from .decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
 from .errors import CapacityError, ConfigError
 from .hardware import Fleet, QpuModel
 from .hscore import HScoreReport, ReferenceDistribution, accuracy, build_reference, h_score
@@ -169,8 +163,8 @@ def plan(
     structure (e.g. LABS).  A polynomial cannot be partitioned, so its plan
     is direct-only and ``capacities`` are rejected.  With explicit
     ``capacities`` a graph's root is always partitioned to those sizes;
-    otherwise the problem decomposes only while it exceeds every QPU's
-    largest usable region.  Shots are divided evenly across each leaf's
+    a graph, or a forced part, decomposes once more when it exceeds every
+    QPU's largest usable region.  Shots are divided evenly across each leaf's
     regions.
     """
     if len(fleet) == 0:
@@ -193,59 +187,50 @@ def plan(
             f"the threshold filter"
         )
 
-    def build(
-        vertices: tuple[int, ...],
-        poly: SpinPolynomial,
-        graph: ProblemGraph | None,
-        depth: int,
-    ) -> PlanNode:
-        n = poly.num_spins
-        force = depth == 0 and capacities is not None
-        if not force and n <= max_usable:
-            return PlanNode(vertices=vertices, polynomial=poly, graph=graph)
-        if graph is None:
+    def split(node: PlanNode, caps: list[int], depth: int) -> PlanNode:
+        """Partition the node to the capacities; its parts become its children."""
+        caps = _covering_prefix(caps, node.size)  # surplus capacities would leave empty parts
+        part = balanced_mincut(node.graph, caps, seed=derive_seed(seed, "mincut", depth, *node.vertices))
+        children = tuple(
+            PlanNode(
+                vertices=tuple(node.vertices[v] for v in sub.vertices),
+                polynomial=maxcut_to_spin_polynomial(sub.graph),
+                graph=sub.graph,
+            )
+            for sub in extract_subproblems(node.graph, part)
+        )
+        return replace(node, children=children, partition=part)
+
+    def fit(node: PlanNode, depth: int) -> PlanNode:
+        """Split a node larger than every usable region into parts that fit one."""
+        n = node.size
+        if n <= max_usable:
+            return node
+        if node.graph is None:
             raise CapacityError(
                 f"problem needs {n} qubits but the largest usable region at "
                 f"eta={eta} has {max_usable}; this problem kind cannot be decomposed"
             )
-        if depth >= RECURSION_LIMIT:
-            raise CapacityError(
-                f"recursion limit {RECURSION_LIMIT} hit; bottleneck: subproblem "
-                f"of {n} vertices exceeds largest usable region ({max_usable})"
-            )
-        if force:
-            caps = list(capacities)
-        else:
-            caps = [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
-            if sum(caps) < n:
-                # fleet cannot cover this level in one round: split evenly
-                # into max_usable-sized chunks and let batches serialize
-                parts = -(-n // max_usable)
-                caps = [max_usable] * parts
+        caps = [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
         if sum(caps) < n:
-            raise CapacityError(
-                f"capacities {caps} cannot cover {n} vertices; bottleneck: "
-                "declared capacities"
-            )
-        caps = _covering_prefix(caps, n)  # surplus capacities would leave empty parts
-        part = balanced_mincut(graph, caps, seed=derive_seed(seed, "mincut", depth, *vertices))
-        children = []
-        for sub in extract_subproblems(graph, part):
-            if sub.graph.num_vertices == 0:
-                continue
-            child_vertices = tuple(vertices[v] for v in sub.vertices)
-            child_poly = maxcut_to_spin_polynomial(sub.graph)
-            children.append(build(child_vertices, child_poly, sub.graph, depth + 1))
-        return PlanNode(
-            vertices=vertices,
-            polynomial=poly,
-            graph=graph,
-            children=tuple(children),
-            partition=part,
-        )
+            # fleet cannot cover this level in one round: split evenly
+            # into max_usable-sized chunks and let batches serialize
+            caps = [max_usable] * -(-n // max_usable)
+        return split(node, caps, depth)
 
-    root = build(tuple(range(poly.num_spins)), poly, graph, 0)
-    del build  # a recursive closure is a reference cycle; break it so the call's state frees now
+    # at most two splits: the forced root split, then a fleet split of each part
+    # that exceeds every usable region; fleet capacities never exceed max_usable
+    root = PlanNode(vertices=tuple(range(poly.num_spins)), polynomial=poly, graph=graph)
+    if capacities is None:
+        root = fit(root, 0)
+    else:
+        if sum(capacities) < root.size:
+            raise CapacityError(
+                f"capacities {list(capacities)} cannot cover {root.size} vertices; "
+                "bottleneck: declared capacities"
+            )
+        root = split(root, list(capacities), 0)
+        root = replace(root, children=tuple(fit(c, 1) for c in root.children))
     root = _assign_leaves(root, fleet, usable, eta, shots, seed)
     return ExecutionPlan(
         root=root,
@@ -280,11 +265,6 @@ def _assign_leaves(
             for qpu in priority
             if usable[qpu.name] >= n
         ]
-        if not hosted:
-            raise CapacityError(
-                f"no QPU can host a {n}-qubit region at eta={eta}; bottleneck: "
-                f"largest usable region is {max(usable.values())}"
-            )
         split = split_shots(shots, sum(len(regions) for _, regions in hosted))
         entries = []
         for name, regions in hosted:
@@ -294,21 +274,8 @@ def _assign_leaves(
     else:
         for leaf in sorted(root.leaves(), key=lambda l: (-l.size, l.vertices)):
             n = leaf.size
-            hosts = [q for q in priority if usable[q.name] >= n]
-            if not hosts:
-                raise CapacityError(
-                    f"no QPU can host a {n}-qubit leaf at eta={eta}; bottleneck: "
-                    f"largest usable region is {max(usable.values())}"
-                )
-            qpu = min(
-                hosts,
-                key=lambda q: (
-                    load[q.name],
-                    -fleet.prior(q.name),
-                    -usable[q.name],
-                    q.name,
-                ),
-            )
+            # min keeps the first of equal loads, so ties go by priority
+            qpu = min((q for q in priority if usable[q.name] >= n), key=lambda q: load[q.name])
             load[qpu.name] += 1
             if (qpu.name, n) not in region_sets:
                 region_sets[qpu.name, n] = _qpu_region_set(qpu, eta, n, seed)
@@ -317,15 +284,15 @@ def _assign_leaves(
             assignments[leaf.vertices] = (
                 RegionAssignment(qpu.name, regions, tuple(split)),
             )
+    return _attached(root, assignments)
 
-    def attach(node: PlanNode) -> PlanNode:
-        if node.is_leaf:
-            return replace(node, assignments=assignments[node.vertices])
-        return replace(node, children=tuple(attach(c) for c in node.children))
 
-    root = attach(root)
-    del attach  # a recursive closure is a reference cycle; break it so the call's state frees now
-    return root
+def _attached(
+    node: PlanNode, assignments: dict[tuple[int, ...], tuple[RegionAssignment, ...]]
+) -> PlanNode:
+    if node.is_leaf:
+        return replace(node, assignments=assignments[node.vertices])
+    return replace(node, children=tuple(_attached(c, assignments) for c in node.children))
 
 
 @dataclass(frozen=True)
@@ -354,20 +321,23 @@ def speedup_report(plan_: ExecutionPlan) -> SpeedupReport:
     chains: dict[str, float] = {}
     for leaf in plan_.root.leaves():
         for a in leaf.assignments:
-            if not a.regions:
-                continue
             sequential += sum(a.shots_per_region)
-            batch = max(a.shots_per_region)
-            chains[a.qpu_name] = chains.get(a.qpu_name, 0.0) + batch
-    parallel = max(chains.values()) if chains else 0.0
-    speedup = sequential / parallel if parallel else 1.0
+            chains[a.qpu_name] = chains.get(a.qpu_name, 0.0) + max(a.shots_per_region)
+    parallel = max(chains.values())  # the first region of every leaf has a shot
     return SpeedupReport(
         sequential_units=sequential,
         parallel_units=parallel,
-        speedup=speedup,
+        speedup=sequential / parallel,
         num_regions=plan_.num_regions,
         per_qpu_chain=chains,
     )
+
+
+def _merged(node: PlanNode, solutions: dict[tuple[int, ...], SpinAssignment]) -> SpinAssignment:
+    if node.is_leaf:
+        return solutions[node.vertices]
+    children = [_merged(c, solutions) for c in node.children]
+    return merge_solutions(node.graph, node.partition, children)
 
 
 @dataclass(frozen=True)
@@ -532,15 +502,7 @@ def execute(
         )
         solutions[leaf.vertices] = solution
 
-    def resolve(node: PlanNode) -> SpinAssignment:
-        if node.is_leaf:
-            return solutions[node.vertices]
-        child_solutions = [resolve(c) for c in node.children]
-        assert node.partition is not None and node.graph is not None
-        return merge_solutions(node.graph, node.partition, child_solutions)
-
-    merged = resolve(plan_.root)
-    del resolve  # a recursive closure is a reference cycle; break it so the call's state frees now
+    merged = _merged(plan_.root, solutions)
     root_poly = plan_.root.polynomial
 
     # end-to-end dominance guard: plain concatenation must never win

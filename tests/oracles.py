@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 from scipy.linalg import expm
 
-from qdisco._graphs import adjacency, norm_edge
+from qdisco._graphs import norm_edge
 from qdisco._seeds import rng_from
 from qdisco import compiler
 from qdisco.compiler import SamplingRegion, ordered_terms, region_fidelity, route_phase_layer
@@ -710,17 +710,16 @@ def _reference_select_exact(candidates, k, isomorphic) -> list[SamplingRegion]:
     return [candidates[i] for i in best[3]]
 
 
+def qubit_graph(qubits, edges) -> nx.Graph:
+    """A region's qubits and edges as a networkx graph, isolated qubits included."""
+    g = nx.Graph()
+    g.add_nodes_from(qubits)
+    g.add_edges_from(edges)
+    return g
+
+
 def _reference_isomorphic(a: SamplingRegion, b: SamplingRegion) -> bool:
-    if a.size != b.size or len(a.edges) != len(b.edges):
-        return False
-    la = {q: i for i, q in enumerate(a.qubits)}
-    lb = {q: i for i, q in enumerate(b.qubits)}
-    ea = {(min(la[u], la[v]), max(la[u], la[v])) for u, v in a.edges}
-    eb = {(min(lb[u], lb[v]), max(lb[u], lb[v])) for u, v in b.edges}
-    n = a.size
-    adj_a = adjacency(range(n), ea)
-    adj_b = adjacency(range(n), eb)
-    return compiler._find_monomorphism(adj_a, adj_b, n, require_all_edges=True) is not None
+    return nx.is_isomorphic(qubit_graph(a.qubits, a.edges), qubit_graph(b.qubits, b.edges))
 
 
 def reference_qpu_region_set(qpu, eta, n, seed) -> tuple[SamplingRegion, ...]:

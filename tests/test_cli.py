@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdisco
+from qdisco import orchestrator
 from qdisco.cli import load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.errors import SchemaError
@@ -259,6 +260,35 @@ class TestPlanAndRun:
         assert main(["run", "--config", path, "-o", str(b)]) == 0
         assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
 
+    def test_fewer_shots_than_regions_samples_only_the_regions_with_shots(self, tmp_path, monkeypatch):
+        # scenario_va plans 6 regions; with 2 shots, 4 of them get none
+        sample = orchestrator.noisy_sample
+        measured = []
+
+        def recording(*args, **kwargs):
+            counts = sample(*args, **kwargs)
+            measured.append(counts)
+            return counts
+
+        monkeypatch.setattr(orchestrator, "noisy_sample", recording)
+        path = scenario_config(tmp_path, "scenario_va.json", shots=2)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", path, "-o", str(a)]) == 0
+        assert len(measured) == 2
+        doc = json.loads((a / "result.json").read_text())
+        assert doc["plan"]["num_regions"] == 6
+        nodes = [doc["plan"]["tree"]]
+        while nodes:
+            node = nodes.pop()
+            nodes.extend(node.get("children", ()))
+            if "assignments" in node:
+                assert sum(s for x in node["assignments"] for s in x["shots_per_region"]) == 2
+        outcomes = {bits for counts in measured for bits in counts.counts}
+        assert all(leaf["solution_bits"] in outcomes for leaf in doc["result"]["leaves"])
+        assert doc["speedup"]["parallel_units"] >= 1
+        assert main(["run", "--config", path, "-o", str(b)]) == 0
+        assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
+
     def test_labs_problem_runs_direct(self, tmp_path, capsys):
         cfg = {
             "problem": str(data_path("problem_labs6.json")),
@@ -365,6 +395,8 @@ MALFORMED_CONFIGS = [
     malformed("seed", {"seed": "seven"}),
     malformed("capacities", {"capacities": [4, "five", 6]}),
     malformed("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": "lots"}}),
+    # refused at load, before any leaf is optimized and sampled
+    malformed("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": 5}}, id="hscore.m_ref-below-minimum"),
     malformed("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "abc"}),
     # booleans are JSON booleans, not strings or numbers
     malformed("noise", {"noise": "false"}),
@@ -413,6 +445,11 @@ class TestMalformedConfig:
         cfg = load_run_config(path)
         assert (cfg.p, cfg.shots, cfg.capacities) == (2, 300, (4, 5, 6))
         assert type(cfg.p) is int
+
+    def test_small_m_ref_is_unused_while_hscore_is_off(self, tmp_path):
+        cfg = load_run_config(scenario_config(tmp_path, hscore={"enabled": False, "m_ref": 5}))
+        assert (cfg.with_hscore, cfg.hscore_m_ref) == (False, 5)
+        assert main(["plan", "--config", scenario_config(tmp_path, hscore={"m_ref": 5})]) == 0
 
     def test_labs_with_capacities_is_config_error(self, tmp_path, capsys):
         path = scenario_config(tmp_path, problem=str(data_path("problem_labs6.json")))

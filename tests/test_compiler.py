@@ -432,5 +432,5 @@ class TestNoReferenceCycles:
         def path(n):
             return {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
 
-        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(4), path(5), 4)) == 0
-        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(5), path(4), 5)) == 0
+        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(4), path(5))) == 0
+        assert cyclic_garbage_left_by(lambda: _find_monomorphism(path(5), path(4))) == 0

@@ -158,7 +158,6 @@ class TestExtractSubproblems:
         g = ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
         part = Partition(
             assignment=(0, 0, 1),
-            num_parts=2,
             capacities=(2, 1),
             cut_edges=((0, 2, 1.0), (1, 2, 1.0)),
         )
@@ -198,7 +197,7 @@ def exact_local_solutions(g, part):
 class TestMergeSolutions:
     def test_single_part_identity(self):
         g = ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
-        part = Partition((0, 0, 0), 1, (3,), ())
+        part = Partition((0, 0, 0), (3,), ())
         sol = SpinAssignment((1, -1, 1))
         assert merge_solutions(g, part, [sol]) == sol
 
@@ -206,7 +205,7 @@ class TestMergeSolutions:
         # locally aligned endpoint spins across one positive cut edge:
         # flipping one part wins the edge
         g = ProblemGraph(2, ((0, 1, 1.0),))
-        part = Partition((0, 1), 2, (1, 1), ((0, 1, 1.0),))
+        part = Partition((0, 1), (1, 1), ((0, 1, 1.0),))
         merged = merge_solutions(g, part, [SpinAssignment((1,)), SpinAssignment((1,))])
         assert merged[0] != merged[1]
         assert g.cut_value(merged.values) == 1.0

@@ -16,6 +16,7 @@ from qdisco import _graphs, orchestrator, simulator
 from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
 from qdisco.compiler import (
+    _isomorphic,
     _ranked_sets,
     _steiner_tree_edges,
     best_regions,
@@ -26,7 +27,7 @@ from qdisco.compiler import (
 from qdisco.datasets import data_path
 from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
 from qdisco.errors import ConfigError, NoRegionError, PlacementError, SchemaError
-from qdisco.hardware import QpuModel, load_calibration
+from qdisco.hardware import ErrorProfile, Fleet, QpuModel, load_calibration, synthesize_topology
 from qdisco.hscore import best_region_placement
 from qdisco.problem import (
     ProblemGraph,
@@ -51,6 +52,7 @@ from qdisco.simulator import (
 )
 
 from oracles import (
+    qubit_graph,
     reference_apply_rx_all,
     reference_draw_fires,
     reference_enumerate_regions,
@@ -190,7 +192,6 @@ def merge_inputs(draw):
     sizes = collections.Counter(assignment)
     part = Partition(
         assignment,
-        len(parts),
         tuple(sizes[p] for p in range(len(parts))),
         tuple(e for e in g.edges if assignment[e[0]] != assignment[e[1]]),
     )
@@ -575,3 +576,98 @@ def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
     if n <= len(full.qubits) and (candidates := reference_enumerate_regions(full, n)):
         poly = maxcut_to_spin_polynomial(ProblemGraph(n, tuple((v, v + 1, 1.0) for v in range(n - 1))))
         assert region_fields([best_region_placement(poly, qpu).region]) == region_fields(candidates[:1])
+
+
+@st.composite
+def ranked_entry_pairs(draw):
+    """A connected ranked entry of up to 8 qubits and a second one: the same graph
+    relabelled, relabelled with one edge moved, or a fresh connected graph."""
+
+    def relabelled(n, edges):
+        labels = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+        edges = tuple((min(labels[u], labels[v]), max(labels[u], labels[v])) for u, v in edges)
+        return (-1.0, tuple(sorted(labels))), edges
+
+    def connected(n):
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        return sorted(edges)
+
+    n = draw(st.integers(1, 8))
+    edges = connected(n)
+    kind = draw(st.sampled_from(("relabel", "move", "fresh")))
+    m, other = n, draw(st.permutations(edges))
+    if kind == "fresh":
+        m = draw(st.integers(max(1, n - 1), n))
+        other = connected(m)
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    if kind == "move" and edges and absent:
+        other = other[1:] + [draw(st.sampled_from(absent))]
+    return relabelled(n, edges), relabelled(m, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_entry_pairs())
+def test_isomorphic_entries_agree_with_networkx(pair):
+    ((_, qa), ea), ((_, qb), eb) = pair
+    assert _isomorphic(*pair) == nx.is_isomorphic(qubit_graph(qa, ea), qubit_graph(qb, eb))
+
+
+@st.composite
+def plan_cases(draw):
+    """A MaxCut graph of up to 20 vertices, a small line/ring fleet with uniform
+    errors (some QPUs filtered out whole) and, sometimes, covering capacities."""
+    n = draw(st.integers(1, 20))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else set()
+    g = ProblemGraph(n, tuple((u, v, draw(WEIGHTS)) for u, v in sorted(chosen)))
+    qpus = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("line", "ring")))
+        error = 0.0 if i == 0 else draw(st.sampled_from((0.0, 0.005, 0.05)))
+        qpus.append(
+            synthesize_topology(
+                kind,
+                num_qubits=draw(st.integers(2 if kind == "line" else 3, 7)),
+                profile=ErrorProfile.uniform(error, error),
+                name=f"q{i}",
+            )
+        )
+    fleet = Fleet(tuple(qpus), {q.name: draw(st.sampled_from((0.0, 0.5, 1.0))) for q in qpus})
+    capacities = None
+    if draw(st.booleans()):
+        capacities = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+        capacities[-1] += max(0, n - sum(capacities))
+    return g, fleet, capacities, draw(st.integers(1, 64)), draw(SEED)
+
+
+def plan_depth(node) -> int:
+    return 0 if node.is_leaf else 1 + max(plan_depth(c) for c in node.children)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_cases())
+def test_plans_are_shallow_and_every_leaf_fits_its_qpu(case):
+    g, fleet, capacities, shots, seed = case
+    eta = 0.01
+    plan_ = orchestrator.plan(g, fleet, eta, 1, shots, capacities=capacities, seed=seed)
+    # a forced root split, then at most one fleet split per part
+    assert plan_depth(plan_.root) <= (1 if capacities is None else 2)
+    nodes = [plan_.root]
+    while nodes:
+        node = nodes.pop()
+        if node.is_leaf:
+            assert node.assignments
+            for a in node.assignments:
+                assert node.size <= orchestrator.usable_region_size(fleet.get(a.qpu_name), eta)
+                assert all(r.size == node.size for r in a.regions)
+            continue
+        assert len(node.children) == node.partition.num_parts
+        for part, child in enumerate(node.children):
+            assert child.size > 0
+            assert child.vertices == tuple(node.vertices[v] for v in node.partition.part_vertices(part))
+        nodes.extend(node.children)
+    assert sorted(v for leaf in plan_.root.leaves() for v in leaf.vertices) == list(range(g.num_vertices))
+    assert orchestrator.speedup_report(plan_).parallel_units >= 1
