@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._fields import load_object, number
+from ._fields import from_text, load_object, number
 from .compiler import best_regions, filter_by_threshold, map_circuit
 from .decomposer import balanced_mincut, extract_subproblems
 from .errors import ConfigError, QdiscoError
@@ -54,61 +55,31 @@ def _emit_files(output: str | None, files: dict[str, str] | None, stdout: str) -
         (out_dir / name).write_text(text)
 
 
-def _eta_flag(value: str) -> float:
-    try:
-        eta = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from exc
-    if not 0.0 < eta <= 1.0:
-        raise argparse.ArgumentTypeError(f"--eta must be in (0, 1], got {eta}")
-    return eta
+# Sizes refused before any work is allocated: the Nelder-Mead simplex holds (2p+1)
+# points of 2p angles (about 4e6 at the cap), sampling (shots,) and (shots, n) arrays.
+MAX_LAYERS = 1000
+MAX_SHOTS = 2**20
+_ETA = {"low": math.ulp(0.0), "high": 1.0}  # eta's (0, 1]: the smallest positive float up to 1
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _flag(kind: type, field: str, low=-math.inf, high=math.inf, form: str = "one"):
+    """An argparse ``type=`` reading flag text as ``number`` reads a config field; ``form``
+    is "one" number, a comma "list" or a "range" (p or ``a..b``, as the list of its integers)."""
 
+    def one(text: str):
+        return number(kind, from_text(text, kind), field, argparse.ArgumentTypeError, low, high)
 
-def _capacities_flag(value: str) -> list[int]:
-    try:
-        caps = [int(x) for x in value.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad capacities list {value!r}") from exc
-    if not caps or any(c < 1 for c in caps):
-        raise argparse.ArgumentTypeError(f"capacities must be positive, got {value!r}")
-    return caps
+    def many(text: str) -> list:
+        if form == "list":
+            items = [one(t) for t in text.split(",") if t.strip()]
+        else:
+            ends = [one(t) for t in text.split("..")]
+            items = list(range(ends[0], ends[-1] + 1)) if len(ends) <= 2 else []
+        if not items:
+            raise argparse.ArgumentTypeError(f"field '{field}' must be a non-empty {form}, got {text!r}")
+        return items
 
-
-def _layers_flag(value: str) -> list[int]:
-    """Either a single integer or an inclusive range 'a..b'."""
-    try:
-        if ".." in value:
-            lo, hi = value.split("..", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if lo_i < 1 or hi_i < lo_i:
-                raise ValueError
-            return list(range(lo_i, hi_i + 1))
-        single = int(value)
-        if single < 1:
-            raise ValueError
-        return [single]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--layers takes p or a range like 1..3, got {value!r}"
-        ) from exc
-
-
-def _angles_flag(value: str) -> tuple[float, ...]:
-    try:
-        angles = [float(x) for x in value.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad angle list {value!r}") from exc
-    return tuple(number(float, a, "angle", argparse.ArgumentTypeError) for a in angles)
+    return one if form == "one" else many
 
 
 # every numeric config field: a finite JSON number, integral for int fields
@@ -129,12 +100,7 @@ def _resolve_seed(explicit: int | None, configured=None) -> int:
     if configured is not None:
         return _number(int, configured, "seed")
     env = os.environ.get("QDISCO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"QDISCO_SEED must be an integer, got {env!r}") from exc
-    return 0
+    return 0 if env is None else _number(int, from_text(env, int), "QDISCO_SEED")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -196,26 +162,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             priors[qpu.name] = _number(float, entry["prior_hscore"], f"fleet[{i}].prior_hscore")
     fleet = Fleet(tuple(qpus), priors)
 
-    eta = _number(float, doc.get("eta", 0.01), "eta")
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError(f"config field 'eta' must be in (0, 1], got {eta}")
-    p = _number(int, doc.get("p", 1), "p")
-    if p < 1:
-        raise ConfigError(f"config field 'p' must be >= 1, got {p}")
-    shots = _number(int, doc.get("shots", 1024), "shots")
-    if shots < 1:
-        raise ConfigError(f"config field 'shots' must be >= 1, got {shots}")
-    trajectories = _number(int, doc.get("trajectories", 16), "trajectories")
-    if trajectories < 1:
-        raise ConfigError("config field 'trajectories' must be >= 1")
-
     capacities = None
     if doc.get("capacities") is not None:
-        if not isinstance(doc["capacities"], list):
-            raise ConfigError("config field 'capacities' must be a list")
-        capacities = tuple(_number(int, c, "capacities") for c in doc["capacities"])
-        if not capacities or any(c < 1 for c in capacities):
-            raise ConfigError(f"config field 'capacities' must be positive, got {capacities}")
+        if not isinstance(doc["capacities"], list) or not doc["capacities"]:
+            raise ConfigError("config field 'capacities' must be a non-empty list")
+        capacities = tuple(_number(int, c, "capacities", low=1) for c in doc["capacities"])
 
     opt_doc = doc.get("optimizer", {})
     if not isinstance(opt_doc, dict):
@@ -242,20 +193,20 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if not isinstance(hs_doc, dict):
         raise ConfigError("config field 'hscore' must be an object")
     with_hscore = _boolean(hs_doc.get("enabled", False), "hscore.enabled")
-    m_ref = _number(int, hs_doc.get("m_ref", 100), "hscore.m_ref")
-    if with_hscore and m_ref < MIN_REFERENCE_SIZE:
-        raise ConfigError(f"config field 'hscore.m_ref' must be >= {MIN_REFERENCE_SIZE}, got {m_ref}")
+    m_ref = _number(
+        int, hs_doc.get("m_ref", 100), "hscore.m_ref", low=MIN_REFERENCE_SIZE if with_hscore else -math.inf
+    )
 
     return RunConfig(
         problem=problem,
         fleet=fleet,
-        eta=eta,
-        p=p,
-        shots=shots,
+        eta=_number(float, doc.get("eta", 0.01), "eta", **_ETA),
+        p=_number(int, doc.get("p", 1), "p", low=1, high=MAX_LAYERS),
+        shots=_number(int, doc.get("shots", 1024), "shots", low=1, high=MAX_SHOTS),
         seed=_resolve_seed(seed_override, doc.get("seed")),
         capacities=capacities,
         noise=_boolean(doc.get("noise", True), "noise"),
-        trajectories=trajectories,
+        trajectories=_number(int, doc.get("trajectories", 16), "trajectories", low=1),
         optimizer=optimizer,
         with_hscore=with_hscore,
         hscore_m_ref=m_ref,
@@ -437,10 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qdisco {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that more than one subcommand takes
+    layers = _flag(int, "layers", 1, MAX_LAYERS, form="range")
+    shots = _flag(int, "shots", 1, MAX_SHOTS)
+    max_evaluations = _flag(int, "max-evaluations", 1)
+    angles = _flag(float, "angle", form="list")
 
     common_seed = argparse.ArgumentParser(add_help=False)
     common_seed.add_argument(
-        "--seed", type=int, default=None, help="master seed (env QDISCO_SEED as fallback)"
+        "--seed", type=_flag(int, "seed"), default=None, help="master seed (env QDISCO_SEED as fallback)"
     )
 
     c = sub.add_parser(
@@ -450,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--problem", required=True)
     c.add_argument("--qpu", required=True, help="calibration JSON path")
-    c.add_argument("--eta", type=_eta_flag, default=0.01)
-    c.add_argument("--regions", type=_positive_int, default=1, help="k regions to select")
+    c.add_argument("--eta", type=_flag(float, "eta", **_ETA), default=0.01)
+    c.add_argument("--regions", type=_flag(int, "regions", 1), default=1, help="k regions to select")
     c.add_argument("--isomorphic-regions", action="store_true")
     c.add_argument("-o", "--output", default=None, help="placement JSON path (default stdout)")
     c.set_defaults(func=_cmd_compile)
@@ -462,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="balanced MinCut split of a graph problem",
     )
     pt.add_argument("--problem", required=True)
-    pt.add_argument("--capacities", type=_capacities_flag, required=True)
+    pt.add_argument("--capacities", type=_flag(int, "capacities", 1, form="list"), required=True)
     pt.add_argument("-o", "--output", default=None, help="output directory for partition + subproblem files")
     pt.set_defaults(func=_cmd_partition)
 
@@ -485,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--problem", required=True)
     b.add_argument("--qpu", required=True)
-    b.add_argument("--layers", type=_layers_flag, default=[1], help="p or range a..b")
-    b.add_argument("--mref", type=_positive_int, default=500, help="reference runs")
-    b.add_argument("--m", type=_positive_int, default=500, help="scoring runs")
-    b.add_argument("--shots", type=_positive_int, default=256)
-    b.add_argument("--max-evaluations", type=_positive_int, default=150)
+    b.add_argument("--layers", type=layers, default=[1], help="p or range a..b")
+    b.add_argument("--mref", type=_flag(int, "mref", 1), default=500, help="reference runs")
+    b.add_argument("--m", type=_flag(int, "m", 1), default=500, help="scoring runs")
+    b.add_argument("--shots", type=shots, default=256)
+    b.add_argument("--max-evaluations", type=max_evaluations, default=150)
     b.add_argument("-o", "--output", default=None, help="output directory")
     b.set_defaults(func=_cmd_benchmark)
 
@@ -497,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common_seed], help="noiseless QAOA run on a problem"
     )
     sm.add_argument("--problem", required=True)
-    sm.add_argument("--layers", type=_layers_flag, default=[1])
-    sm.add_argument("--gammas", type=_angles_flag, default=None)
-    sm.add_argument("--betas", type=_angles_flag, default=None)
-    sm.add_argument("--shots", type=_positive_int, default=1024)
-    sm.add_argument("--max-evaluations", type=_positive_int, default=200)
+    sm.add_argument("--layers", type=layers, default=[1])
+    sm.add_argument("--gammas", type=angles, default=None)
+    sm.add_argument("--betas", type=angles, default=None)
+    sm.add_argument("--shots", type=shots, default=1024)
+    sm.add_argument("--max-evaluations", type=max_evaluations, default=200)
     sm.add_argument("-o", "--output", default=None)
     sm.set_defaults(func=_cmd_simulate)
 

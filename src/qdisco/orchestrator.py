@@ -131,13 +131,12 @@ def _qpu_priority(fleet: Fleet, usable: dict[str, int]) -> list[QpuModel]:
 
 
 def _covering_prefix(caps: list[int], n: int) -> list[int]:
-    """Shortest prefix of the capacity list that covers n vertices."""
+    """Shortest prefix of the capacity list that covers n vertices (plan passes only lists that do)."""
     total = 0
     for i, c in enumerate(caps):
         total += c
         if total >= n:
             return caps[: i + 1]
-    return list(caps)
 
 
 def _qpu_region_set(
@@ -479,7 +478,7 @@ def execute(
         bits = _leaf_answer(region_bests, aggregate, poly)
         solution = SpinAssignment.from_bits(bits)
         report = None
-        if with_hscore and accs:
+        if with_hscore:
             key = (poly.canonical_key(), plan_.p)
             if key not in references:
                 references[key] = build_reference(

@@ -303,9 +303,8 @@ def parse_problem_json(text: str) -> ProblemInstance:
     """Parse a problem file: graph fields or ``{"labs": n}``."""
     doc = load_object(text, "problem file", (), SchemaError)
     if "labs" in doc:
-        n = number(int, doc["labs"], "labs", SchemaError)
-        if n > BRUTE_FORCE_MAX_SPINS:  # refused before the O(n^3) encoding
-            raise CapacityError(f"field 'labs' must be at most {BRUTE_FORCE_MAX_SPINS}, got {n}")
+        # refused before the O(n^3) encoding
+        n = number(int, doc["labs"], "labs", SchemaError, low=2, high=BRUTE_FORCE_MAX_SPINS)
         return ProblemInstance(kind="labs", labs_n=n)
     if "num_vertices" not in doc or "edges" not in doc:
         raise SchemaError("problem file needs 'num_vertices' and 'edges' (or 'labs')")

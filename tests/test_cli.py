@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import qdisco
-from qdisco import orchestrator
-from qdisco.cli import load_run_config, main
+from qdisco import _seeds, orchestrator
+from qdisco.cli import MAX_LAYERS, MAX_SHOTS, build_parser, load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.errors import SchemaError
 from qdisco.hardware import load_calibration
@@ -368,6 +368,72 @@ class TestSeedHandling:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    BIG_SEED = 12345678901234567890  # past 2**53, where a float loses the last digits
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_big_seed_reaches_derive_seed_exactly(self, monkeypatch, via):
+        seen = []
+        real = _seeds.derive_seed
+        monkeypatch.setattr(_seeds, "derive_seed", lambda seed, *path: seen.append(seed) or real(seed, *path))
+        monkeypatch.delenv("QDISCO_SEED", raising=False)
+        argv = ["simulate", "--problem", TRIANGLE, "--gammas", "0.5", "--betas", "0.3", "--shots", "10"]
+        if via == "flag":
+            argv += ["--seed", str(self.BIG_SEED)]
+        else:
+            monkeypatch.setenv("QDISCO_SEED", str(self.BIG_SEED))
+        assert main(argv) == 0
+        assert seen and all(type(s) is int and s == self.BIG_SEED for s in seen)
+
+
+COMPILE = ["compile", "--problem", RING6, "--qpu", HEX16]
+BENCHMARK = ["benchmark", "--problem", RING6, "--qpu", HEX16]
+SIMULATE = ["simulate", "--problem", TRIANGLE]
+PARTITION = ["partition", "--problem", V15]
+
+# every numeric flag: a command that takes it, the field its errors name, and
+# its bad values beyond a non-number and a non-finite one (fractions for int
+# flags, values below the range, values above a cap)
+NUMERIC_FLAGS = [
+    (COMPILE, "--eta", "eta", ["0", "-0.5", "1.5"]),
+    (COMPILE, "--regions", "regions", ["1.5", "0"]),
+    (PARTITION, "--capacities", "capacities", ["4,1.5", "4,0", ","]),
+    (BENCHMARK, "--layers", "layers", ["1.5", "0", "0..2", str(MAX_LAYERS + 1), f"1..{MAX_LAYERS + 1}", "3..1"]),
+    (BENCHMARK, "--mref", "mref", ["1.5", "0"]),
+    (BENCHMARK, "--m", "m", ["1.5", "0"]),
+    (BENCHMARK, "--shots", "shots", ["1.5", "0", str(MAX_SHOTS + 1)]),
+    (BENCHMARK, "--max-evaluations", "max-evaluations", ["1.5", "0"]),
+    (SIMULATE, "--layers", "layers", ["1.5", "0", str(MAX_LAYERS + 1)]),
+    (SIMULATE, "--shots", "shots", ["1.5", "0", str(MAX_SHOTS + 1)]),
+    (SIMULATE, "--max-evaluations", "max-evaluations", ["1.5", "0"]),
+    (SIMULATE, "--gammas", "angle", ["0.1,x"]),
+    (SIMULATE, "--betas", "angle", ["0.1,-inf"]),
+    (SIMULATE, "--seed", "seed", ["1.5"]),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, flag, field, value",
+        [
+            pytest.param(argv, flag, field, value, id=f"{argv[0]}{flag}={value}")
+            for argv, flag, field, bad in NUMERIC_FLAGS
+            for value in ["abc", "nan", "inf", *bad]
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv, flag, field, value):
+        # parsing alone: a value over a cap must never reach the command
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: field '{field}' must be" in err
+        assert "Traceback" not in err
+
+    def test_integral_floats_are_accepted(self):
+        args = build_parser().parse_args([*BENCHMARK, "--m", "2.0", "--layers", "1..2.0", "--seed", "7.0"])
+        assert (args.m, args.layers, args.seed) == (2, [1, 2], 7)
+        assert type(args.m) is type(args.seed) is int
+
 
 def scenario_config(tmp_path, scenario="scenario_vb.json", **fields):
     """A bundled scenario with absolute paths; a field set to None is removed."""
@@ -398,6 +464,7 @@ MALFORMED_CONFIGS = [
     # refused at load, before any leaf is optimized and sampled
     malformed("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": 5}}, id="hscore.m_ref-below-minimum"),
     malformed("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "abc"}),
+    malformed("QDISCO_SEED", {"seed": None}, {"QDISCO_SEED": "7.5"}, id="QDISCO_SEED-fractional"),
     # booleans are JSON booleans, not strings or numbers
     malformed("noise", {"noise": "false"}),
     malformed("hscore.enabled", {"hscore": {"enabled": "no"}}),
@@ -424,6 +491,11 @@ MALFORMED_CONFIGS = [
     # a number written as a string is not a number
     malformed("p", {"p": "2"}, id="p-numeric-string"),
     malformed("eta", {"eta": "0.05"}, id="eta-numeric-string"),
+    # sizes are refused at load, before anything is allocated for them
+    malformed("p", {"p": MAX_LAYERS + 1}, id="p-above-cap"),
+    malformed("shots", {"shots": MAX_SHOTS + 1}, id="shots-above-cap"),
+    malformed("eta", {"eta": 1.5}, id="eta-above-range"),
+    malformed("capacities", {"capacities": []}, id="capacities-empty"),
 ]
 
 
@@ -510,6 +582,7 @@ MALFORMED_INPUT_FILES = [
     # refused before the cubic encoding, which takes seconds at 120 and never ends at 10**9
     refused(problem_doc, {"labs": 120}, "labs", id="labs-too-large"),
     refused(problem_doc, {"labs": 10**9}, "labs", id="labs-far-too-large"),
+    refused(problem_doc, {"labs": 1}, "labs", id="labs-too-small"),
     refused(
         problem_doc, {"num_vertices": -1, "edges": []}, "num_vertices", id="problem-negative-size"
     ),

@@ -1,0 +1,63 @@
+"""Seeded CLI outputs, pinned byte for byte by their sha256.
+
+Each case runs in-process through ``cli.main`` inside a copy of the bundled
+data, with ``QDISCO_SEED`` unset.  A change that alters one of these outputs
+edits its digest here and names the change in CHANGES.md.
+"""
+
+import hashlib
+import shutil
+
+import numpy as np
+import pytest
+
+from qdisco.cli import main
+from qdisco.datasets import data_path
+
+# the numpy the digests were made with; another numpy may draw other samples
+NUMPY_VERSION = "2.4.6"
+
+RING6_HEX16 = ["--problem", "problem_ring6.json", "--qpu", "qpu_hex16.json"]
+
+# id, argv (paths relative to the data copy), sha256 of stdout or, for run, of result.json
+PINNED = [
+    ("run-va", ["run", "--config", "scenario_va.json", "--seed", "7"],
+     "593b6ab762425f4f6baea39820d1126ea8022ab7fadbf717ce4f2028b9e9341d"),
+    ("run-vb", ["run", "--config", "scenario_vb.json"],
+     "ca064efde1c3c037cc5f741f15f205893827caf00388b62a8e6864a2b4134112"),
+    ("plan-vb", ["plan", "--config", "scenario_vb.json"],
+     "e07d1ad4c6d00b3e83d102814f1d1964bd7c8599adc8357d684adbb860928283"),
+    ("plan-va", ["plan", "--config", "scenario_va.json"],
+     "fca649573c51399e8c3f91b93d38b5502c30ca70de7b810835b30874220d1738"),
+    ("benchmark", ["benchmark", *RING6_HEX16, "--layers", "1..2", "--seed", "7", "--mref", "100", "--m", "100"],
+     "207115bcd9a25d0f93b8691dc808250fdc63b0bcdf4e6de2e78b5435aca05be5"),
+    ("simulate-p1", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "1"],
+     "0e3db9148ff5e8553ed2bc4eeb51c3427e804e61edbdb8436c895444d677ceb5"),
+    ("simulate-p2", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "2"],
+     "90b5b9efd2f9f6c3774c17927ecff65d9f20547495c13be330d469fd3d5e84c6"),
+    ("compile", ["compile", *RING6_HEX16, "--regions", "2", "--seed", "7"],
+     "8bccde5f864f703b7c137eb4a2142980518168ea30e41a8ca62af02c05cdfcd6"),
+    ("compile-isomorphic", ["compile", *RING6_HEX16, "--regions", "2", "--seed", "7", "--eta", "1", "--isomorphic-regions"],
+     "95a2ee8392a8bb1fe4e77c251d3ed324936fc492cc24561cca69fdf9643d10d9"),
+    ("compile-beta16", ["compile", "--problem", "problem_triangle.json", "--qpu", "qpu_beta16.json", "--eta", "1",
+                        "--regions", "4", "--isomorphic-regions", "--seed", "7"],
+     "45c2a0cae00d0cc27c0dbaf09788c7e7d7f35c99779282a3811c7c26bd32c30a"),
+    ("partition", ["partition", "--problem", "problem_v15.json", "--capacities", "4,5,6", "--seed", "3"],
+     "e3fbc588ef40cbe385402291a106cca94b9a70e2a84d2c67301557df8ec25784"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", [pytest.param(a, d, id=i) for i, a, d in PINNED])
+def test_seeded_output_is_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    shutil.copytree(data_path("."), tmp_path / "data")
+    monkeypatch.chdir(tmp_path / "data")
+    monkeypatch.delenv("QDISCO_SEED", raising=False)
+    if argv[0] == "run":
+        assert main([*argv, "-o", "out"]) == 0
+        output = (tmp_path / "data" / "out" / "result.json").read_bytes()
+    else:
+        assert main(argv) == 0
+        output = capsys.readouterr().out.encode()
+    assert hashlib.sha256(output).hexdigest() == digest, (
+        f"output changed; the table was made with numpy {NUMPY_VERSION}, this is numpy {np.__version__}"
+    )
