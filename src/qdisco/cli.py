@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--problem", required=True)
     b.add_argument("--qpu", required=True)
     b.add_argument("--layers", type=layers, default=[1], help="p or range a..b")
-    b.add_argument("--mref", type=_flag(int, "mref", 1), default=500, help="reference runs")
+    b.add_argument("--mref", type=_flag(int, "mref", MIN_REFERENCE_SIZE), default=500, help="reference runs")
     b.add_argument("--m", type=_flag(int, "m", 1), default=500, help="scoring runs")
     b.add_argument("--shots", type=shots, default=256)
     b.add_argument("--max-evaluations", type=max_evaluations, default=150)

@@ -24,7 +24,7 @@ from .problem import SpinPolynomial, minimum_cost_indices
 from .simulator import (
     NoiseSpec,
     ShotCounts,
-    build_qaoa_state,
+    build_qaoa_states,
     index_to_bitstring,
     noisy_sample_batch,
     sample,
@@ -139,9 +139,9 @@ def build_reference(
         raise ConfigError(f"m_ref must be >= {MIN_REFERENCE_SIZE}, got {m_ref}")
     run_seeds = [derive_seed(seed, "ref-run", i) for i in range(m_ref)]
     traces = optimize_batch(poly, p, cfg, run_seeds)
+    states = build_qaoa_states(poly, [trace.best_params for trace in traces])
     samples = []
-    for run_seed, trace in zip(run_seeds, traces):
-        state = build_qaoa_state(poly, trace.best_params)
+    for run_seed, state in zip(run_seeds, states):
         counts = sample(state, shots, seed=derive_seed(run_seed, "measure"))
         samples.append(accuracy(counts, poly))
     return ReferenceDistribution(

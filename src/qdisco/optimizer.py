@@ -14,11 +14,12 @@ match array state bit for bit, and records its trace as flat doubles.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from array import array
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -91,42 +92,8 @@ class OptimizationTrace:
         return len(self.values)
 
 
-class _Spent(Exception):
-    """The budget, or the cap of the current search, has no evaluation left."""
-
-
 _Point = tuple[float, ...]
 _Run = Generator[_Point, float, None]
-
-
-class _Budget:
-    """Records the evaluated points and values; enforces the budget."""
-
-    def __init__(self, limit: int, dim: int):
-        self.limit = limit
-        self.cap = limit
-        self.dim = dim
-        # flat doubles grown as used: the limit may be huge, many runs alive at once
-        self.points = array("d")
-        self.values = array("d")
-
-    def evaluate(self, x: _Point) -> Generator[_Point, float, float]:
-        """Yield the point, receive its objective value, record both."""
-        if len(self.values) >= self.cap:
-            raise _Spent
-        raw = float((yield x))
-        self.points.extend(x)
-        self.values.append(raw)
-        return raw if math.isfinite(raw) else math.inf
-
-    def point(self, i: int) -> _Point:
-        return tuple(self.points[i * self.dim : (i + 1) * self.dim])
-
-    def search(self, run: _Run, cap: int) -> _Run:
-        """Drive ``run`` until it ends or ``cap`` evaluations are used in total."""
-        self.cap = min(cap, self.limit)
-        with contextlib.suppress(_Spent):
-            yield from run
 
 
 def _spans(p: int) -> list[float]:
@@ -135,11 +102,14 @@ def _spans(p: int) -> list[float]:
 
 def _step(a: _Point, k: float, b: _Point, c: _Point) -> _Point:
     """a + k * (b - c), coordinate by coordinate."""
-    return tuple(x + k * (y - z) for x, y, z in zip(a, b, c))
+    return tuple([x + k * (y - z) for x, y, z in zip(a, b, c)])
 
 
-def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float) -> _Run:
-    """Minimize until converged; the budget ends the run when it is spent."""
+def _nelder_mead(x0: _Point, p: int, tolerance: float) -> _Run:
+    """Minimize until converged: yields points, receives their values, non-finite as inf.
+
+    The run does not count its evaluations; its caller stops it at its cap.
+    """
     dim = 2 * p
     spans = _spans(p)
 
@@ -151,7 +121,7 @@ def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float) -> _Run:
         simplex.append(tuple(vertex))
     values = []
     for v in simplex:
-        values.append((yield from budget.evaluate(v)))
+        values.append((yield v))
 
     while True:
         order = sorted(range(dim + 1), key=values.__getitem__)  # stable: ties keep their order
@@ -162,32 +132,29 @@ def _nelder_mead(budget: _Budget, x0: _Point, p: int, tolerance: float) -> _Run:
             return
 
         # rows added in order, then divided, as np.mean(axis=0); sum() and fsum round otherwise
-        total = simplex[0]
-        for vertex in simplex[1:-1]:
-            total = tuple(t + x for t, x in zip(total, vertex))
-        centroid = tuple(t / dim for t in total)
+        centroid = tuple([reduce(add, column) / dim for column in zip(*simplex[:-1])])
         worst = simplex[-1]
 
         reflected = _step(centroid, _REFLECT, centroid, worst)
-        f_r = yield from budget.evaluate(reflected)
+        f_r = yield reflected
 
         if f_r < values[0]:
             expanded = _step(centroid, _EXPAND, centroid, worst)
-            f_e = yield from budget.evaluate(expanded)
+            f_e = yield expanded
             simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
         elif f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
         else:
             inner = reflected if f_r < values[-1] else worst
             contracted = _step(centroid, _CONTRACT, inner, centroid)
-            f_c = yield from budget.evaluate(contracted)
+            f_c = yield contracted
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 # shrink toward the best vertex
                 for i in range(1, len(simplex)):
                     simplex[i] = _step(simplex[0], _SHRINK, simplex[i], simplex[0])
-                    values[i] = yield from budget.evaluate(simplex[i])
+                    values[i] = yield simplex[i]
 
 
 def _grid_points(p: int, cfg: OptimizerConfig) -> list[_Point]:
@@ -208,37 +175,55 @@ def _best_index(values: array) -> int | None:
 def _optimization(
     p: int, cfg: OptimizerConfig, seed: int, grid: list[_Point], grid_values: list[float]
 ) -> Generator[_Point, float, OptimizationTrace]:
-    """One run of ``optimize``, its grid already evaluated: yields points, receives values."""
-    budget = _Budget(cfg.max_evaluations, 2 * p)
-    budget.points.extend(c for x in grid for c in x)
-    budget.values.extend(grid_values)
+    """One run of ``optimize``, its grid already evaluated: yields points, receives values.
+
+    Every evaluated point and its raw value are recorded; each Nelder-Mead
+    search is stopped when the evaluation budget, or its share of it, is spent.
+    """
+    dim, limit = 2 * p, cfg.max_evaluations
+    # flat doubles grown as used: the limit may be huge, many runs alive at once
+    points = array("d", [c for x in grid for c in x])
+    values = array("d", grid_values)
+
+    def point(i: int) -> _Point:
+        return tuple(points[i * dim : (i + 1) * dim])
 
     # start points in priority order: grid scan result, explicit initial,
     # then seeded random points, truncated to the configured restart count
     starts: list[_Point] = []
-    best = _best_index(budget.values)
+    best = _best_index(values)
     if best is not None:
-        starts.append(budget.point(best))
+        starts.append(point(best))
     if cfg.initial is not None:
         starts.append(tuple(float(x) for x in cfg.initial))
     for r in range(cfg.restarts - len(starts)):
         rng = rng_from(seed, "nm-start", r)
-        starts.append(tuple((rng.random(2 * p) * _spans(p)).tolist()))
+        starts.append(tuple((rng.random(dim) * _spans(p)).tolist()))
     starts = starts[: cfg.restarts]
 
-    per_start = max(1, (budget.limit - len(budget.values)) // len(starts))
+    per_start = max(1, (limit - len(values)) // len(starts))
     for i, x0 in enumerate(starts):
-        cap = len(budget.values) + per_start if i < len(starts) - 1 else budget.limit
-        yield from budget.search(_nelder_mead(budget, x0, p, cfg.tolerance), cap)
+        cap = min(len(values) + per_start, limit) if i < len(starts) - 1 else limit
+        run = _nelder_mead(x0, p, cfg.tolerance)
+        value = None
+        for _ in range(cap - len(values)):
+            try:
+                x = run.send(value)
+            except StopIteration:
+                break
+            raw = float((yield x))
+            points.extend(x)
+            values.append(raw)
+            value = raw if math.isfinite(raw) else math.inf
 
-    best = _best_index(budget.values)
+    best = _best_index(values)
     if best is None:
         raise ConfigError("optimizer saw no finite objective value")
     return OptimizationTrace(
-        points=np.array(budget.points).reshape(-1, 2 * p),
-        values=np.array(budget.values),
-        best_params=QaoaParams.from_flat(budget.point(best)),
-        best_value=budget.values[best],
+        points=np.array(points).reshape(-1, dim),
+        values=np.array(values),
+        best_params=QaoaParams.from_flat(point(best)),
+        best_value=values[best],
     )
 
 

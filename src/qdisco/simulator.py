@@ -1,10 +1,14 @@
 """Exact statevector simulation of the alternating-operator ansatz.
 
 Noiseless paths apply the whole diagonal cost operator at once, to a
-(B, 2^n) block of states so that many angle points share each call; the
-noisy path walks a placement's interaction schedule so stochastic
-two-qubit Pauli errors can attach to specific physical edges, with
-independent readout bit flips at measurement.
+(B, 2^n) block of states so that many angle points share each call.  A
+cost vector holds few distinct values (ring6: 4 of 64), so each
+polynomial caches a level table: its distinct costs, told apart by bit
+pattern, and each basis state's index into them.  A layer exponentiates
+the (B, K) table of K levels and gathers it to the block.  The noisy path
+walks a placement's interaction schedule so stochastic two-qubit Pauli
+errors can attach to specific physical edges, with independent readout
+bit flips at measurement.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -13,6 +17,7 @@ qubit j's bit at string position j.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,8 +106,9 @@ class ShotCounts:
     def __post_init__(self) -> None:
         if sum(self.counts.values()) != self.total_shots:
             raise ValueError("counts do not sum to total_shots")
+        n = self.num_bits
         for key, c in self.counts.items():
-            if len(key) != self.num_bits or set(key) - {"0", "1"}:
+            if len(key) != n or key.strip("01"):
                 raise ValueError(f"malformed outcome string {key!r}")
             if c < 0:
                 raise ValueError(f"negative count for {key!r}")
@@ -171,8 +177,12 @@ def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
 
     Per qubit, (a0, a1) becomes c (a0, a1) + s (a1, a0), c = cos beta, s = -i sin beta:
     one product with the pair-swapped view.  Negation is exact, so c a0 + s a1 equals
-    the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.
+    the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.  The
+    block is mixed through reshaped views of itself, so it must be C-contiguous:
+    any other block raises ValueError, since a reshape of it would be a copy.
     """
+    if not block.flags.c_contiguous:
+        raise ValueError("the mixer needs a C-contiguous block")
     rows = len(betas)
     c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1, 1)
     s = np.array([-1j * math.sin(b) for b in betas]).reshape(rows, 1, 1, 1)
@@ -181,24 +191,64 @@ def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
         np.add(c * view, s * view[:, :, ::-1, :], out=view)
 
 
+@functools.lru_cache(maxsize=128)
+def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct costs and each basis state's index into them.
+
+    Costs are told apart by bit pattern, so ``levels[level_of]`` equals
+    ``cost_vector(poly)`` bit for bit, signed zeros and NaNs included.  The
+    indices take the narrowest unsigned type: at n = 24 with at most 256
+    levels they hold 16 MiB, an eighth of the cost vector.
+    """
+    keys, level_of = np.unique(cost_vector(poly).view(np.int64), return_inverse=True)
+    return keys.view(np.float64), level_of.astype(np.min_scalar_type(len(keys) - 1))
+
+
 def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:
     """Ansatz amplitudes for each row of flat angles (gammas, then betas)."""
     n = poly.num_spins
     _check_size(n)
     p = len(angles[0]) // 2
-    diag = cost_vector(poly)
+    levels, level_of = _cost_levels(poly)
     block = np.full((len(angles), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # gamma * cost may overflow; callers check
         for layer in range(p):
             gammas = [row[layer] for row in angles]
-            block = block * np.exp(np.array([-1j * g for g in gammas])[:, None] * diag)
+            phase = np.exp(np.array([-1j * g for g in gammas])[:, None] * levels)
+            block = block * np.take(phase, level_of, axis=1)
             _apply_rx_all(block, n, [row[p + layer] for row in angles])
     return block
 
 
+def _blocks(poly: SpinPolynomial, values: list):
+    """Evolve rows of flat angles together; yield (first row, (B, 2^n) block).
+
+    Blocks hold at most ``_BLOCK_AMPLITUDES`` amplitudes, or one state where
+    a state is larger, so each row equals its single-state run bit for bit.
+    """
+    step = max(1, _BLOCK_AMPLITUDES >> poly.num_spins)
+    for start in range(0, len(values), step):
+        yield start, _evolve(poly, values[start : start + step])
+
+
 def build_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> StateVector:
     """Alternate phase and mixer layers over the uniform start state."""
-    return StateVector(_evolve(poly, [params.to_flat()])[0], poly.num_spins)
+    return next(build_qaoa_states(poly, [params]))
+
+
+def build_qaoa_states(poly: SpinPolynomial, params_list):
+    """``build_qaoa_state`` of each parameter set, all at one depth, in order.
+
+    The states are simulated together, block by block, and yielded lazily,
+    so at most one block is held at a time.
+    """
+    values = [params.to_flat() for params in params_list]
+    depths = sorted({len(row) // 2 for row in values})
+    if len(depths) > 1:
+        raise DimensionError(f"states of one batch need one depth, got {depths}")
+    for _, block in _blocks(poly, values):
+        for amps in block:
+            yield StateVector(amps, poly.num_spins)
 
 
 def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
@@ -207,22 +257,22 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
     Row b holds the flat angles of one point (gammas, then betas, as in
     ``QaoaParams.to_flat``); value b equals
     ``expectation(build_qaoa_state(poly, QaoaParams.from_flat(row)), poly)``
-    bit for bit.  Rows are simulated together in blocks of at most
-    ``_BLOCK_AMPLITUDES`` amplitudes (one state when a state is larger).
+    bit for bit.  Rows are simulated together in blocks (see ``_blocks``);
+    each layer's phase is exp(-i gamma c) over the polynomial's distinct
+    costs c only, gathered to every basis state through the level table.
+    Each block's values are one stacked vector-vector product, which calls
+    the same ``ddot`` per row as ``np.dot``.
     """
     rows = np.asarray(angles, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] % 2:
         raise DimensionError(f"expected a (B, 2p) angle array, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError("angles must be finite")
-    diag = cost_vector(poly)
-    values = rows.tolist()
-    out = np.empty(len(values), dtype=np.float64)
-    step = max(1, _BLOCK_AMPLITUDES >> poly.num_spins)
-    for start in range(0, len(values), step):
-        probs = np.abs(_evolve(poly, values[start : start + step])) ** 2
-        for i, row in enumerate(probs, start):
-            out[i] = np.dot(row, diag)
+    diag = cost_vector(poly)[:, None]
+    out = np.empty(len(rows), dtype=np.float64)
+    for start, block in _blocks(poly, rows.tolist()):
+        probs = np.abs(block) ** 2
+        out[start : start + len(probs)] = np.matmul(probs[:, None, :], diag)[:, 0, 0]
     return out
 
 

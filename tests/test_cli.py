@@ -398,7 +398,7 @@ NUMERIC_FLAGS = [
     (COMPILE, "--regions", "regions", ["1.5", "0"]),
     (PARTITION, "--capacities", "capacities", ["4,1.5", "4,0", ","]),
     (BENCHMARK, "--layers", "layers", ["1.5", "0", "0..2", str(MAX_LAYERS + 1), f"1..{MAX_LAYERS + 1}", "3..1"]),
-    (BENCHMARK, "--mref", "mref", ["1.5", "0"]),
+    (BENCHMARK, "--mref", "mref", ["1.5", "0", "99"]),
     (BENCHMARK, "--m", "m", ["1.5", "0"]),
     (BENCHMARK, "--shots", "shots", ["1.5", "0", str(MAX_SHOTS + 1)]),
     (BENCHMARK, "--max-evaluations", "max-evaluations", ["1.5", "0"]),

@@ -22,11 +22,14 @@ from qdisco.problem import (
 from qdisco.simulator import (
     NoiseSpec,
     QaoaParams,
+    ShotCounts,
     StateVector,
     build_qaoa_state,
+    build_qaoa_states,
     expectation,
     _BLOCK_AMPLITUDES,
     _apply_rx_all,
+    _cost_levels,
     _TRAJECTORIES_AT_ONCE,
     noisy_sample,
     noisy_sample_batch,
@@ -43,6 +46,12 @@ from oracles import (
 )
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
+RING6 = maxcut_to_spin_polynomial(ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6))))
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    """The raw bits of a complex array, so NaNs and signed zeros compare too."""
+    return np.ascontiguousarray(amps).view(np.uint64)
 
 
 def single_region_placement(poly, qpu, eta=1.0):
@@ -121,6 +130,15 @@ class TestApplyMixer:
         _apply_rx_all(block, 1, [math.pi / 4])
         assert np.allclose(np.abs(block[0]) ** 2, [0.5, 0.5])
 
+    def test_fortran_ordered_block_is_refused_untouched(self):
+        # its reshape would be a copy, and mixing a copy would lose the mixer
+        rng = np.random.default_rng(6)
+        amps = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+        block = np.asfortranarray(amps)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _apply_rx_all(block, 4, rng.uniform(-4.0, 4.0, 5).tolist())
+        assert np.array_equal(bits(block), bits(amps))
+
 
 class TestBuildQaoaState:
     def test_p_zero_is_uniform(self):
@@ -187,6 +205,49 @@ class TestExpectation:
         amps /= np.linalg.norm(amps)
         value = expectation(StateVector(amps, 4), poly)
         assert costs.min() - 1e-12 <= value <= costs.max() + 1e-12
+
+
+class TestBuildQaoaStates:
+    def test_rows_equal_single_states_across_blocks(self):
+        rng = np.random.default_rng(8)
+        poly = maxcut_to_spin_polynomial(random_maxcut_graph(rng, 9, 0.5, True))
+        count = 2 * (_BLOCK_AMPLITUDES >> 9) + 3  # three blocks
+        params = [QaoaParams(tuple(rng.uniform(0, 7, 2)), tuple(rng.uniform(0, 4, 2))) for _ in range(count)]
+        for state, pr in zip(build_qaoa_states(poly, params), params, strict=True):
+            assert np.array_equal(state.amplitudes, reference_qaoa_state(poly, pr))
+
+    def test_refuses_mixed_depths(self):
+        with pytest.raises(DimensionError):
+            list(build_qaoa_states(EDGE_POLY, [QaoaParams((0.1,), (0.2,)), NO_LAYERS]))
+
+
+class TestShotCounts:
+    def test_refuses_a_key_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="malformed outcome string '011'"):
+            ShotCounts({"01": 3, "011": 1}, 4, 2)
+
+    def test_refuses_a_non_binary_key(self):
+        with pytest.raises(ValueError, match="malformed outcome string '0x'"):
+            ShotCounts({"01": 3, "0x": 1}, 4, 2)
+
+    def test_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="negative count for '10'"):
+            ShotCounts({"01": 5, "10": -1}, 4, 2)
+
+    def test_refuses_counts_that_miss_the_shot_total(self):
+        with pytest.raises(ValueError, match="do not sum"):
+            ShotCounts({"01": 3, "10": 2}, 4, 2)
+
+    def test_names_the_first_bad_key(self):
+        with pytest.raises(ValueError, match="negative count for '10'"):
+            ShotCounts({"11": 1, "10": -1, "2": 1}, 1, 2)
+        with pytest.raises(ValueError, match="malformed outcome string '2'"):
+            ShotCounts({"11": 1, "2": 1, "10": -1}, 1, 2)
+
+    def test_accepts_valid_histograms(self):
+        assert ShotCounts({"01": 3, "11": 0}, 3, 2).total_shots == 3
+        assert ShotCounts({}, 0, 2).counts == {}
+        assert ShotCounts({"": 4}, 4, 0).num_bits == 0
 
 
 class TestSample:
@@ -431,6 +492,29 @@ class TestBatchedKernel:
                 params = QaoaParams.from_flat(angles[row].tolist())
                 want = reference_qaoa_state(poly, params)
                 assert values[row] == float(np.dot(np.abs(want) ** 2, cost_vector(poly)))
+        # float fields and couplings: almost every basis state is its own cost level
+        rng = np.random.default_rng(10)
+        fields = [(float(w), (i,)) for i, w in enumerate(rng.uniform(-2.0, 2.0, 10))]
+        pairs = [(float(rng.uniform(-2.0, 2.0)), (i, i + 1)) for i in range(9)]
+        dense = SpinPolynomial(10, tuple(fields + pairs))
+        assert len(_cost_levels(dense)[0]) > 0.99 * 2**10
+        angles = rng.uniform(-3.0, 3.0, (40, 4))  # three blocks
+        values = qaoa_expectations(dense, angles)
+        for row, value in enumerate(values):
+            want = reference_qaoa_state(dense, QaoaParams.from_flat(angles[row].tolist()))
+            assert value == float(np.dot(np.abs(want) ** 2, cost_vector(dense)))
+
+    def test_overflowing_phase_row_matches_reference_bit_for_bit(self):
+        # gamma * cost overflows to inf, whose phase is NaN
+        params = QaoaParams((1e308, 0.4), (0.3, 0.2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_qaoa_state(RING6, params)
+        assert np.isnan(want).any()
+        assert np.array_equal(bits(build_qaoa_state(RING6, params).amplitudes), bits(want))
+        finite = QaoaParams((0.5, 0.1), (0.3, 0.2))
+        values = qaoa_expectations(RING6, [params.to_flat(), finite.to_flat()])
+        assert math.isnan(values[0])
+        assert values[1] == expectation(build_qaoa_state(RING6, finite), RING6)
 
     def test_rejects_bad_angle_arrays(self):
         with pytest.raises(DimensionError):
@@ -439,6 +523,33 @@ class TestBatchedKernel:
             qaoa_expectations(EDGE_POLY, [0.1, 0.2])
         with pytest.raises(ValueError):
             qaoa_expectations(EDGE_POLY, [[math.nan, 0.2]])
+
+
+LEVEL_RNG = np.random.default_rng(9)
+LEVEL_POLYS = {
+    "weighted_maxcut": maxcut_to_spin_polynomial(random_maxcut_graph(LEVEL_RNG, 8, 0.6, True)),
+    "unweighted_maxcut": maxcut_to_spin_polynomial(random_maxcut_graph(LEVEL_RNG, 8, 0.6)),
+    "ring6": RING6,
+    "labs8": labs_to_spin_polynomial(8),
+}
+
+
+class TestCostLevels:
+    @pytest.mark.parametrize("name", sorted(LEVEL_POLYS))
+    def test_levels_rebuild_the_cost_vector_bit_for_bit(self, name):
+        poly = LEVEL_POLYS[name]
+        levels, level_of = _cost_levels(poly)
+        assert np.array_equal(levels[level_of].view(np.int64), cost_vector(poly).view(np.int64))
+        assert len(np.unique(levels.view(np.int64))) == len(levels)
+
+    def test_levels_are_keyed_by_bit_pattern(self, monkeypatch):
+        # SpinPolynomial never yields a -0.0 or NaN cost (its offset and sums round to
+        # +0.0, weights are finite), so a cost vector holding both is fed in directly
+        costs = np.array([0.0, -0.0, math.nan, -math.nan, 1.0, -0.0, 0.0, 1.0])
+        monkeypatch.setattr("qdisco.simulator.cost_vector", lambda poly: costs)
+        levels, level_of = _cost_levels.__wrapped__(EDGE_POLY)
+        assert len(levels) == 5
+        assert np.array_equal(levels[level_of].view(np.int64), costs.view(np.int64))
 
 
 def scaled_noise(qpu, factor, readout=True, trajectories=64):
