@@ -11,6 +11,7 @@ prod(1 - e_i) * prod(1 - e_ij); regions are ranked descending.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -21,6 +22,7 @@ from .hardware import QpuModel
 from .problem import SpinPolynomial
 
 EXACT_ENUMERATION_LIMIT = 20  # |Q'| above this switches to stochastic growth
+SAMPLED_CANDIDATE_LIMIT = 256  # distinct candidates stochastic growth collects at most
 EXACT_SELECTION_LIMIT = 12  # candidate count up to which selection is exact
 ISOMORPHISM_FAST_PATH_LIMIT = 12
 
@@ -111,13 +113,13 @@ def region_fidelity(
 
 
 def _ranked_sets(
-    fg: FilteredGraph, n: int, seed: int = 0, max_candidates: int = 256
+    fg: FilteredGraph, n: int, seed: int = 0
 ) -> list[tuple[tuple[float, tuple[int, ...]], tuple[tuple[int, int], ...]]]:
     """Connected n-qubit sets as ((-fidelity, sorted qubits), internal edges), best first.
 
     Exact connected-induced-subgraph enumeration while |Q'| stays at or
     below EXACT_ENUMERATION_LIMIT; beyond that, seeded random region
-    growth collects up to ``max_candidates`` distinct candidates.  The
+    growth collects up to SAMPLED_CANDIDATE_LIMIT distinct candidates.  The
     fidelity is ``region_fidelity``'s own; no region is built.
     """
     if n < 1:
@@ -131,7 +133,7 @@ def _ranked_sets(
     if len(fg.qubits) <= EXACT_ENUMERATION_LIMIT:
         subsets = _connected_subsets_exact(adj, n)
     else:
-        subsets = _connected_subsets_sampled(adj, n, seed, max_candidates)
+        subsets = _connected_subsets_sampled(adj, n, seed, SAMPLED_CANDIDATE_LIMIT)
     ranked = []
     for s in subsets:
         edges = tuple(e for e in fg.edges if e[0] in s and e[1] in s)
@@ -192,7 +194,6 @@ def best_regions(
     k: int,
     isomorphic: bool = False,
     seed: int = 0,
-    max_candidates: int = 256,
 ) -> list[SamplingRegion]:
     """Up to k pairwise-disjoint connected n-qubit regions maximizing fidelity.
 
@@ -205,7 +206,7 @@ def best_regions(
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    ranked = _ranked_sets(fg, n, seed, max_candidates)
+    ranked = _ranked_sets(fg, n, seed)
     if not ranked:
         raise NoRegionError(
             f"QPU '{fg.qpu.name}' has no connected {n}-qubit region at eta={fg.eta}"
@@ -216,38 +217,28 @@ def best_regions(
 
 
 def _select_exact(ranked: list, k: int, isomorphic: bool) -> list:
-    """Exhaustive selection over ranked entries; their keys are unique, so
-    the ranking is already the search order."""
+    """The most pairwise-disjoint entries (with ``isomorphic``, each isomorphic
+    to the first), then the highest fidelity product, then the lowest keys.
+
+    Keys are unique and ranked ascending, so of equal products the first
+    index tuple ``combinations`` yields has the lowest keys.
+    """
     masks = [sum(1 << q for q in qubits) for (_, qubits), _ in ranked]  # qubits are distinct
-    best: tuple[int, float, tuple, list[int]] | None = None
 
-    def compatible(i: int, picked: list[int]) -> bool:
-        if not isomorphic or not picked:
-            return True
-        return _isomorphic(ranked[picked[0]], ranked[i])
+    def fits(picked: tuple[int, ...]) -> bool:
+        used = 0
+        for i in picked:
+            if masks[i] & used:
+                return False
+            used |= masks[i]
+        return not isomorphic or all(_isomorphic(ranked[picked[0]], ranked[i]) for i in picked[1:])
 
-    def search(i: int, used_mask: int, picked: list[int], product: float) -> None:
-        nonlocal best
-        if len(picked) == k or i == len(ranked):
-            key_regions = tuple(ranked[j][0] for j in picked)
-            cand = (len(picked), product, key_regions, list(picked))
-            if best is None or (cand[0], cand[1]) > (best[0], best[1]) or (
-                (cand[0], cand[1]) == (best[0], best[1]) and cand[2] < best[2]
-            ):
-                best = cand
-            return
-        # upper-bound prune: even taking every remaining region cannot beat
-        # the best count, and fidelities are <= 1 so product only shrinks
-        if best is not None and len(picked) + (len(ranked) - i) < best[0]:
-            return
-        if not masks[i] & used_mask and compatible(i, picked):
-            search(i + 1, used_mask | masks[i], picked + [i], product * -ranked[i][0][0])
-        search(i + 1, used_mask, picked, product)
-
-    search(0, 0, [], 1.0)
-    del search  # a recursive closure is a reference cycle; break it so the call's state frees now
-    assert best is not None
-    return [ranked[i] for i in best[3]]
+    for size in range(min(k, len(ranked)), 0, -1):
+        fitting = [c for c in itertools.combinations(range(len(ranked)), size) if fits(c)]
+        if fitting:
+            best = max(fitting, key=lambda c: math.prod(-ranked[i][0][0] for i in c))
+            return [ranked[i] for i in best]
+    return []
 
 
 def _select_greedy(ranked: list, k: int, isomorphic: bool) -> list:
@@ -360,33 +351,32 @@ def _find_monomorphism(
     Deterministic backtracking, most-constrained logical vertex first.
     """
     logical_order = sorted(adj_logical, key=lambda v: (-len(adj_logical[v]), v))
-    phys_nodes = sorted(adj_phys)
     assign: dict[int, int] = {}
-    used: set[int] = set()
+    found = _extend_map(adj_logical, adj_phys, logical_order, sorted(adj_phys), assign, set())
+    return assign if found else None
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(logical_order):
+
+def _extend_map(adj_logical, adj_phys, logical_order, phys_nodes, assign, used) -> bool:
+    """Place ``logical_order[len(assign):]`` onto unused ``phys_nodes``, trying
+    them in order; on failure ``assign`` and ``used`` are as they came."""
+    if len(assign) == len(logical_order):
+        return True
+    v = logical_order[len(assign)]
+    placed_nbs = [u for u in adj_logical[v] if u in assign]
+    for cand in phys_nodes:
+        if cand in used:
+            continue
+        if len(adj_phys[cand]) < len(adj_logical[v]):
+            continue
+        if any(assign[u] not in adj_phys[cand] for u in placed_nbs):
+            continue
+        assign[v] = cand
+        used.add(cand)
+        if _extend_map(adj_logical, adj_phys, logical_order, phys_nodes, assign, used):
             return True
-        v = logical_order[idx]
-        placed_nbs = [u for u in adj_logical[v] if u in assign]
-        for cand in phys_nodes:
-            if cand in used:
-                continue
-            if len(adj_phys[cand]) < len(adj_logical[v]):
-                continue
-            if any(assign[u] not in adj_phys[cand] for u in placed_nbs):
-                continue
-            assign[v] = cand
-            used.add(cand)
-            if backtrack(idx + 1):
-                return True
-            del assign[v]
-            used.discard(cand)
-        return False
-
-    found = backtrack(0)
-    del backtrack  # a recursive closure is a reference cycle; break it so the call's state frees now
-    return dict(assign) if found else None
+        del assign[v]
+        used.discard(cand)
+    return False
 
 
 def _greedy_assignment(
@@ -505,14 +495,12 @@ def route_phase_layer(
 def _steiner_tree_edges(
     adj: dict[int, set[int]], terminals: list[int]
 ) -> list[tuple[int, int]]:
-    """Greedy Steiner approximation: connect nearest terminals one by one."""
+    """Greedy Steiner approximation: connect nearest terminals, all in one component, one by one."""
     tree_nodes = {terminals[0]}
     edges: set[tuple[int, int]] = set()
     remaining = sorted(set(terminals) - tree_nodes)
     while remaining:
         parents = _graphs.bfs(adj, tree_nodes)
-        if any(t not in parents for t in remaining):
-            raise PlacementError("region disconnected during tree routing")
         # the first of the shortest paths to a remaining terminal
         path = min((_graphs.shortest_path(parents, t) for t in remaining), key=len)
         edges.update(_graphs.norm_edge(u, v) for u, v in zip(path, path[1:]))

@@ -10,6 +10,7 @@ and the identity flip (keep everything) is always in the search space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ._seeds import rng_from
 from .errors import PartitionError
@@ -79,11 +80,10 @@ def balanced_mincut(
     g: ProblemGraph,
     capacities: list[int] | tuple[int, ...],
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> Partition:
     """Capacity-bounded partition minimizing total crossing weight.
 
-    Multi-start greedy growth refined by Kernighan-Lin passes (tentative
+    DEFAULT_RESTARTS greedy growths refined by Kernighan-Lin passes (tentative
     swap/move chains with best-prefix rollback).  Part sizes are pinned to
     the capacities when they sum exactly to |V|; with slack, parts fill in
     capacity order.  Deterministic under ``seed``.
@@ -110,21 +110,19 @@ def balanced_mincut(
         adj[u][v] = adj[u].get(v, 0.0) + w
         adj[v][u] = adj[v].get(u, 0.0) + w
 
-    best_assign: list[int] | None = None
-    best_cut, best_edges = float("inf"), ()
-    for restart in range(max(1, restarts)):
+    # every cut is finite (ProblemGraph bounds its total weight), so restart 0 sets best_assign
+    best_cut = float("inf")
+    for restart in range(DEFAULT_RESTARTS):
         rng = rng_from(seed, "mincut", restart)
         assign = _greedy_seed(n, targets, adj, rng, deterministic=restart == 0)
         assign = _kl_refine(n, caps, adj, assign)
         cut_edges = _cut_edges(g, assign)
         cut = sum(w for _, _, w in cut_edges)
         if cut < best_cut - 1e-12 or (
-            abs(cut - best_cut) <= 1e-12
-            and (best_assign is None or assign < best_assign)
+            abs(cut - best_cut) <= 1e-12 and assign < best_assign
         ):
             best_cut, best_assign, best_edges = cut, assign, cut_edges
 
-    assert best_assign is not None
     return Partition(
         assignment=tuple(best_assign),
         capacities=tuple(caps),
@@ -179,7 +177,8 @@ def _kl_refine(
     """Kernighan-Lin refinement generalized to multiway swaps and moves.
 
     Each pass builds a chain of tentative best (possibly negative) gain
-    operations with vertex locking, then rolls back to the best prefix.
+    operations with vertex locking, keeping the state after each, then
+    returns to the state after the best prefix.
     Swaps preserve part sizes; moves may rebalance within the capacities.
 
     Gains come from ``ext[v][p]``, the weight from vertex v to part p, so
@@ -190,9 +189,7 @@ def _kl_refine(
     """
     assign = list(assign)
     num_parts = len(capacities)
-    sizes = [0] * num_parts
-    for part in assign:
-        sizes[part] += 1
+    sizes = [assign.count(part) for part in range(num_parts)]
 
     def row(v: int) -> list[float]:
         out = [0] * num_parts
@@ -202,9 +199,8 @@ def _kl_refine(
 
     for _ in range(n):
         free = list(range(n))  # unlocked vertices, ascending
-        chain: list[tuple[str, int, int, int]] = []
+        states = [list(assign)]  # the pass's start, then the state after each operation
         gains: list[float] = []
-        snapshot = list(assign)
         ext = [row(v) for v in range(n)]
 
         while True:
@@ -250,37 +246,19 @@ def _kl_refine(
             free.remove(a)
             for x in touched:
                 ext[x] = row(x)
-            chain.append(best_op)
+            states.append(list(assign))
             gains.append(best_gain)
 
         if not gains:
             break
-        prefix = list(_running_sums(gains))
+        prefix = list(accumulate(gains))
         best_idx = max(range(len(prefix)), key=lambda i: (prefix[i], -i))
         if prefix[best_idx] <= 1e-12:
-            assign = snapshot
+            assign = states[0]
             break
-        # roll back operations after the best prefix
-        assign = snapshot
-        sizes = [0] * num_parts
-        for part in assign:
-            sizes[part] += 1
-        for op in chain[: best_idx + 1]:
-            kind, a, b, dst = op
-            if kind == "move":
-                sizes[assign[a]] -= 1
-                assign[a] = dst
-                sizes[dst] += 1
-            else:
-                assign[a], assign[b] = assign[b], assign[a]
+        assign = states[best_idx + 1]
+        sizes = [assign.count(part) for part in range(num_parts)]
     return assign
-
-
-def _running_sums(values: list[float]):
-    total = 0.0
-    for v in values:
-        total += v
-        yield total
 
 
 @dataclass(frozen=True)

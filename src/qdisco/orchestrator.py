@@ -166,6 +166,9 @@ def plan(
     QPU's largest usable region.  Shots are divided evenly across each leaf's
     regions.
     """
+    n = problem.num_spins if isinstance(problem, SpinPolynomial) else problem.num_vertices
+    if n < 1:
+        raise CapacityError(f"problem has {n} spins; a plan needs at least 1")
     if len(fleet) == 0:
         raise ConfigError("fleet must contain at least one QPU")
     if shots < 1:

@@ -127,7 +127,7 @@ def bitstring_to_index(bits: str) -> int:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Stochastic channel strengths keyed to a QPU's physical layout."""
+    """Stochastic channel strengths keyed to a QPU's physical layout; a rate of 1 fires every time."""
 
     readout_flip_prob: tuple[float, ...]
     two_qubit_error_prob: dict[tuple[int, int], float]
@@ -136,13 +136,13 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         r = tuple(float(x) for x in self.readout_flip_prob)
         for q, x in enumerate(r):
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"readout_flip_prob[{q}] = {x} outside [0, 1)")
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"readout_flip_prob[{q}] = {x} outside [0, 1]")
         g = {}
         for edge, x in self.two_qubit_error_prob.items():
             x = float(x)
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"two_qubit_error_prob[{edge}] = {x} outside [0, 1)")
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"two_qubit_error_prob[{edge}] = {x} outside [0, 1]")
             g[(int(edge[0]), int(edge[1]))] = x
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")

@@ -616,6 +616,40 @@ def reference_steiner_tree_edges(adj, terminals):
     return sorted(edges)
 
 
+def reference_find_monomorphism(adj_logical, adj_phys):
+    """Injective map sending every logical edge onto a physical edge, by a
+    recursive closure: most-constrained logical vertex first, physical
+    nodes ascending."""
+    logical_order = sorted(adj_logical, key=lambda v: (-len(adj_logical[v]), v))
+    phys_nodes = sorted(adj_phys)
+    assign: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(idx: int) -> bool:
+        if idx == len(logical_order):
+            return True
+        v = logical_order[idx]
+        placed_nbs = [u for u in adj_logical[v] if u in assign]
+        for cand in phys_nodes:
+            if cand in used:
+                continue
+            if len(adj_phys[cand]) < len(adj_logical[v]):
+                continue
+            if any(assign[u] not in adj_phys[cand] for u in placed_nbs):
+                continue
+            assign[v] = cand
+            used.add(cand)
+            if backtrack(idx + 1):
+                return True
+            del assign[v]
+            used.discard(cand)
+        return False
+
+    found = backtrack(0)
+    del backtrack
+    return dict(assign) if found else None
+
+
 def region_key(region: SamplingRegion) -> tuple:
     """The ranking key: best fidelity first, ties to the lowest qubit tuple."""
     return (-region.fidelity, region.qubits)

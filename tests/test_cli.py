@@ -1,12 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdisco
 from qdisco import _seeds, orchestrator
@@ -346,6 +351,115 @@ class TestBenchmark:
             assert 0.0 <= rep["h_score"] <= 2.0
 
 
+def hex16_with(tmp_path, edit) -> str:
+    """A copy of qpu_hex16 changed by ``edit``."""
+    doc = json.loads(data_path("qpu_hex16.json").read_text())
+    edit(doc)
+    path = tmp_path / "hex16.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def break_coupler_0_1(doc):
+    next(e for e in doc["edges"] if e["q"] == [0, 1])["gate_error"] = 1.0
+
+
+def break_qubit_15(doc):
+    doc["readout_error"][15] = 1.0
+
+
+class TestBrokenElements:
+    """Calibrations mark a broken qubit or coupler with rate 1; the threshold filter removes it."""
+
+    @pytest.mark.parametrize("edit", [break_coupler_0_1, break_qubit_15])
+    def test_run_va(self, tmp_path, capsys, edit):
+        qpu = hex16_with(tmp_path, edit)
+        fleet = [
+            {"calibration": qpu if e["calibration"] == "qpu_hex16.json" else str(data_path(e["calibration"]))}
+            for e in json.loads(data_path("scenario_va.json").read_text())["fleet"]
+        ]
+        path = scenario_config(tmp_path, "scenario_va.json", fleet=fleet)
+        assert main(["run", "--config", path, "-o", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("edit", [break_coupler_0_1, break_qubit_15])
+    def test_benchmark(self, tmp_path, capsys, edit):
+        argv = ["--problem", RING6, "--qpu", hex16_with(tmp_path, edit), "--mref", "100", "--m", "2"]
+        assert main(["benchmark", *argv, "-o", str(tmp_path / "bench")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def t7_with(readout=(), gate=()) -> dict:
+    """qpu_t7_a's calibration with the given (qubit, rate) and (edge index, rate) changes."""
+    doc = json.loads(data_path("qpu_t7_a.json").read_text())
+    for q, rate in readout:
+        doc["readout_error"][q] = rate
+    for i, rate in gate:
+        doc["edges"][i]["gate_error"] = rate
+    return doc
+
+
+@st.composite
+def degenerate_cases(draw):
+    """A command, a MaxCut problem of 0-3 vertices, a qpu_t7_a calibration with some
+    rates set to 0, the smallest positive float or 1, and tiny run settings."""
+    n = draw(st.integers(0, 3))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    problem = {"num_vertices": n, "edges": [[u, v, draw(st.sampled_from([1.0, -2.0]))] for u, v in edges]}
+    rates = st.sampled_from([0.0, 5e-324, 1.0])
+    calibration = t7_with()
+    for q in draw(st.sets(st.integers(0, calibration["num_qubits"] - 1))):
+        calibration["readout_error"][q] = draw(rates)
+    for i in draw(st.sets(st.integers(0, len(calibration["edges"]) - 1))):
+        calibration["edges"][i]["gate_error"] = draw(rates)
+    run = {"shots": draw(st.integers(1, 16)), "trajectories": draw(st.integers(1, 2)), "seed": draw(st.integers(0, 9))}
+    commands = st.sampled_from(["plan", "run", "compile", "simulate", "partition", "benchmark"])
+    return draw(commands), problem, calibration, run
+
+
+EDGE = {"num_vertices": 2, "edges": [[0, 1, 1.0]]}
+TINY_RUN = {"shots": 8, "trajectories": 2, "seed": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_cases())
+@example(("plan", {"num_vertices": 0, "edges": []}, t7_with(), TINY_RUN))
+@example(("run", EDGE, t7_with(gate=[(0, 1.0)]), TINY_RUN))
+@example(("benchmark", EDGE, t7_with(readout=[(6, 1.0)]), TINY_RUN))
+def test_degenerate_documents_end_in_an_exit_code(case):
+    command, problem, calibration, run = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"problem.json": problem, "qpu.json": calibration}
+        files["config.json"] = {
+            "problem": "problem.json",
+            "fleet": [{"calibration": "qpu.json"}],
+            "optimizer": {"max_evaluations": 10},
+            **run,
+        }
+        for name, doc in files.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        config, prob, qpu = (str(Path(tmp, name)) for name in ("config.json", "problem.json", "qpu.json"))
+        argv = {
+            "plan": ["--config", config],
+            "run": ["--config", config],
+            "compile": ["--problem", prob, "--qpu", qpu],
+            "simulate": ["--problem", prob, "--shots", "8", "--max-evaluations", "10"],
+            "partition": ["--problem", prob, "--capacities", "2,2"],
+            "benchmark": ["--problem", prob, "--qpu", qpu, "--mref", "100", "--m", "1"]
+            + ["--shots", "8", "--max-evaluations", "10"],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, *argv, "-o", str(Path(tmp, "out"))])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestSeedHandling:
     def test_env_seed_fallback(self, tmp_path, capsys):
         env = child_env(QDISCO_SEED="123")
@@ -623,6 +737,13 @@ def labs_config(tmp_path, n):
     return scenario_config(tmp_path, problem=str(path), capacities=None)
 
 
+def empty_problem_config(tmp_path):
+    """scenario_vb's fleet running a problem without vertices."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"num_vertices": 0, "edges": []}))
+    return scenario_config(tmp_path, problem=str(path), capacities=None)
+
+
 PLAN_ERRORS = [
     pytest.param(
         lambda tmp: ["benchmark", "--problem", V15, "--qpu", ALPHA7, "--mref", "100", "--m", "10"],
@@ -643,6 +764,16 @@ PLAN_ERRORS = [
         lambda tmp: ["plan", "--config", labs_config(tmp, 20)],
         "cannot be decomposed",
         id="plan-labs-larger-than-any-region",
+    ),
+    pytest.param(
+        lambda tmp: ["plan", "--config", empty_problem_config(tmp)],
+        "problem has 0 spins",
+        id="plan-empty-problem",
+    ),
+    pytest.param(
+        lambda tmp: ["run", "--config", empty_problem_config(tmp), "-o", str(tmp / "run")],
+        "problem has 0 spins",
+        id="run-empty-problem",
     ),
 ]
 

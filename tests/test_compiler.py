@@ -1,11 +1,13 @@
 import gc
 import math
 from operator import itemgetter
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from qdisco import compiler
 from qdisco.compiler import (
     EXACT_SELECTION_LIMIT,
     OpCounter,
@@ -162,8 +164,9 @@ class TestEnumerateRegions:
         )
         fg = filter_by_threshold(qpu, 0.01)
         assert len(fg.qubits) > 20
-        a = _ranked_sets(fg, 6, seed=3, max_candidates=50)
-        b = _ranked_sets(fg, 6, seed=3, max_candidates=50)
+        with mock.patch.object(compiler, "SAMPLED_CANDIDATE_LIMIT", 50):
+            a = _ranked_sets(fg, 6, seed=3)
+            b = _ranked_sets(fg, 6, seed=3)
         assert ranked_qubits(a) == ranked_qubits(b)
         assert len(a) >= 50
         for (_, qubits), edges in a[:10]:
@@ -186,7 +189,8 @@ class TestEnumerateRegions:
         qpu = QpuModel("frag", 22, tuple([0.001] * 22), edges)
         fg = filter_by_threshold(qpu, 0.01)
         assert len(fg.qubits) == 22
-        ranked = _ranked_sets(fg, 6, seed=1, max_candidates=20)
+        with mock.patch.object(compiler, "SAMPLED_CANDIDATE_LIMIT", 20):
+            ranked = _ranked_sets(fg, 6, seed=1)
         assert ranked
         for qubits in ranked_qubits(ranked):
             assert set(qubits) <= set(range(12))
@@ -264,6 +268,12 @@ class TestSelectRegions:
         chosen = self.select([line, line2, star], 3, isomorphic=True)
         assert chosen == [line, line2]
         assert nx.is_isomorphic(nx.Graph(line.edges), nx.Graph(line2.edges))
+        # a pair's second region is checked too: a 4-star (same qubit and edge counts
+        # as a 4-path) ranks between two 4-paths, and the best pair skips it
+        path4 = self.region((0, 1, 2, 3), 0.99)
+        star4 = SamplingRegion("q", (4, 5, 6, 7), ((4, 5), (4, 6), (4, 7)), 0.985)
+        path4b = self.region((8, 9, 10, 11), 0.98)
+        assert self.select([path4, star4, path4b], 2, isomorphic=True) == [path4, path4b]
 
 
 class TestMapCircuit:
@@ -424,7 +434,7 @@ class TestNoReferenceCycles:
 
     def test_select_regions(self):
         fg = filter_by_threshold(load_calibration(data_path("qpu_t7_a.json").read_text()), 1.0)
-        assert len(_ranked_sets(fg, 3)) <= EXACT_SELECTION_LIMIT  # the recursive exact search
+        assert len(_ranked_sets(fg, 3)) <= EXACT_SELECTION_LIMIT  # the exact search
         assert cyclic_garbage_left_by(lambda: best_regions(fg, 3, 2)) == 0
         assert cyclic_garbage_left_by(lambda: best_regions(fg, 3, 3, isomorphic=True)) == 0
 

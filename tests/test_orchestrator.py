@@ -23,6 +23,7 @@ from qdisco.orchestrator import (
 from qdisco.problem import (
     ProblemGraph,
     SpinAssignment,
+    SpinPolynomial,
     labs_to_spin_polynomial,
     maxcut_to_spin_polynomial,
 )
@@ -139,6 +140,13 @@ class TestPlanShapes:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError):
             plan(TWO_TRIANGLES, Fleet(()), eta=1.0, p=1, shots=10)
+
+    @pytest.mark.parametrize("problem", [ProblemGraph(0), SpinPolynomial(0)], ids=["graph", "polynomial"])
+    def test_problem_without_spins_rejected_first(self, problem):
+        with pytest.raises(CapacityError, match="problem has 0 spins"):
+            plan(problem, small_fleet(), eta=1.0, p=1, shots=10)
+        with pytest.raises(CapacityError, match="problem has 0 spins"):
+            plan(problem, Fleet(()), eta=1.0, p=1, shots=0)
 
     def test_unplaceable_problem_names_bottleneck(self):
         qpu = synthesize_topology(

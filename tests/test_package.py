@@ -50,3 +50,65 @@ def test_private_import_check_sees_each_form():
         "from numpy import _private\n"
     )
     assert private_imports(source) == ["compiler._ranked_sets", "simulator._split_shots", "._hidden"]
+
+
+def recursive_closures(source: str) -> list[str]:
+    """Each function defined inside another function whose body names itself.
+
+    Such a closure holds a cell that refers back to the function, a reference
+    cycle, so every call's frame lives until the cyclic collector runs.
+    """
+    functions = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    nested = {inner for outer in functions for inner in ast.walk(outer) if inner is not outer}
+    return sorted(
+        inner.name
+        for inner in functions
+        if inner in nested
+        and any(
+            isinstance(node, ast.Name) and node.id == inner.name
+            for statement in inner.body
+            for node in ast.walk(statement)
+        )
+    )
+
+
+def test_no_function_is_a_recursive_closure():
+    package = Path(qdisco.__file__).parent
+    found = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := recursive_closures(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_recursive_closure_check_sees_each_form():
+    source = (
+        "def outer(n):\n"
+        "    def walk(i):\n"
+        "        return walk(i - 1) if i else outer\n"
+        "    async def poll():\n"
+        "        await poll()\n"
+        "    def leaf():\n"
+        "        return outer(n - 1)\n"
+        "    def deep():\n"
+        "        def inner(i):\n"
+        "            return [inner(i - 1)]\n"
+        "        return inner\n"
+        "    class Node:\n"
+        "        def visit(self):\n"
+        "            return self.visit()\n"
+        "    return walk, poll, leaf, deep, Node\n"
+        "def top(n):\n"
+        "    return top(n - 1)\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        def count(node):\n"
+        "            return sum(count(c) for c in node)\n"
+        "        return count(self)\n"
+    )
+    assert recursive_closures(source) == ["count", "inner", "poll", "walk"]

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdisco import _graphs, orchestrator, simulator
+from qdisco import _graphs, compiler, orchestrator, simulator
 from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
 from qdisco.compiler import (
+    _find_monomorphism,
     _isomorphic,
     _ranked_sets,
     _steiner_tree_edges,
@@ -26,7 +27,7 @@ from qdisco.compiler import (
 )
 from qdisco.datasets import data_path
 from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
-from qdisco.errors import ConfigError, NoRegionError, PlacementError, SchemaError
+from qdisco.errors import ConfigError, NoRegionError, SchemaError
 from qdisco.hardware import ErrorProfile, Fleet, QpuModel, load_calibration, synthesize_topology
 from qdisco.hscore import best_region_placement
 from qdisco.problem import (
@@ -56,6 +57,7 @@ from oracles import (
     reference_apply_rx_all,
     reference_draw_fires,
     reference_enumerate_regions,
+    reference_find_monomorphism,
     reference_index_to_bitstring,
     reference_noisy_sample,
     reference_qpu_region_set,
@@ -171,14 +173,19 @@ def test_components_and_distances_match_networkx(graph):
 @given(graphs(), st.data())
 def test_steiner_tree_equals_one_search_per_terminal(graph, data):
     adj, _ = graph
-    terminals = data.draw(st.lists(st.sampled_from(sorted(adj)), min_size=1, max_size=6))
-    try:
-        want = reference_steiner_tree_edges(adj, terminals)
-    except PlacementError:
-        with pytest.raises(PlacementError, match="disconnected"):
-            _steiner_tree_edges(adj, terminals)
-        return
-    assert _steiner_tree_edges(adj, terminals) == want
+    # the compiler routes within one connected region, so terminals share a component
+    component = data.draw(st.sampled_from(_graphs.connected_components(adj)))
+    terminals = data.draw(st.lists(st.sampled_from(sorted(component)), min_size=1, max_size=6))
+    assert _steiner_tree_edges(adj, terminals) == reference_steiner_tree_edges(adj, terminals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_vertices=6), graphs(max_vertices=8))
+def test_monomorphism_equals_the_closure_backtracking(logical, physical):
+    (adj_logical, _), (adj_phys, _) = logical, physical
+    got = _find_monomorphism(adj_logical, adj_phys)
+    want = reference_find_monomorphism(adj_logical, adj_phys)
+    assert got == want and (got is None or list(got.items()) == list(want.items()))
 
 
 @st.composite
@@ -558,14 +565,15 @@ def named_outcome(want, n, eta):
 def test_ranked_regions_equal_the_built_and_sorted_ones(case, k, isomorphic):
     qpu, eta, n, seed, bound = case
     fg = filter_by_threshold(qpu, eta)
-    got = outcome(lambda ranked: ranked_fields(fg, ranked), _ranked_sets, fg, n, seed, bound)
-    assert got == outcome(region_fields, reference_enumerate_regions, fg, n, seed, bound)
-    want = outcome(
-        region_fields,
-        lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic),
-    )
-    got = outcome(region_fields, best_regions, fg, n, k, isomorphic, seed, bound)
-    assert got == named_outcome(want, n, eta)
+    with mock.patch.object(compiler, "SAMPLED_CANDIDATE_LIMIT", bound):
+        got = outcome(lambda ranked: ranked_fields(fg, ranked), _ranked_sets, fg, n, seed)
+        assert got == outcome(region_fields, reference_enumerate_regions, fg, n, seed, bound)
+        want = outcome(
+            region_fields,
+            lambda: reference_select_regions(reference_enumerate_regions(fg, n, seed, bound), k, isomorphic),
+        )
+        got = outcome(region_fields, best_regions, fg, n, k, isomorphic, seed)
+        assert got == named_outcome(want, n, eta)
     if qpu.num_qubits > 20:
         return  # the callers below use the default bound, which makes growth slow
     # a QPU without a region raises NoRegionError, the CapacityError the planner reports

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.errors import CapacityError, DimensionError, PlacementError
 from qdisco.datasets import data_path
-from qdisco.hardware import ErrorProfile, load_calibration, synthesize_topology
+from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
 from qdisco.hscore import best_region_placement
 from qdisco.problem import (
     ProblemGraph,
@@ -286,11 +286,18 @@ class TestSample:
 class TestNoiseSpec:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            NoiseSpec((1.0,), {})
+            NoiseSpec((math.nextafter(1.0, 2.0),), {})
         with pytest.raises(ValueError):
             NoiseSpec((0.1,), {(0, 1): -0.2})
         with pytest.raises(ValueError):
             NoiseSpec((0.1,), {}, trajectories=0)
+
+    def test_rate_one_is_a_probability(self):
+        spec = NoiseSpec((1.0, 0.0), {(0, 1): 1.0})
+        assert spec.readout_flip_prob == (1.0, 0.0)
+        assert spec.two_qubit_error_prob == {(0, 1): 1.0}
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            NoiseSpec((0.1,), {(0, 1): math.nextafter(1.0, 2.0)})
 
     def test_from_qpu_copies_calibration(self):
         qpu = synthesize_topology("line", num_qubits=3, profile=ErrorProfile.uniform(0.02, 0.01))
@@ -624,6 +631,18 @@ class TestNoisySampleBatch:
         for counts, params, seed in zip(got, runs, seeds):
             args = (self.ring6, params, self.placement, self.qpu, noise, 256, seed)
             assert counts == reference_noisy_sample(*args)
+
+    def test_rates_of_one_fire_every_time(self):
+        # a broken coupler the region routes through and a broken qubit it reads out
+        edge = self.placement.schedule[0].interaction_edges[0]
+        qubit = self.placement.final_map[0]
+        readout = tuple(1.0 if q == qubit else x for q, x in enumerate(self.qpu.readout_error))
+        qpu = QpuModel(self.qpu.name, self.qpu.num_qubits, readout, {**self.qpu.gate_error, edge: 1.0})
+        noise = NoiseSpec.from_qpu(qpu, trajectories=16)
+        runs, seeds = self.runs(6, 2), list(range(6))
+        got = noisy_sample_batch(self.ring6, runs, self.placement, qpu, noise, 256, seeds)
+        for counts, params, seed in zip(got, runs, seeds):
+            assert counts == reference_noisy_sample(self.ring6, params, self.placement, qpu, noise, 256, seed)
 
     def test_empty_batch(self):
         noise = NoiseSpec.from_qpu(self.qpu)
