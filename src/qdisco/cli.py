@@ -29,7 +29,7 @@ from .decomposer import balanced_mincut, extract_subproblems
 from .errors import ConfigError, QdiscoError
 from .hardware import Fleet, QpuModel, load_calibration
 from .hscore import MIN_REFERENCE_SIZE, benchmark_qpu
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import FIELD_RANGES, OptimizerConfig, optimize
 from .orchestrator import execute, plan, speedup_report
 from .problem import ProblemInstance, parse_problem_json
 from .simulator import QaoaParams, build_qaoa_state, expectation, sample
@@ -180,14 +180,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         initial = tuple(_number(float, x, "optimizer.initial") for x in initial)
     if _boolean(opt_doc.get("noisy", False), "optimizer.noisy"):
         raise ConfigError("config field 'optimizer.noisy' must be false: the objective is noiseless")
-    optimizer = OptimizerConfig(
-        method=opt_doc.get("method", "nelder_mead"),
-        max_evaluations=_number(int, opt_doc.get("max_evaluations", 200), "optimizer.max_evaluations"),
-        tolerance=_number(float, opt_doc.get("tolerance", 1e-4), "optimizer.tolerance"),
-        initial=initial,
-        grid_resolution=_number(int, opt_doc.get("grid_resolution", 12), "optimizer.grid_resolution"),
-        restarts=_number(int, opt_doc.get("restarts", 1), "optimizer.restarts"),
-    )
+    # OptimizerConfig checks the method and each numeric field's range itself
+    settings = {k: opt_doc[k] for k in ("method", *FIELD_RANGES) if k in opt_doc}
+    optimizer = OptimizerConfig(initial=initial, **settings)
 
     hs_doc = doc.get("hscore", {})
     if not isinstance(hs_doc, dict):
@@ -391,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags that more than one subcommand takes
     layers = _flag(int, "layers", 1, MAX_LAYERS, form="range")
     shots = _flag(int, "shots", 1, MAX_SHOTS)
-    max_evaluations = _flag(int, "max-evaluations", 1)
+    max_evaluations = _flag(int, "max-evaluations", *FIELD_RANGES["max_evaluations"][1:])
     angles = _flag(float, "angle", form="list")
 
     common_seed = argparse.ArgumentParser(add_help=False)

@@ -4,18 +4,21 @@ Nelder-Mead over the 2p angle parameters, optionally seeded by a coarse
 grid scan at p=1.  The objective is the noiseless expectation; noise
 enters through the compiler and the H-Score, not here.  Every objective
 call is recorded in the trace and counted against the evaluation budget,
-which makes runs reproducible.  Each run is a generator that yields points
-and receives their values, so ``optimize_batch`` can advance many seeded
-runs in lockstep and evaluate each step's points in one kernel call; the
-seed-free grid points are evaluated once per batch.  A run keeps its
-simplex as Python floats, computed in numpy's operation order so traces
-match array state bit for bit, and records its trace as flat doubles.
+which makes runs reproducible.  Each run is one generator that yields
+points and receives their values; each Nelder-Mead search in it records
+its own trace and budget.  So ``optimize_batch`` can advance many seeded
+runs in lockstep and evaluate each step's points as one (B, 2p) array in
+one kernel call; the seed-free grid points are evaluated once per batch.
+A run keeps its simplex as Python floats, computed in numpy's operation
+order so traces match array state bit for bit, and records its trace as
+flat doubles.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -23,6 +26,7 @@ from operator import add
 
 import numpy as np
 
+from ._fields import number
 from ._seeds import rng_from
 from .errors import ConfigError
 from .problem import SpinPolynomial
@@ -38,6 +42,14 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 
 
+FIELD_RANGES = {  # each numeric field's kind and range, for code and config files alike
+    "max_evaluations": (int, 1, math.inf),
+    "tolerance": (float, math.ulp(0.0), math.inf),
+    "grid_resolution": (int, 2, math.inf),
+    "restarts": (int, 1, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "nelder_mead"  # or "grid_then_nelder_mead"
@@ -50,14 +62,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.method not in ("nelder_mead", "grid_then_nelder_mead"):
             raise ConfigError(f"unknown optimizer method '{self.method}'")
-        if self.max_evaluations < 1:
-            raise ConfigError("max_evaluations must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be > 0")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.grid_resolution < 2:
-            raise ConfigError("grid_resolution must be >= 2")
+        for name, (kind, low, high) in FIELD_RANGES.items():
+            value = number(kind, getattr(self, name), f"optimizer.{name}", ConfigError, low, high)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +75,7 @@ class OptimizationTrace:
     as ``QaoaParams`` objects, so that many traces held at once stay small.
     """
 
-    points: np.ndarray  # (num_evaluations, 2p), read-only
+    points: np.ndarray  # (num_evaluations, 2p), read-only; a step may overflow to inf or NaN
     values: np.ndarray  # (num_evaluations,), non-finite values included
     best_params: QaoaParams
     best_value: float
@@ -81,7 +88,7 @@ class OptimizationTrace:
         if not isinstance(other, OptimizationTrace):
             return NotImplemented
         return (
-            np.array_equal(self.points, other.points)
+            np.array_equal(self.points, other.points, equal_nan=True)
             and np.array_equal(self.values, other.values, equal_nan=True)
             and self.best_params == other.best_params
             and self.best_value == other.best_value
@@ -93,7 +100,6 @@ class OptimizationTrace:
 
 
 _Point = tuple[float, ...]
-_Run = Generator[_Point, float, None]
 
 
 def _spans(p: int) -> list[float]:
@@ -105,56 +111,76 @@ def _step(a: _Point, k: float, b: _Point, c: _Point) -> _Point:
     return tuple([x + k * (y - z) for x, y, z in zip(a, b, c)])
 
 
-def _nelder_mead(x0: _Point, p: int, tolerance: float) -> _Run:
-    """Minimize until converged: yields points, receives their values, non-finite as inf.
+def _nelder_mead(
+    x0: _Point, p: int, tolerance: float, points: array, values: array, cap: int
+) -> Generator[_Point, float, None]:
+    """Minimize from ``x0``: yields points, receives their raw values.
 
-    The run does not count its evaluations; its caller stops it at its cap.
+    Each point and its raw value are appended to ``points`` and ``values``;
+    the run stops when it converges or when ``values`` holds ``cap``
+    entries.  Its vertices score a non-finite value as inf and stay in the
+    order a stable sort by score gives, built by insertion: each after
+    every vertex of a lower or equal score.
     """
+    simplex: list[_Point] = []
+    scores: list[float] = []
+
+    def record(x: _Point, raw: float) -> float:
+        points.extend(x)
+        values.append(raw)
+        return raw if math.isfinite(raw) else math.inf
+
+    def insert(x: _Point, score: float) -> None:
+        k = bisect_right(scores, score)
+        simplex.insert(k, x)
+        scores.insert(k, score)
+
     dim = 2 * p
     spans = _spans(p)
-
-    simplex = [x0]
+    vertices = [x0]
     for i in range(dim):
         step = 0.1 * spans[i]
         vertex = list(x0)
         vertex[i] += step if vertex[i] + step < spans[i] else -step
-        simplex.append(tuple(vertex))
-    values = []
-    for v in simplex:
-        values.append((yield v))
-
-    while True:
-        order = sorted(range(dim + 1), key=values.__getitem__)  # stable: ties keep their order
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-
-        if all(map(math.isfinite, values)) and max(values) - min(values) < tolerance:
+        vertices.append(tuple(vertex))
+    for v in vertices:
+        if len(values) >= cap:
             return
+        insert(v, record(v, (yield v)))
 
+    # sorted, so the spread is last minus first; with an inf score it is inf or NaN
+    while len(values) < cap and not scores[-1] - scores[0] < tolerance:
         # rows added in order, then divided, as np.mean(axis=0); sum() and fsum round otherwise
         centroid = tuple([reduce(add, column) / dim for column in zip(*simplex[:-1])])
         worst = simplex[-1]
-
         reflected = _step(centroid, _REFLECT, centroid, worst)
-        f_r = yield reflected
-
-        if f_r < values[0]:
+        f_r = record(reflected, (yield reflected))
+        if scores[0] <= f_r < scores[-2]:
+            x, f = reflected, f_r
+        elif len(values) >= cap:
+            return
+        elif f_r < scores[0]:
             expanded = _step(centroid, _EXPAND, centroid, worst)
-            f_e = yield expanded
-            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
+            f_e = record(expanded, (yield expanded))
+            x, f = (expanded, f_e) if f_e < f_r else (reflected, f_r)
         else:
-            inner = reflected if f_r < values[-1] else worst
+            inner = reflected if f_r < scores[-1] else worst
             contracted = _step(centroid, _CONTRACT, inner, centroid)
-            f_c = yield contracted
-            if f_c < min(f_r, values[-1]):
-                simplex[-1], values[-1] = contracted, f_c
+            f_c = record(contracted, (yield contracted))
+            if f_c < min(f_r, scores[-1]):
+                x, f = contracted, f_c
             else:
                 # shrink toward the best vertex
-                for i in range(1, len(simplex)):
-                    simplex[i] = _step(simplex[0], _SHRINK, simplex[i], simplex[0])
-                    values[i] = yield simplex[i]
+                best, shrunk = simplex[0], simplex[1:]
+                del simplex[1:], scores[1:]
+                for v in shrunk:
+                    if len(values) >= cap:
+                        return
+                    x = _step(best, _SHRINK, v, best)
+                    insert(x, record(x, (yield x)))
+                continue
+        del simplex[-1], scores[-1]
+        insert(x, f)
 
 
 def _grid_points(p: int, cfg: OptimizerConfig) -> list[_Point]:
@@ -204,17 +230,7 @@ def _optimization(
     per_start = max(1, (limit - len(values)) // len(starts))
     for i, x0 in enumerate(starts):
         cap = min(len(values) + per_start, limit) if i < len(starts) - 1 else limit
-        run = _nelder_mead(x0, p, cfg.tolerance)
-        value = None
-        for _ in range(cap - len(values)):
-            try:
-                x = run.send(value)
-            except StopIteration:
-                break
-            raw = float((yield x))
-            points.extend(x)
-            values.append(raw)
-            value = raw if math.isfinite(raw) else math.inf
+        yield from _nelder_mead(x0, p, cfg.tolerance, points, values, cap)
 
     best = _best_index(values)
     if best is None:
@@ -228,15 +244,18 @@ def _optimization(
 
 
 def _step_values(poly: SpinPolynomial, points: list[_Point]) -> list[float]:
-    """Noiseless expectations of one step's points, in order.
+    """Noiseless expectations of one step's points, built as one (B, 2p) array, in order.
 
     A point a step took out of the finite range is not evaluated: it scores
     NaN, a failed evaluation, and the other points keep their values.
     """
-    finite = [all(map(math.isfinite, x)) for x in points]
-    kept = [x for x, ok in zip(points, finite) if ok]
-    got = iter(qaoa_expectations(poly, kept).tolist() if kept else ())
-    return [next(got) if ok else math.nan for ok in finite]
+    rows = np.array(points, dtype=np.float64)
+    if np.isfinite(rows).all():
+        return qaoa_expectations(poly, rows).tolist()
+    finite = np.isfinite(rows).all(axis=1)
+    out = np.full(len(rows), math.nan)
+    out[finite] = qaoa_expectations(poly, rows[finite])
+    return out.tolist()
 
 
 def optimize_batch(

@@ -1,14 +1,15 @@
 """Exact statevector simulation of the alternating-operator ansatz.
 
-Noiseless paths apply the whole diagonal cost operator at once, to a
-(B, 2^n) block of states so that many angle points share each call.  A
-cost vector holds few distinct values (ring6: 4 of 64), so each
-polynomial caches a level table: its distinct costs, told apart by bit
-pattern, and each basis state's index into them.  A layer exponentiates
-the (B, K) table of K levels and gathers it to the block.  The noisy path
-walks a placement's interaction schedule so stochastic two-qubit Pauli
-errors can attach to specific physical edges, with independent readout
-bit flips at measurement.
+A batch of B states is one C-contiguous (2^n, B) block, amplitude-major,
+and its rows are copied back to contiguous states before they are summed.
+Noiseless paths apply the whole diagonal cost operator at once, so that
+many angle points share each call.  A cost vector holds few distinct
+values (ring6: 4 of 64), so each polynomial caches a level table: its
+distinct costs, told apart by bit pattern, and each basis state's index
+into them.  A layer exponentiates the (K, B) table of K levels and gathers
+it to the block.  The noisy path walks a placement's interaction schedule
+so stochastic two-qubit Pauli errors can attach to specific physical
+edges, with independent readout bit flips at measurement.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -32,12 +33,13 @@ from .problem import SpinPolynomial, cost_vector
 MAX_QUBITS = 24
 DEFAULT_TRAJECTORIES = 64
 _NORM_TOL = 1e-9
-# A batch is simulated in blocks of at most this many amplitudes (under
-# 256 KiB), or one state where a state is larger.  From 256 KiB on, numpy
-# multiplies a temporary in place with the operands swapped, and a complex
-# product then rounds differently; a block must not reach that size where a
-# single state does not, or its rows would differ from single-state runs.
+# A batch is simulated in (2^n, B) blocks of at most this many amplitudes
+# (under 256 KiB), or one state where a state is larger.  From 256 KiB on,
+# numpy multiplies a temporary in place with the operands swapped, and a
+# complex product then rounds differently; a block must not reach that size
+# where a single state does not, or its rows would differ from single states.
 _BLOCK_AMPLITUDES = (1 << 14) - 1
+_MIXER_RUN = 64  # a product over fewer amplitudes is mostly per-loop overhead
 
 
 @dataclass(frozen=True)
@@ -173,22 +175,30 @@ def _check_size(n: int) -> None:
 
 
 def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
-    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place.
+    """exp(-i beta_b X) on every qubit of column b of a (2^n, B) block, in place.
 
     Per qubit, (a0, a1) becomes c (a0, a1) + s (a1, a0), c = cos beta, s = -i sin beta:
     one product with the pair-swapped view.  Negation is exact, so c a0 + s a1 equals
     the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.  The
-    block is mixed through reshaped views of itself, so it must be C-contiguous:
-    any other block raises ValueError, since a reshape of it would be a copy.
+    swapped view of qubit q runs over 2^q B contiguous amplitudes; several rows'
+    coefficients repeat over ``_MIXER_RUN`` amplitudes or more, so no product loops
+    over just B amplitudes.  The block is mixed through reshaped views of itself, so
+    it must be C-contiguous: any other block raises ValueError, since a reshape of it
+    would be a copy.
     """
     if not block.flags.c_contiguous:
         raise ValueError("the mixer needs a C-contiguous block")
-    rows = len(betas)
-    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1, 1)
-    s = np.array([-1j * math.sin(b) for b in betas]).reshape(rows, 1, 1, 1)
+    width = rows = len(betas)
+    while 1 < rows and width < min(_MIXER_RUN, rows << (n - 1)):
+        width *= 2
+    c, s = np.empty((2, width), dtype=np.complex128)
+    c.reshape(-1, rows)[:] = [math.cos(b) for b in betas]
+    s.reshape(-1, rows)[:] = [-1j * math.sin(b) for b in betas]
     for q in range(n):
-        view = block.reshape(rows, -1, 2, 1 << q)
-        np.add(c * view, s * view[:, :, ::-1, :], out=view)
+        run = rows << q
+        view = block.reshape(-1, 2, run) if run < width else block.reshape(-1, 2, run // width, width)
+        c_q, s_q = (c[:run], s[:run]) if run < width else (c, s)
+        np.add(c_q * view, s_q * view[:, ::-1], out=view)
 
 
 @functools.lru_cache(maxsize=128)
@@ -204,24 +214,23 @@ def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(np.float64), level_of.astype(np.min_scalar_type(len(keys) - 1))
 
 
-def _evolve(poly: SpinPolynomial, angles: list) -> np.ndarray:
-    """Ansatz amplitudes for each row of flat angles (gammas, then betas)."""
+def _evolve(poly: SpinPolynomial, angles: np.ndarray) -> np.ndarray:
+    """Ansatz amplitudes, column b for row b of a (B, 2p) array of flat angles."""
     n = poly.num_spins
     _check_size(n)
-    p = len(angles[0]) // 2
+    p = angles.shape[1] // 2
     levels, level_of = _cost_levels(poly)
-    block = np.full((len(angles), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
+    block = np.full((1 << n, len(angles)), 2.0 ** (-n / 2.0), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # gamma * cost may overflow; callers check
+        phases = np.exp((-1j * angles[:, :p]).T[:, None, :] * levels[:, None])  # (p, K, B)
         for layer in range(p):
-            gammas = [row[layer] for row in angles]
-            phase = np.exp(np.array([-1j * g for g in gammas])[:, None] * levels)
-            block = block * np.take(phase, level_of, axis=1)
-            _apply_rx_all(block, n, [row[p + layer] for row in angles])
+            block = block * np.take(phases[layer], level_of, axis=0)
+            _apply_rx_all(block, n, angles[:, p + layer].tolist())
     return block
 
 
-def _blocks(poly: SpinPolynomial, values: list):
-    """Evolve rows of flat angles together; yield (first row, (B, 2^n) block).
+def _blocks(poly: SpinPolynomial, values: np.ndarray):
+    """Evolve rows of a (B, 2p) angle array together; yield (first row, (2^n, B') block).
 
     Blocks hold at most ``_BLOCK_AMPLITUDES`` amplitudes, or one state where
     a state is larger, so each row equals its single-state run bit for bit.
@@ -246,8 +255,8 @@ def build_qaoa_states(poly: SpinPolynomial, params_list):
     depths = sorted({len(row) // 2 for row in values})
     if len(depths) > 1:
         raise DimensionError(f"states of one batch need one depth, got {depths}")
-    for _, block in _blocks(poly, values):
-        for amps in block:
+    for _, block in _blocks(poly, np.array(values, dtype=np.float64)):
+        for amps in np.ascontiguousarray(block.T):
             yield StateVector(amps, poly.num_spins)
 
 
@@ -260,8 +269,9 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
     bit for bit.  Rows are simulated together in blocks (see ``_blocks``);
     each layer's phase is exp(-i gamma c) over the polynomial's distinct
     costs c only, gathered to every basis state through the level table.
-    Each block's values are one stacked vector-vector product, which calls
-    the same ``ddot`` per row as ``np.dot``.
+    Each block's probabilities are copied back to contiguous rows, and its
+    values are one stacked vector-vector product, which calls the same
+    ``ddot`` per row as ``np.dot``.
     """
     rows = np.asarray(angles, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] % 2:
@@ -270,8 +280,8 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
         raise ValueError("angles must be finite")
     diag = cost_vector(poly)[:, None]
     out = np.empty(len(rows), dtype=np.float64)
-    for start, block in _blocks(poly, rows.tolist()):
-        probs = np.abs(block) ** 2
+    for start, block in _blocks(poly, rows):
+        probs = np.ascontiguousarray((np.abs(block) ** 2).T)
         out[start : start + len(probs)] = np.matmul(probs[:, None, :], diag)[:, 0, 0]
     return out
 
@@ -319,16 +329,17 @@ def _apply_pauli(amps: np.ndarray, q: int, which: str) -> None:
     # "I": nothing
 
 
-def _sign_product(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
-    got = cache.get(support)
-    if got is not None:
-        return got
-    idx = np.arange(1 << n, dtype=np.int64)
-    prod = np.ones(1 << n, dtype=np.float64)
-    for i in support:
-        prod *= 1.0 - 2.0 * ((idx >> i) & 1)
-    cache[support] = prod
-    return prod
+def _parity(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
+    """Each basis state's parity over ``support``: 1 where the spin product is -1."""
+    if support not in cache:
+        idx = np.arange(1 << n, dtype=np.intp)
+        cache[support] = parity = np.zeros(1 << n, dtype=np.intp)
+        for i in support:
+            parity ^= (idx >> i) & 1
+    return cache[support]
+
+
+_SIGNS = np.array([[1.0], [-1.0]])  # a Z-string's spin product, by parity
 
 
 def validate_placement(placement: Placement, poly: SpinPolynomial, qpu: QpuModel) -> None:
@@ -410,12 +421,12 @@ def _trajectory_rows(n: int, layers: list, params: list, fires: list):
     Row r runs the angles ``params[r]``; ``fires[r]`` maps (layer, entry) to
     its two-qubit Paulis, as (logical a, logical b, Pauli index), applied
     after that entry's phase; an empty map is an error-free trajectory.
-    Rows walk the schedule together, entry by entry, in blocks of at most
-    ``_BLOCK_AMPLITUDES`` amplitudes (one state when a state is larger);
-    each entry's phase factor is computed once per distinct angle set in a
-    block, and each yielded row is a view into its block.
+    Rows walk the schedule together, entry by entry, as the columns of
+    (2^n, B) blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes (one state
+    when a state is larger), so a fired Pauli acts on a strided column.  An
+    entry's phase is a (2, B) table, one value per row and spin product sign.
     """
-    sign_cache: dict[tuple[int, ...], np.ndarray] = {}
+    parity_cache: dict[tuple[int, ...], np.ndarray] = {}
     step = max(1, _BLOCK_AMPLITUDES >> n)
     for start in range(0, len(fires), step):
         chunk = fires[start : start + step]
@@ -425,24 +436,21 @@ def _trajectory_rows(n: int, layers: list, params: list, fires: list):
             for key, paulis in fired.items():
                 events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
         distinct: dict[QaoaParams, int] = {}
-        row_factor = [distinct.setdefault(pr, len(distinct)) for pr in row_params]
-        block = np.full((len(chunk), 1 << n), 2.0 ** (-n / 2.0), dtype=np.complex128)
+        row_factor = np.array([distinct.setdefault(pr, len(distinct)) for pr in row_params])
+        block = np.full((1 << n, len(chunk)), 2.0 ** (-n / 2.0), dtype=np.complex128)
         for layer_idx, entries in enumerate(layers):
             gammas = [pr.gammas[layer_idx] for pr in distinct]
             for entry_idx, entry in enumerate(entries):
-                prod = _sign_product(n, entry.support, sign_cache)
+                parity = _parity(n, entry.support, parity_cache)
                 angles = [gamma * entry.weight for gamma in gammas]
-                if len(angles) == 1:
-                    block *= math.cos(angles[0]) - 1j * math.sin(angles[0]) * prod
-                else:
-                    cos = np.array([math.cos(a) for a in angles])[:, None]
-                    sin = np.array([1j * math.sin(a) for a in angles])[:, None]
-                    block *= (cos - sin * prod)[row_factor]
+                cos = np.array([math.cos(a) for a in angles])[row_factor]
+                sin = np.array([1j * math.sin(a) for a in angles])[row_factor]
+                block *= np.take(cos - sin * _SIGNS, parity, axis=0)
                 for row, la, lb, pauli in events.get((layer_idx, entry_idx), ()):
-                    _apply_pauli(block[row], la, _PAULIS[pauli >> 2])
-                    _apply_pauli(block[row], lb, _PAULIS[pauli & 3])
+                    _apply_pauli(block[:, row], la, _PAULIS[pauli >> 2])
+                    _apply_pauli(block[:, row], lb, _PAULIS[pauli & 3])
             _apply_rx_all(block, n, [pr.betas[layer_idx] for pr in row_params])
-        for probs in np.abs(block) ** 2:
+        for probs in np.ascontiguousarray((np.abs(block) ** 2).T):
             probs /= probs.sum()
             yield probs
 

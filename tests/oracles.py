@@ -28,7 +28,6 @@ from qdisco.simulator import (
     QaoaParams,
     ShotCounts,
     _apply_pauli,
-    _sign_product,
     split_shots,
     build_qaoa_state,
     expectation,
@@ -304,24 +303,36 @@ def reference_kl_refine(n, capacities, adj, assign):
     return assign
 
 
+def _sign_product(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
+    """Each basis state's product of the spins in ``support``, as +1.0 or -1.0."""
+    got = cache.get(support)
+    if got is not None:
+        return got
+    idx = np.arange(1 << n, dtype=np.int64)
+    prod = np.ones(1 << n, dtype=np.float64)
+    for i in support:
+        prod *= 1.0 - 2.0 * ((idx >> i) & 1)
+    cache[support] = prod
+    return prod
+
+
 def reference_apply_rx_all(block: np.ndarray, n: int, betas) -> None:
-    """exp(-i beta_b X) on every qubit of row b of a (B, 2^n) block, in place.
+    """exp(-i beta_b X) on every qubit of column b of a (2^n, B) block, in place.
 
     The textbook butterfly: each half of every amplitude pair is written
     from a saved copy of the other, with separate products for +i sin and
     -i sin.
     """
-    rows = len(betas)
     sines = [math.sin(b) for b in betas]
-    c = np.array([math.cos(b) for b in betas]).reshape(rows, 1, 1)
-    pos = np.array([1j * s for s in sines]).reshape(rows, 1, 1)
-    neg = np.array([-1j * s for s in sines]).reshape(rows, 1, 1)
+    c = np.array([math.cos(b) for b in betas])
+    pos = np.array([1j * s for s in sines])
+    neg = np.array([-1j * s for s in sines])
     for q in range(n):
-        view = block.reshape(rows, -1, 2, 1 << q)
-        a0 = view[:, :, 0, :].copy()
-        a1 = view[:, :, 1, :]
-        view[:, :, 0, :] = c * a0 - pos * a1
-        view[:, :, 1, :] = neg * a0 + c * a1
+        view = block.reshape(-1, 2, 1 << q, len(betas))
+        a0 = view[:, 0].copy()
+        a1 = view[:, 1]
+        view[:, 0] = c * a0 - pos * a1
+        view[:, 1] = neg * a0 + c * a1
 
 
 def _rx_all_single(amps, n, beta):
@@ -441,7 +452,7 @@ def reference_trajectory_probabilities(
             for la, lb, pauli in fired.get((layer_idx, entry_idx), ()):
                 _apply_pauli(amps, la, _PAULIS[pauli >> 2])
                 _apply_pauli(amps, lb, _PAULIS[pauli & 3])
-        reference_apply_rx_all(amps[None, :], n, [params.betas[layer_idx]])
+        reference_apply_rx_all(amps[:, None], n, [params.betas[layer_idx]])
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
     return probs
@@ -466,7 +477,8 @@ def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:
 
     Each point is evaluated alone with ``expectation(build_qaoa_state(...))``,
     which the package's batched kernel matches bit for bit, so the traces
-    must be equal.
+    must be equal.  A point with a non-finite angle is not evaluated: it
+    scores NaN, as the package documents.
     """
     dim = 2 * p
     spans = np.array([GAMMA_SPAN] * p + [BETA_SPAN] * p)
@@ -479,7 +491,9 @@ def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:
 
     def evaluate(x) -> float:
         x = np.array(x, dtype=float)
-        raw = float(expectation(build_qaoa_state(poly, QaoaParams.from_flat(x)), poly))
+        raw = math.nan
+        if np.isfinite(x).all():
+            raw = float(expectation(build_qaoa_state(poly, QaoaParams.from_flat(x)), poly))
         points.append(x)
         raws.append(raw)
         return raw if math.isfinite(raw) else math.inf

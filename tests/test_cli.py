@@ -399,21 +399,38 @@ def t7_with(readout=(), gate=()) -> dict:
     return doc
 
 
+# past every float mantissa, past int64, and far past both, either sign
+HUGE_INTEGERS = st.sampled_from([2**53 + 1, 2**63, 10**30, -(10**30)])
+
+
 @st.composite
 def degenerate_cases(draw):
-    """A command, a MaxCut problem of 0-3 vertices, a qpu_t7_a calibration with some
-    rates set to 0, the smallest positive float or 1, and tiny run settings."""
+    """A command, a MaxCut problem of 0-3 vertices with weights up to +-1e308, a
+    qpu_t7_a calibration with some rates set to 0, the smallest positive float or 1,
+    and tiny run settings.  Huge integers go only where they size no work: the seed,
+    the trajectory count (shots bound it) and the calibration's qubit count or an
+    edge's qubit, which no readout list can match."""
     n = draw(st.integers(0, 3))
     pairs = list(itertools.combinations(range(n), 2))
     edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    problem = {"num_vertices": n, "edges": [[u, v, draw(st.sampled_from([1.0, -2.0]))] for u, v in edges]}
+    weights = st.sampled_from([1.0, -2.0, 1e308, -1e308])
+    problem = {"num_vertices": n, "edges": [[u, v, draw(weights)] for u, v in edges]}
     rates = st.sampled_from([0.0, 5e-324, 1.0])
     calibration = t7_with()
     for q in draw(st.sets(st.integers(0, calibration["num_qubits"] - 1))):
         calibration["readout_error"][q] = draw(rates)
     for i in draw(st.sets(st.integers(0, len(calibration["edges"]) - 1))):
         calibration["edges"][i]["gate_error"] = draw(rates)
-    run = {"shots": draw(st.integers(1, 16)), "trajectories": draw(st.integers(1, 2)), "seed": draw(st.integers(0, 9))}
+    size = draw(st.sampled_from([None, "num_qubits", "q"]))
+    if size == "num_qubits":
+        calibration["num_qubits"] = draw(HUGE_INTEGERS)
+    elif size == "q":
+        calibration["edges"][0]["q"] = [0, draw(HUGE_INTEGERS)]
+    run = {
+        "shots": draw(st.integers(1, 16)),
+        "trajectories": draw(st.integers(1, 2) | HUGE_INTEGERS),
+        "seed": draw(st.integers(0, 9) | HUGE_INTEGERS),
+    }
     commands = st.sampled_from(["plan", "run", "compile", "simulate", "partition", "benchmark"])
     return draw(commands), problem, calibration, run
 
@@ -427,6 +444,10 @@ TINY_RUN = {"shots": 8, "trajectories": 2, "seed": 0}
 @example(("plan", {"num_vertices": 0, "edges": []}, t7_with(), TINY_RUN))
 @example(("run", EDGE, t7_with(gate=[(0, 1.0)]), TINY_RUN))
 @example(("benchmark", EDGE, t7_with(readout=[(6, 1.0)]), TINY_RUN))
+@example(("run", {"num_vertices": 2, "edges": [[0, 1, 1e308]]}, t7_with(), TINY_RUN))
+@example(("benchmark", {"num_vertices": 3, "edges": [[0, 1, -1e308], [1, 2, 1.0]]}, t7_with(), TINY_RUN))
+@example(("simulate", {"num_vertices": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}, t7_with(), TINY_RUN))
+@example(("run", EDGE, t7_with(), {"shots": 8, "trajectories": 10**30, "seed": -(10**30)}))
 def test_degenerate_documents_end_in_an_exit_code(case):
     command, problem, calibration, run = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -593,6 +614,11 @@ MALFORMED_CONFIGS = [
     malformed("capacities", {"capacities": [4, 5.5, 6]}, id="capacities-fractional"),
     malformed("hscore.m_ref", {"hscore": {"m_ref": 10.5}}, id="hscore.m_ref-fractional"),
     malformed("optimizer.restarts", {"optimizer": {"restarts": 1.5}}),
+    # the optimizer's ranges are its own, and its refusals name the config field too
+    malformed("optimizer.max_evaluations", {"optimizer": {"max_evaluations": 0}}, id="optimizer.max_evaluations-zero"),
+    malformed("optimizer.grid_resolution", {"optimizer": {"grid_resolution": 1}}, id="optimizer.grid_resolution-one"),
+    malformed("optimizer.tolerance", {"optimizer": {"tolerance": 0}}, id="optimizer.tolerance-zero"),
+    malformed("optimizer.restarts", {"optimizer": {"restarts": 0}}, id="optimizer.restarts-zero"),
     malformed("p", {"p": True}, id="p-boolean"),
     malformed("shots", {"shots": True}, id="shots-boolean"),
     malformed("capacities", {"capacities": [4, True, 6]}, id="capacities-boolean"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,10 +103,14 @@ class TestOptimize:
         assert trace.best_value == np.nanmin(trace.values)
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^field 'optimizer.max_evaluations' must be an integer in \[1, inf\], got 0$"):
             OptimizerConfig(max_evaluations=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^field 'optimizer.tolerance' must be .*, got 0.0$"):
             OptimizerConfig(tolerance=0.0)
+        with pytest.raises(ConfigError, match=r"^field 'optimizer.grid_resolution' must be .*, got 1$"):
+            OptimizerConfig(grid_resolution=1)
+        with pytest.raises(ConfigError, match=r"^field 'optimizer.restarts' must be .*, got 0$"):
+            OptimizerConfig(restarts=0)
         with pytest.raises(ConfigError):
             OptimizerConfig(method="annealing")
         with pytest.raises(ConfigError):
@@ -249,3 +254,42 @@ def test_trace_equals_guarded_loop_oracle(run):
     assert trace == want
     assert trace.points.tobytes() == want.points.tobytes()
     assert trace.values.tobytes() == want.values.tobytes()
+
+
+@st.composite
+def lockstep_runs(draw):
+    """A run as ``optimizer_runs`` draws it, with a drawn tolerance, so runs converge
+    at different steps, and 2-6 seeds.
+
+    One in four polynomials is a constant: its values differ from the constant
+    in the last bits only, so under the tolerance of one ulp of zero the runs
+    go on, and the simplex order of their many exact ties is the insertion
+    order alone.  One in four initial points starts at gamma = 1e308, so steps
+    leave the float range and score inf.
+    """
+    poly, p, cfg, _ = draw(optimizer_runs())
+    if draw(st.integers(0, 3)) == 0:
+        poly = SpinPolynomial(poly.num_spins, (), constant_offset=draw(st.sampled_from([1.0, -2.5, 3.0])))
+    initial = cfg.initial
+    if draw(st.integers(0, 3)) == 0:
+        initial = (1e308,) + (initial or (1.0,) * (2 * p))[1:]
+    tolerance = draw(st.sampled_from([math.ulp(0.0), 1e-12, 1e-6, 1e-4, 1e-2, 0.5]) | st.floats(1e-9, 1.0))
+    cfg = dataclasses.replace(cfg, initial=initial, tolerance=tolerance)
+    return poly, p, cfg, draw(st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_runs())
+def test_lockstep_traces_equal_guarded_loop_oracle(run):
+    poly, p, cfg, seeds = run
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's steps past 1e308
+            wants = [reference_optimize(poly, p, cfg, seed) for seed in seeds]
+    except ConfigError:  # no finite value: the batch must refuse too
+        with pytest.raises(ConfigError, match="no finite objective value"):
+            optimize_batch(poly, p, cfg, seeds)
+        return
+    for trace, want in zip(optimize_batch(poly, p, cfg, seeds), wants, strict=True):
+        assert trace == want
+        assert trace.points.tobytes() == want.points.tobytes()
+        assert trace.values.tobytes() == want.values.tobytes()

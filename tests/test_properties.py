@@ -327,6 +327,25 @@ def test_block_rows_spanning_two_chunks_equal_single_row_walk():
     assert_rows_equal_single_row_walks(6, layers, params, fires)
 
 
+@pytest.mark.parametrize("rows", [2, 3, 4, 5])
+def test_eight_qubit_block_rows_equal_single_row_walks(rows):
+    # each row is a strided column of a (256, rows) block: fired Paulis land there,
+    # and rows of two angle sets share the block
+    rng = np.random.default_rng(rows)
+    edges = tuple((i, (i + 1) % 8, 1.0 + 0.25 * i) for i in range(8)) + ((0, 4, -0.5),)
+    poly = maxcut_to_spin_polynomial(ProblemGraph(8, edges))
+    angle_sets = [QaoaParams((0.4, -0.9), (0.7, 0.2)), QaoaParams((1.3, 0.5), (-0.3, 1.1))]
+    layers = routed_layers(poly, angle_sets[0])
+    fires = random_fires(rng, layers, 8, rows)
+    fires[0] = {}
+    fires[-1] = fires[-1] or {(0, 0): [(1, 5, 7)]}
+    params = [angle_sets[r % 2] for r in range(rows)]
+    got = list(_trajectory_rows(8, layers, params, fires))
+    assert len(got) == rows
+    for row, pr, fired in zip(got, params, fires):
+        assert np.array_equal(row, reference_trajectory_probabilities(8, layers, pr, fired, {}))
+
+
 @st.composite
 def noise_schedules(draw):
     """Layers of entries holding 0-60 channel applications, and a rate per edge."""
@@ -409,13 +428,13 @@ MIXER_ANGLES = st.one_of(
 
 @st.composite
 def mixer_blocks(draw):
-    """A (B, 2^n) complex block, part of whose real and imaginary parts are exact
+    """A (2^n, B) complex block, part of whose real and imaginary parts are exact
     zeros of either sign, and one mixer angle per row."""
     n = draw(st.integers(1, 10))
     rows = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zeros = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
-    parts = rng.standard_normal((rows, 1 << n, 2))
+    parts = rng.standard_normal((1 << n, rows, 2))
     parts[rng.random(parts.shape) < zeros] = 0.0
     parts[rng.random(parts.shape) < zeros / 3] = -0.0
     block = parts.view(np.complex128)[:, :, 0]

@@ -114,26 +114,26 @@ class TestApplyPhase:
 
 class TestApplyMixer:
     def test_beta_zero_is_identity(self):
-        amps = np.random.default_rng(5).normal(size=(1, 8)) + 0j
+        amps = np.random.default_rng(5).normal(size=(8, 1)) + 0j
         block = amps.copy()
         _apply_rx_all(block, 3, [0.0])
         assert np.allclose(block, amps)
 
     def test_half_period_flips_all(self):
-        block = np.eye(8)[:1].astype(complex)
+        block = np.eye(8)[:, :1].astype(complex)
         _apply_rx_all(block, 3, [math.pi / 2])
-        assert np.abs(block[0, -1]) ** 2 == pytest.approx(1.0)
+        assert np.abs(block[-1, 0]) ** 2 == pytest.approx(1.0)
 
     def test_quarter_rotation_single_qubit(self):
         # 2x2 rotation arithmetic: cos^2(pi/4) = sin^2(pi/4) = 1/2
-        block = np.array([[1.0, 0.0]], dtype=complex)
+        block = np.array([[1.0], [0.0]], dtype=complex)
         _apply_rx_all(block, 1, [math.pi / 4])
-        assert np.allclose(np.abs(block[0]) ** 2, [0.5, 0.5])
+        assert np.allclose(np.abs(block[:, 0]) ** 2, [0.5, 0.5])
 
     def test_fortran_ordered_block_is_refused_untouched(self):
         # its reshape would be a copy, and mixing a copy would lose the mixer
         rng = np.random.default_rng(6)
-        amps = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+        amps = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
         block = np.asfortranarray(amps)
         with pytest.raises(ValueError, match="C-contiguous"):
             _apply_rx_all(block, 4, rng.uniform(-4.0, 4.0, 5).tolist())
@@ -215,6 +215,19 @@ class TestBuildQaoaStates:
         params = [QaoaParams(tuple(rng.uniform(0, 7, 2)), tuple(rng.uniform(0, 4, 2))) for _ in range(count)]
         for state, pr in zip(build_qaoa_states(poly, params), params, strict=True):
             assert np.array_equal(state.amplitudes, reference_qaoa_state(poly, pr))
+
+    @pytest.mark.parametrize("n, rows", [(10, 2), (10, 4), (11, 3), (12, 2), (12, 4)])
+    def test_narrow_blocks_equal_single_states(self, n, rows):
+        # 2-4 rows over 2^10-2^12 amplitudes: the mixer's coefficients are repeated
+        # to a contiguous run, and at n = 12 a block holds at most 3 rows
+        rng = np.random.default_rng(n * rows)
+        poly = maxcut_to_spin_polynomial(random_maxcut_graph(rng, n, 0.4, True))
+        params = [QaoaParams(tuple(rng.uniform(0, 7, 2)), tuple(rng.uniform(-4, 4, 2))) for _ in range(rows)]
+        values = qaoa_expectations(poly, [pr.to_flat() for pr in params])
+        for state, value, pr in zip(build_qaoa_states(poly, params), values, params, strict=True):
+            want = reference_qaoa_state(poly, pr)
+            assert np.array_equal(bits(state.amplitudes), bits(want))
+            assert value == float(np.dot(np.abs(want) ** 2, cost_vector(poly)))
 
     def test_refuses_mixed_depths(self):
         with pytest.raises(DimensionError):
