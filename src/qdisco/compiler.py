@@ -27,16 +27,6 @@ EXACT_SELECTION_LIMIT = 12  # candidate count up to which selection is exact
 ISOMORPHISM_FAST_PATH_LIMIT = 12
 
 
-class OpCounter:
-    """Counts threshold-predicate evaluations (complexity instrumentation)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-
-
 @dataclass(frozen=True)
 class FilteredGraph:
     """Survivors of threshold filtering: G' = (Q', E')."""
@@ -54,9 +44,7 @@ class FilteredGraph:
         return max((len(c) for c in comps), default=0)
 
 
-def filter_by_threshold(
-    qpu: QpuModel, eta: float, counter: OpCounter | None = None
-) -> FilteredGraph:
+def filter_by_threshold(qpu: QpuModel, eta: float) -> FilteredGraph:
     """Keep qubits with e_i < eta and edges with e_ij < eta between survivors.
 
     Exactly one predicate evaluation per qubit and per edge (Theta(N + E)).
@@ -65,14 +53,10 @@ def filter_by_threshold(
         raise ConfigError(f"eta must be in (0, 1], got {eta}")
     qubits = set()
     for q in range(qpu.num_qubits):
-        if counter is not None:
-            counter.tick()
         if qpu.readout_error[q] < eta:
             qubits.add(q)
     edges = set()
     for edge, err in qpu.gate_error.items():
-        if counter is not None:
-            counter.tick()
         if err < eta and edge[0] in qubits and edge[1] in qubits:
             edges.add(edge)
     return FilteredGraph(qpu, eta, frozenset(qubits), frozenset(edges))

@@ -20,8 +20,6 @@ from ._fields import load_object, number
 from ._seeds import rng_from
 from .errors import SchemaError
 
-TOPOLOGY_KINDS = ("line", "ring", "heavy_hex_16", "t_shape_7", "grid")
-
 # Heavy-hex unit layout: a 12-qubit hexagonal ring closed by two bridge
 # qubits plus two spurs; 16 qubits, 18 edges, max degree 3.
 _HEAVY_HEX_16_EDGES: tuple[tuple[int, int], ...] = tuple(

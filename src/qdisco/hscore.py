@@ -25,7 +25,6 @@ from .simulator import (
     NoiseSpec,
     ShotCounts,
     build_qaoa_states,
-    index_to_bitstring,
     noisy_sample_batch,
     sample,
 )
@@ -35,21 +34,20 @@ DEFAULT_REFERENCE_SHOTS = 256
 
 
 @functools.lru_cache(maxsize=256)
-def _optimal_outcomes(poly: SpinPolynomial) -> frozenset[str]:
-    _, indices = minimum_cost_indices(poly)
-    return frozenset(index_to_bitstring(int(i), poly.num_spins) for i in indices)
+def _optimal_outcomes(poly: SpinPolynomial) -> frozenset[int]:
+    return frozenset(minimum_cost_indices(poly)[1].tolist())
 
 
 def accuracy(counts: ShotCounts, poly: SpinPolynomial) -> float:
     """Fraction of shots landing on a brute-force-optimal assignment."""
-    if counts.total_shots <= 0 or not counts.counts:
+    if counts.total_shots <= 0:  # counts sum to total_shots: only an empty histogram has none
         raise ValueError("empty shot counts")
     if counts.num_bits != poly.num_spins:
         raise ConfigError(
             f"counts over {counts.num_bits} bits vs {poly.num_spins} spins"
         )
     optimal = _optimal_outcomes(poly)
-    hits = sum(c for key, c in counts.counts.items() if key in optimal)
+    hits = sum(c for index, c in counts.histogram.items() if index in optimal)
     return hits / counts.total_shots
 
 

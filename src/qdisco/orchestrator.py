@@ -9,11 +9,19 @@ Larger subproblems land on QPUs with higher prior H-Scores.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from ._seeds import derive_seed
 from .compiler import SamplingRegion, best_regions, filter_by_threshold, map_circuit
-from .decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
+from .decomposer import (
+    MERGE_PART_LIMIT,
+    Partition,
+    balanced_mincut,
+    extract_subproblems,
+    merge_solutions,
+)
 from .errors import CapacityError, ConfigError
 from .hardware import Fleet, QpuModel
 from .hscore import HScoreReport, ReferenceDistribution, accuracy, build_reference, h_score
@@ -26,7 +34,7 @@ from .problem import (
     evaluate_cost,
     maxcut_to_spin_polynomial,
 )
-from .simulator import NoiseSpec, ShotCounts, bitstring_to_index, noisy_sample, split_shots
+from .simulator import NoiseSpec, ShotCounts, index_to_bitstring, noisy_sample, split_shots
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,25 @@ def _qpu_priority(fleet: Fleet, usable: dict[str, int]) -> list[QpuModel]:
     )
 
 
-def _covering_prefix(caps: list[int], n: int) -> list[int]:
-    """Shortest prefix of the capacity list that covers n vertices (plan passes only lists that do)."""
+def _covering_prefix(caps: Iterable[int], n: int) -> list[int]:
+    """Shortest prefix of the capacities that covers n vertices, one per part.
+
+    A split into more parts than the flip-variable merge joins is refused
+    after at most ``MERGE_PART_LIMIT`` capacities, so ``caps`` may be endless.
+    """
+    prefix: list[int] = []
     total = 0
-    for i, c in enumerate(caps):
-        total += c
+    for c in caps:
         if total >= n:
-            return caps[: i + 1]
+            break
+        if len(prefix) == MERGE_PART_LIMIT:
+            raise CapacityError(
+                f"splitting {n} vertices needs more than {MERGE_PART_LIMIT} parts, "
+                f"but the merge joins at most {MERGE_PART_LIMIT}"
+            )
+        prefix.append(c)
+        total += c
+    return prefix
 
 
 def _qpu_region_set(
@@ -188,10 +208,40 @@ def plan(
             f"no QPU has a usable qubit at eta={eta}; tightest bottleneck is "
             f"the threshold filter"
         )
+    if graph is None and n > max_usable:
+        raise CapacityError(
+            f"problem needs {n} qubits but the largest usable region at "
+            f"eta={eta} has {max_usable}; this problem kind cannot be decomposed"
+        )
+    fleet_caps = [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
+
+    def fleet_split(size: int) -> list[int] | None:
+        """Capacities of the split of a part larger than every usable region, else None."""
+        if size <= max_usable:
+            return None
+        # a fleet that cannot cover the part in one round takes max_usable-sized
+        # chunks, and batches serialize
+        caps = fleet_caps if sum(fleet_caps) >= size else itertools.repeat(max_usable)
+        return _covering_prefix(caps, size)
+
+    # At most two splits, each sized from the numbers before any MinCut: the forced
+    # root split, then a fleet split of each part that exceeds every usable region;
+    # fleet capacities never exceed max_usable, so a fleet split's parts all fit.
+    if capacities is None:
+        root_caps = fleet_split(n)
+    else:
+        if sum(capacities) < n:
+            raise CapacityError(
+                f"capacities {list(capacities)} cannot cover {n} vertices; "
+                "bottleneck: declared capacities"
+            )
+        root_caps = _covering_prefix(capacities, n)
+        # parts fill the capacities in order, as balanced_mincut's targets do
+        for size in [*root_caps[:-1], n - sum(root_caps[:-1])]:
+            fleet_split(size)
 
     def split(node: PlanNode, caps: list[int], depth: int) -> PlanNode:
         """Partition the node to the capacities; its parts become its children."""
-        caps = _covering_prefix(caps, node.size)  # surplus capacities would leave empty parts
         part = balanced_mincut(node.graph, caps, seed=derive_seed(seed, "mincut", depth, *node.vertices))
         children = tuple(
             PlanNode(
@@ -203,36 +253,16 @@ def plan(
         )
         return replace(node, children=children, partition=part)
 
-    def fit(node: PlanNode, depth: int) -> PlanNode:
-        """Split a node larger than every usable region into parts that fit one."""
-        n = node.size
-        if n <= max_usable:
-            return node
-        if node.graph is None:
-            raise CapacityError(
-                f"problem needs {n} qubits but the largest usable region at "
-                f"eta={eta} has {max_usable}; this problem kind cannot be decomposed"
-            )
-        caps = [usable[q.name] for q in _qpu_priority(fleet, usable) if usable[q.name] >= 1]
-        if sum(caps) < n:
-            # fleet cannot cover this level in one round: split evenly
-            # into max_usable-sized chunks and let batches serialize
-            caps = [max_usable] * -(-n // max_usable)
-        return split(node, caps, depth)
+    def fit(node: PlanNode) -> PlanNode:
+        """Split a part larger than every usable region into parts that fit one."""
+        caps = fleet_split(node.size)
+        return node if caps is None else split(node, caps, 1)
 
-    # at most two splits: the forced root split, then a fleet split of each part
-    # that exceeds every usable region; fleet capacities never exceed max_usable
-    root = PlanNode(vertices=tuple(range(poly.num_spins)), polynomial=poly, graph=graph)
-    if capacities is None:
-        root = fit(root, 0)
-    else:
-        if sum(capacities) < root.size:
-            raise CapacityError(
-                f"capacities {list(capacities)} cannot cover {root.size} vertices; "
-                "bottleneck: declared capacities"
-            )
-        root = split(root, list(capacities), 0)
-        root = replace(root, children=tuple(fit(c, 1) for c in root.children))
+    root = PlanNode(vertices=tuple(range(n)), polynomial=poly, graph=graph)
+    if root_caps is not None:
+        root = split(root, root_caps, 0)
+        if capacities is not None:
+            root = replace(root, children=tuple(fit(c) for c in root.children))
     root = _assign_leaves(root, fleet, usable, eta, shots, seed)
     return ExecutionPlan(
         root=root,
@@ -388,36 +418,31 @@ class RunResult:
         return doc
 
 
-def _best_bitstring(counts: ShotCounts, poly: SpinPolynomial) -> str:
-    """Lowest-cost measured outcome; ties favour higher count, then lex."""
+def _best_outcome(counts: ShotCounts, poly: SpinPolynomial) -> int:
+    """Lowest-cost measured outcome; ties favour higher count, then outcome-string order."""
     costs = cost_vector(poly)
-    return min(
-        counts.counts,
-        key=lambda k: (
-            costs[bitstring_to_index(k)],
-            -counts.counts[k],
-            k,
-        ),
-    )
+    hist, n = counts.histogram, counts.num_bits
+    return min(hist, key=lambda i: (costs[i], -hist[i], index_to_bitstring(i, n)))
 
 
 def _leaf_answer(
-    region_bests: list[str],
-    aggregate: dict[str, int],
+    region_bests: list[int],
+    aggregate: dict[int, int],
     poly: SpinPolynomial,
-) -> str:
+) -> int:
     """Majority over region-best candidates; ties go to aggregate count."""
-    votes: dict[str, int] = {}
-    for bits in region_bests:
-        votes[bits] = votes.get(bits, 0) + 1
+    votes: dict[int, int] = {}
+    for index in region_bests:
+        votes[index] = votes.get(index, 0) + 1
     costs = cost_vector(poly)
+    n = poly.num_spins
     return min(
         votes,
-        key=lambda k: (
-            -votes[k],
-            -aggregate.get(k, 0),
-            costs[bitstring_to_index(k)],
-            k,
+        key=lambda i: (
+            -votes[i],
+            -aggregate.get(i, 0),
+            costs[i],
+            index_to_bitstring(i, n),
         ),
     )
 
@@ -434,7 +459,7 @@ def execute(
 ) -> RunResult:
     """Run every leaf (optimize noiselessly, sample on hardware), then merge.
 
-    Per leaf, each region nominates its best measured bitstring and the
+    Per leaf, each region nominates its best measured outcome and the
     majority rule picks the leaf solution.  Internal nodes recombine child
     solutions via flip-variable merging; the root result is additionally
     guarded against plain concatenation of the leaf solutions so merge
@@ -448,8 +473,8 @@ def execute(
     for i, leaf in enumerate(plan_.root.leaves()):
         poly = leaf.polynomial
         trace = optimize(poly, plan_.p, cfg, seed=derive_seed(seed, "leaf", i, "opt"))
-        region_bests: list[str] = []
-        aggregate: dict[str, int] = {}
+        region_bests: list[int] = []
+        aggregate: dict[int, int] = {}
         accs: list[float] = []
         for a in leaf.assignments:
             qpu = fleet.get(a.qpu_name)
@@ -473,13 +498,13 @@ def execute(
                     region_shots,
                     seed=derive_seed(seed, "leaf", i, "qpu", a.qpu_name, "region", j),
                 )
-                region_bests.append(_best_bitstring(counts, poly))
-                for key, c in counts.counts.items():
-                    aggregate[key] = aggregate.get(key, 0) + c
+                region_bests.append(_best_outcome(counts, poly))
+                for index, c in counts.histogram.items():
+                    aggregate[index] = aggregate.get(index, 0) + c
                 if with_hscore:
                     accs.append(accuracy(counts, poly))
-        bits = _leaf_answer(region_bests, aggregate, poly)
-        solution = SpinAssignment.from_bits(bits)
+        answer = _leaf_answer(region_bests, aggregate, poly)
+        solution = SpinAssignment.from_index(answer, poly.num_spins)
         report = None
         if with_hscore:
             key = (poly.canonical_key(), plan_.p)
@@ -497,7 +522,7 @@ def execute(
                 vertices=leaf.vertices,
                 qpus=tuple(a.qpu_name for a in leaf.assignments),
                 num_regions=sum(len(a.regions) for a in leaf.assignments),
-                solution_bits=bits,
+                solution_bits=solution.to_bits(),
                 cost=evaluate_cost(poly, solution),
                 hscore=report,
             )

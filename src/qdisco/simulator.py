@@ -39,7 +39,6 @@ _NORM_TOL = 1e-9
 # complex product then rounds differently; a block must not reach that size
 # where a single state does not, or its rows would differ from single states.
 _BLOCK_AMPLITUDES = (1 << 14) - 1
-_MIXER_RUN = 64  # a product over fewer amplitudes is mostly per-loop overhead
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,30 @@ class StateVector:
 
 @dataclass(frozen=True)
 class ShotCounts:
-    """Measured outcome histogram; keys are n-bit strings (qubit j at j)."""
+    """Measured outcome histogram: basis index -> count, qubit i at bit i.
 
-    counts: dict[str, int]
+    ``counts`` is the same histogram keyed by outcome string, the form
+    JSON output takes.
+    """
+
+    histogram: dict[int, int]
     total_shots: int
     num_bits: int
 
     def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.total_shots:
+        if sum(self.histogram.values()) != self.total_shots:
             raise ValueError("counts do not sum to total_shots")
-        n = self.num_bits
-        for key, c in self.counts.items():
-            if len(key) != n or key.strip("01"):
-                raise ValueError(f"malformed outcome string {key!r}")
+        size = 1 << self.num_bits
+        for index, c in self.histogram.items():
+            if type(index) is not int or not 0 <= index < size:
+                raise ValueError(f"outcome index {index!r} is not an int in [0, 2^{self.num_bits})")
             if c < 0:
-                raise ValueError(f"negative count for {key!r}")
+                raise ValueError(f"negative count for outcome index {index}")
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The histogram keyed by outcome string (``index_to_bitstring``)."""
+        return {index_to_bitstring(i, self.num_bits): c for i, c in self.histogram.items()}
 
 
 def index_to_bitstring(index: int, num_bits: int) -> str:
@@ -121,10 +129,6 @@ def index_to_bitstring(index: int, num_bits: int) -> str:
     if num_bits <= 0:
         return ""
     return format(index & ((1 << num_bits) - 1), f"0{num_bits}b")[::-1]
-
-
-def bitstring_to_index(bits: str) -> int:
-    return sum(1 << j for j, b in enumerate(bits) if b == "1")
 
 
 @dataclass(frozen=True)
@@ -180,25 +184,16 @@ def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
     Per qubit, (a0, a1) becomes c (a0, a1) + s (a1, a0), c = cos beta, s = -i sin beta:
     one product with the pair-swapped view.  Negation is exact, so c a0 + s a1 equals
     the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.  The
-    swapped view of qubit q runs over 2^q B contiguous amplitudes; several rows'
-    coefficients repeat over ``_MIXER_RUN`` amplitudes or more, so no product loops
-    over just B amplitudes.  The block is mixed through reshaped views of itself, so
-    it must be C-contiguous: any other block raises ValueError, since a reshape of it
-    would be a copy.
+    block is mixed through reshaped views of itself, so it must be C-contiguous: any
+    other block raises ValueError, since a reshape of it would be a copy.
     """
     if not block.flags.c_contiguous:
         raise ValueError("the mixer needs a C-contiguous block")
-    width = rows = len(betas)
-    while 1 < rows and width < min(_MIXER_RUN, rows << (n - 1)):
-        width *= 2
-    c, s = np.empty((2, width), dtype=np.complex128)
-    c.reshape(-1, rows)[:] = [math.cos(b) for b in betas]
-    s.reshape(-1, rows)[:] = [-1j * math.sin(b) for b in betas]
+    c = np.array([math.cos(b) for b in betas], dtype=np.complex128)
+    s = np.array([-1j * math.sin(b) for b in betas], dtype=np.complex128)
     for q in range(n):
-        run = rows << q
-        view = block.reshape(-1, 2, run) if run < width else block.reshape(-1, 2, run // width, width)
-        c_q, s_q = (c[:run], s[:run]) if run < width else (c, s)
-        np.add(c_q * view, s_q * view[:, ::-1], out=view)
+        view = block.reshape(-1, 2, 1 << q, len(betas))
+        np.add(c * view, s * view[:, ::-1], out=view)
 
 
 @functools.lru_cache(maxsize=128)
@@ -304,9 +299,8 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
 
 
 def _counts(hist: np.ndarray, shots: int, n: int) -> ShotCounts:
-    """The nonzero bins of a basis-state histogram, keyed by outcome string."""
-    counts = {index_to_bitstring(b, n): c for b, c in enumerate(hist.tolist()) if c}
-    return ShotCounts(counts, shots, n)
+    """The nonzero bins of a basis-state histogram."""
+    return ShotCounts({b: c for b, c in enumerate(hist.tolist()) if c}, shots, n)
 
 
 # --- noisy trajectory execution -------------------------------------------

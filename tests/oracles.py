@@ -8,6 +8,7 @@ and itertools/networkx based combinatorial searches.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import deque
@@ -21,6 +22,7 @@ from qdisco._seeds import rng_from
 from qdisco import compiler
 from qdisco.compiler import SamplingRegion, ordered_terms, region_fidelity, route_phase_layer
 from qdisco.errors import ConfigError, NoRegionError, PlacementError
+from qdisco.hardware import QpuModel
 from qdisco.optimizer import BETA_SPAN, GAMMA_SPAN, OptimizationTrace
 from qdisco.problem import SpinPolynomial, cost_vector
 from qdisco.simulator import (
@@ -33,6 +35,26 @@ from qdisco.simulator import (
     expectation,
     validate_placement,
 )
+
+
+def counting_comparisons(qpu: QpuModel) -> tuple[QpuModel, list[int]]:
+    """A copy of ``qpu`` whose error values count their ``<`` comparisons.
+
+    Every readout and gate error becomes a ``float`` subclass that adds one
+    to the returned one-item tally on each ``<``, so a threshold filter's
+    predicate evaluations can be counted without instrumenting it.
+    """
+    tally = [0]
+
+    class Counted(float):
+        def __lt__(self, other):
+            tally[0] += 1
+            return float.__lt__(self, other)
+
+    counted = copy.copy(qpu)
+    object.__setattr__(counted, "readout_error", tuple(Counted(e) for e in qpu.readout_error))
+    object.__setattr__(counted, "gate_error", {edge: Counted(e) for edge, e in qpu.gate_error.items()})
+    return counted, tally
 
 
 def direct_cost(poly: SpinPolynomial, spins) -> float:
@@ -423,10 +445,7 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
         else:
             totals += hist
 
-    counts = {
-        reference_index_to_bitstring(int(b), n): int(c) for b, c in enumerate(totals) if c
-    }
-    return ShotCounts(counts, shots, n)
+    return ShotCounts({b: int(c) for b, c in enumerate(totals) if c}, shots, n)
 
 
 def reference_trajectory_probabilities(

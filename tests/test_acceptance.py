@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qdisco.cli import load_run_config, main
-from qdisco.compiler import OpCounter, best_regions, filter_by_threshold, map_circuit
+from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.datasets import data_path
 from qdisco.hardware import ErrorProfile, Fleet, QpuModel, synthesize_topology
 from qdisco.hscore import benchmark_qpu, build_reference, h_score
@@ -31,6 +31,7 @@ from qdisco.simulator import QaoaParams, build_qaoa_state
 from qdisco._seeds import derive_seed
 
 from oracles import (
+    counting_comparisons,
     dense_qaoa_oracle,
     exhaustive_region_selection,
     labs_energy_direct,
@@ -175,15 +176,15 @@ def test_criterion_06_compiler_exactness():
         qpu = _random_tree_qpu(rng, size)
         # filter soundness, exhaustively
         eta = float(rng.uniform(0.005, 0.04))
-        counter = OpCounter()
-        fg = filter_by_threshold(qpu, eta, counter=counter)
+        counted, comparisons = counting_comparisons(qpu)
+        fg = filter_by_threshold(counted, eta)
         for q in range(qpu.num_qubits):
             assert (q in fg.qubits) == (qpu.readout_error[q] < eta)
         for edge, err in qpu.gate_error.items():
             want = err < eta and edge[0] in fg.qubits and edge[1] in fg.qubits
             assert (edge in fg.edges) == want
         # Theta(N + E): exactly one predicate evaluation per qubit and edge
-        assert counter.count == qpu.num_qubits + len(qpu.edges)
+        assert comparisons[0] == qpu.num_qubits + len(qpu.edges)
 
         # selection exactness on tree models (candidate lists stay small)
         full = filter_by_threshold(qpu, 1.0)

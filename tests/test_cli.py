@@ -408,8 +408,9 @@ def degenerate_cases(draw):
     """A command, a MaxCut problem of 0-3 vertices with weights up to +-1e308, a
     qpu_t7_a calibration with some rates set to 0, the smallest positive float or 1,
     and tiny run settings.  Huge integers go only where they size no work: the seed,
-    the trajectory count (shots bound it) and the calibration's qubit count or an
-    edge's qubit, which no readout list can match."""
+    the trajectory count (shots bound it), the calibration's qubit count or an
+    edge's qubit, which no readout list can match, and the problem's vertex count,
+    which every command refuses before it sizes anything by it."""
     n = draw(st.integers(0, 3))
     pairs = list(itertools.combinations(range(n), 2))
     edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
@@ -421,8 +422,10 @@ def degenerate_cases(draw):
         calibration["readout_error"][q] = draw(rates)
     for i in draw(st.sets(st.integers(0, len(calibration["edges"]) - 1))):
         calibration["edges"][i]["gate_error"] = draw(rates)
-    size = draw(st.sampled_from([None, "num_qubits", "q"]))
-    if size == "num_qubits":
+    size = draw(st.sampled_from([None, "num_qubits", "q", "num_vertices"]))
+    if size == "num_vertices":
+        problem["num_vertices"] = draw(HUGE_INTEGERS)
+    elif size == "num_qubits":
         calibration["num_qubits"] = draw(HUGE_INTEGERS)
     elif size == "q":
         calibration["edges"][0]["q"] = [0, draw(HUGE_INTEGERS)]
@@ -820,6 +823,41 @@ def one_error_line(capsys) -> str:
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     return err
+
+
+def problem_config(tmp_path, problem: dict, **fields):
+    """scenario_vb's fleet on the given MaxCut problem, with no capacities unless set."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return scenario_config(tmp_path, problem=str(path), **{"capacities": None, **fields})
+
+
+def ring(n: int) -> dict:
+    return {"num_vertices": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+
+
+OVER_WIDE_SPLITS = [
+    pytest.param(lambda tmp: problem_config(tmp, ring(400)), id="ring400-fleet-split"),
+    pytest.param(lambda tmp: problem_config(tmp, ring(400), capacities=[390, 10]), id="ring400-part-split"),
+    pytest.param(lambda tmp: problem_config(tmp, ring(30), capacities=[1] * 30), id="ring30-capacities-of-one"),
+    *(
+        pytest.param(lambda tmp, n=n: problem_config(tmp, {"num_vertices": n, "edges": [[0, 1, 1.0]]}), id=name)
+        for n, name in ((2**53 + 1, "num-vertices-2^53+1"), (2**63, "num-vertices-2^63"), (10**30, "num-vertices-10^30"))
+    ),
+]
+
+
+class TestOverWideSplits:
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("config", OVER_WIDE_SPLITS)
+    def test_refused_before_any_mincut(self, tmp_path, capsys, monkeypatch, command, config):
+        def mincut(*args, **kwargs):
+            raise AssertionError("balanced_mincut ran")
+
+        monkeypatch.setattr(orchestrator, "balanced_mincut", mincut)
+        assert main([command, "--config", config(tmp_path), "-o", str(tmp_path / "out")]) == 1
+        err = one_error_line(capsys)
+        assert "needs more than 24 parts, but the merge joins at most 24" in err
 
 
 class TestExtremeFiniteInput:

@@ -10,7 +10,6 @@ import pytest
 from qdisco import compiler
 from qdisco.compiler import (
     EXACT_SELECTION_LIMIT,
-    OpCounter,
     _find_monomorphism,
     _ranked_sets,
     _select_exact,
@@ -36,6 +35,7 @@ from qdisco.simulator import NoiseSpec, QaoaParams, build_qaoa_state, noisy_samp
 
 from oracles import (
     connected_subsets_bruteforce,
+    counting_comparisons,
     exhaustive_region_selection,
     physical_statevector,
     random_maxcut_graph,
@@ -98,9 +98,9 @@ class TestFilterByThreshold:
         rng = np.random.default_rng(13)
         for _ in range(10):
             qpu = random_qpu(rng)
-            counter = OpCounter()
-            filter_by_threshold(qpu, 0.01, counter=counter)
-            assert counter.count == qpu.num_qubits + len(qpu.edges)
+            counted, comparisons = counting_comparisons(qpu)
+            filter_by_threshold(counted, 0.01)
+            assert comparisons[0] == qpu.num_qubits + len(qpu.edges)
 
 
 def ranked_qubits(ranked) -> list[tuple[int, ...]]:

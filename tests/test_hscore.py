@@ -28,15 +28,15 @@ def make_ref(samples, shots=256, p=1, key="k"):
 
 class TestAccuracy:
     def test_all_shots_optimal(self):
-        counts = ShotCounts({"10": 70, "01": 30}, 100, 2)
+        counts = ShotCounts({1: 70, 2: 30}, 100, 2)
         assert accuracy(counts, EDGE_POLY) == 1.0
 
     def test_no_shots_optimal(self):
-        counts = ShotCounts({"00": 60, "11": 40}, 100, 2)
+        counts = ShotCounts({0: 60, 3: 40}, 100, 2)
         assert accuracy(counts, EDGE_POLY) == 0.0
 
     def test_uniform_counts_give_half(self):
-        counts = ShotCounts({"00": 25, "01": 25, "10": 25, "11": 25}, 100, 2)
+        counts = ShotCounts({0: 25, 1: 25, 2: 25, 3: 25}, 100, 2)
         assert accuracy(counts, EDGE_POLY) == 0.5
 
     def test_empty_counts_rejected(self):

@@ -27,6 +27,7 @@ from qdisco.problem import (
     labs_to_spin_polynomial,
     maxcut_to_spin_polynomial,
 )
+from qdisco.simulator import ShotCounts
 
 from oracles import random_maxcut_graph
 from test_compiler import cyclic_garbage_left_by
@@ -275,6 +276,15 @@ class TestSpeedupModel:
     def test_bottleneck_region(self):
         report = speedup_report(self.leaf_with_shots([50, 25, 25]))
         assert report.speedup == pytest.approx(2.0)
+
+
+class TestLeafAnswer:
+    def test_ties_go_by_outcome_string_not_by_index(self):
+        # indices 1 and 2 read "10" and "01": the same cut, counted as often
+        edge = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
+        counts = ShotCounts({1: 5, 2: 5}, 10, 2)
+        assert orchestrator._best_outcome(counts, edge) == 2
+        assert orchestrator._leaf_answer([1, 2], {1: 5, 2: 5}, edge) == 2
 
 
 class TestExecute:

@@ -42,11 +42,11 @@ from qdisco.simulator import (
     _BLOCK_AMPLITUDES,
     NoiseSpec,
     QaoaParams,
+    ShotCounts,
     _apply_rx_all,
     _draw_fires,
     _fire_points,
     _trajectory_rows,
-    bitstring_to_index,
     build_qaoa_state,
     index_to_bitstring,
     noisy_sample_batch,
@@ -479,7 +479,19 @@ def test_index_to_bitstring_equals_bit_loop(case):
     n, index = case
     bits = index_to_bitstring(index, n)
     assert bits == reference_index_to_bitstring(index, n)
-    assert bitstring_to_index(bits) == index
+    assert int(bits[::-1], 2) == index
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 24).flatmap(
+        lambda n: st.tuples(st.just(n), st.dictionaries(st.integers(0, 2**n - 1), st.integers(0, 10**6)))
+    )
+)
+def test_counts_are_the_histogram_by_outcome_string(case):
+    n, histogram = case
+    counts = ShotCounts(histogram, sum(histogram.values()), n)
+    assert counts.counts == {reference_index_to_bitstring(i, n): c for i, c in histogram.items()}
 
 
 def scaled_hex16_noise(gate_factor, readout_factor, trajectories):
