@@ -48,6 +48,8 @@ FIELD_RANGES = {  # each numeric field's kind and range, for code and config fil
     "grid_resolution": (int, 2, math.inf),
     "restarts": (int, 1, math.inf),
 }
+# a grid scan holds all its points and evaluates them in one call
+GRID_POINT_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,13 @@ class OptimizerConfig:
         for name, (kind, low, high) in FIELD_RANGES.items():
             value = number(kind, getattr(self, name), f"optimizer.{name}", ConfigError, low, high)
             object.__setattr__(self, name, value)
+        scan = _grid_size(self.grid_resolution, self.max_evaluations)
+        if self.method == "grid_then_nelder_mead" and scan > GRID_POINT_LIMIT:
+            raise ConfigError(
+                f"field 'optimizer.grid_resolution' must be small enough for a grid scan of "
+                f"at most {GRID_POINT_LIMIT} points, min(grid_resolution^2, max_evaluations // 2); "
+                f"got {self.grid_resolution} at max_evaluations {self.max_evaluations}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +192,17 @@ def _nelder_mead(
         insert(x, f)
 
 
+def _grid_size(resolution: int, budget: int) -> int:
+    """How many points of the res x res grid the scan evaluates: at most half the budget."""
+    return min(resolution**2, max(1, budget // 2))
+
+
 def _grid_points(p: int, cfg: OptimizerConfig) -> list[_Point]:
     """The p=1 grid points the scan's budget reaches, row by row; only those are built."""
     if cfg.method != "grid_then_nelder_mead" or p != 1:
         return []
     res = cfg.grid_resolution
-    count = min(res**2, max(1, cfg.max_evaluations // 2))
+    count = _grid_size(res, cfg.max_evaluations)
     return [(GAMMA_SPAN * (j // res) / res, BETA_SPAN * (j % res) / res) for j in range(count)]
 
 
@@ -215,17 +229,21 @@ def _optimization(
         return tuple(points[i * dim : (i + 1) * dim])
 
     # start points in priority order: grid scan result, explicit initial,
-    # then seeded random points, truncated to the configured restart count
+    # then seeded random points, truncated to the configured restart count and
+    # to the budget left; with more starts than that each gets one evaluation
+    # and the rest none, so the dropped ones change neither per_start (1) nor
+    # the last reached start's cap (limit)
+    count = min(cfg.restarts, max(1, limit - len(values)))
     starts: list[_Point] = []
     best = _best_index(values)
     if best is not None:
         starts.append(point(best))
     if cfg.initial is not None:
         starts.append(tuple(float(x) for x in cfg.initial))
-    for r in range(cfg.restarts - len(starts)):
+    for r in range(count - len(starts)):
         rng = rng_from(seed, "nm-start", r)
         starts.append(tuple((rng.random(dim) * _spans(p)).tolist()))
-    starts = starts[: cfg.restarts]
+    starts = starts[:count]
 
     per_start = max(1, (limit - len(values)) // len(starts))
     for i, x0 in enumerate(starts):
@@ -305,8 +323,9 @@ def optimize(
     """Minimize the noiseless expectation of ``poly`` over 2p angles;
     deterministic under seed.
 
-    Restarts split the evaluation budget evenly; the best point across the
-    whole trace wins.  Non-finite objective values stay in the trace but
-    never become the incumbent.
+    Restarts split the evaluation budget evenly, and only as many start
+    points are built as the budget left after the grid can evaluate; the
+    best point across the whole trace wins.  Non-finite objective values
+    stay in the trace but never become the incumbent.
     """
     return optimize_batch(poly, p, cfg, [seed])[0]

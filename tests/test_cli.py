@@ -8,17 +8,20 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdisco
-from qdisco import _seeds, orchestrator
+from qdisco import _seeds, decomposer, orchestrator
 from qdisco.cli import MAX_LAYERS, MAX_SHOTS, build_parser, load_run_config, main
 from qdisco.datasets import data_path
+from qdisco.decomposer import MINCUT_VERTEX_LIMIT
 from qdisco.errors import SchemaError
 from qdisco.hardware import load_calibration
+from qdisco.optimizer import GRID_POINT_LIMIT, _grid_points, _grid_size
 from qdisco.problem import parse_problem_json
 
 RING6 = str(data_path("problem_ring6.json"))
@@ -410,7 +413,9 @@ def degenerate_cases(draw):
     and tiny run settings.  Huge integers go only where they size no work: the seed,
     the trajectory count (shots bound it), the calibration's qubit count or an
     edge's qubit, which no readout list can match, and the problem's vertex count,
-    which every command refuses before it sizes anything by it."""
+    which every command refuses before it sizes anything by it.  Two optimizer
+    shapes size work by a huge integer too: a grid scan past its point cap, which
+    the config refuses, and a restart count, whose start points the budget caps."""
     n = draw(st.integers(0, 3))
     pairs = list(itertools.combinations(range(n), 2))
     edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
@@ -434,12 +439,38 @@ def degenerate_cases(draw):
         "trajectories": draw(st.integers(1, 2) | HUGE_INTEGERS),
         "seed": draw(st.integers(0, 9) | HUGE_INTEGERS),
     }
+    shape = draw(st.sampled_from([None, "grid", "restarts"]))
+    if shape == "grid":
+        scan = {"grid_resolution": draw(HUGE_INTEGERS), "max_evaluations": draw(HUGE_INTEGERS)}
+        run["optimizer"] = {"method": "grid_then_nelder_mead", **scan}
+    elif shape == "restarts":
+        run["optimizer"] = {"max_evaluations": 10, "restarts": draw(HUGE_INTEGERS)}
     commands = st.sampled_from(["plan", "run", "compile", "simulate", "partition", "benchmark"])
     return draw(commands), problem, calibration, run
 
 
 EDGE = {"num_vertices": 2, "edges": [[0, 1, 1.0]]}
 TINY_RUN = {"shots": 8, "trajectories": 2, "seed": 0}
+GRID_ABOVE_CAP = {"grid_resolution": 2**53 + 1, "max_evaluations": 2**63}
+
+
+@contextlib.contextmanager
+def guarded_optimizer():
+    """Fail, rather than build, a grid scan past its cap or a start point past a budget of 10.
+
+    With the config's refusal or the start cap broken, a huge integer would
+    otherwise take the host's memory."""
+
+    def grid_points(p, cfg):
+        assert _grid_size(cfg.grid_resolution, cfg.max_evaluations) <= GRID_POINT_LIMIT
+        return _grid_points(p, cfg)
+
+    def rng_from(seed, *path):
+        assert path[0] != "nm-start" or path[1] < 10, path
+        return _seeds.rng_from(seed, *path)
+
+    with mock.patch("qdisco.optimizer._grid_points", grid_points), mock.patch("qdisco.optimizer.rng_from", rng_from):
+        yield
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,9 +482,13 @@ TINY_RUN = {"shots": 8, "trajectories": 2, "seed": 0}
 @example(("benchmark", {"num_vertices": 3, "edges": [[0, 1, -1e308], [1, 2, 1.0]]}, t7_with(), TINY_RUN))
 @example(("simulate", {"num_vertices": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}, t7_with(), TINY_RUN))
 @example(("run", EDGE, t7_with(), {"shots": 8, "trajectories": 10**30, "seed": -(10**30)}))
+@example(("run", EDGE, t7_with(), {**TINY_RUN, "optimizer": {"max_evaluations": 10, "restarts": 10**30}}))
+@example(
+    ("run", EDGE, t7_with(), {**TINY_RUN, "optimizer": {"method": "grid_then_nelder_mead"} | GRID_ABOVE_CAP})
+)
 def test_degenerate_documents_end_in_an_exit_code(case):
     command, problem, calibration, run = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, guarded_optimizer():
         files = {"problem.json": problem, "qpu.json": calibration}
         files["config.json"] = {
             "problem": "problem.json",
@@ -622,6 +657,11 @@ MALFORMED_CONFIGS = [
     malformed("optimizer.grid_resolution", {"optimizer": {"grid_resolution": 1}}, id="optimizer.grid_resolution-one"),
     malformed("optimizer.tolerance", {"optimizer": {"tolerance": 0}}, id="optimizer.tolerance-zero"),
     malformed("optimizer.restarts", {"optimizer": {"restarts": 0}}, id="optimizer.restarts-zero"),
+    malformed(
+        "optimizer.grid_resolution",
+        {"optimizer": {"method": "grid_then_nelder_mead", "grid_resolution": 10**6, "max_evaluations": 10**12}},
+        id="optimizer.grid_resolution-scan-above-cap",
+    ),
     malformed("p", {"p": True}, id="p-boolean"),
     malformed("shots", {"shots": True}, id="shots-boolean"),
     malformed("capacities", {"capacities": [4, True, 6]}, id="capacities-boolean"),
@@ -858,6 +898,29 @@ class TestOverWideSplits:
         assert main([command, "--config", config(tmp_path), "-o", str(tmp_path / "out")]) == 1
         err = one_error_line(capsys)
         assert "needs more than 24 parts, but the merge joins at most 24" in err
+
+
+class TestOversizedMincut:
+    """A split that passes every up-front check but is too large for Kernighan-Lin."""
+
+    @pytest.fixture(autouse=True)
+    def no_refinement(self, monkeypatch):
+        def refine(*args):
+            raise AssertionError("_kl_refine ran")
+
+        monkeypatch.setattr(decomposer, "_kl_refine", refine)
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_plan_and_run(self, tmp_path, capsys, command):
+        config = problem_config(tmp_path, ring(3000), capacities=[150] * 20)
+        assert main([command, "--config", config, "-o", str(tmp_path / "out")]) == 1
+        assert f"at most {MINCUT_VERTEX_LIMIT} vertices, got 3000" in one_error_line(capsys)
+
+    def test_partition(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring(400)))
+        assert main(["partition", "--problem", str(path), "--capacities", "200,200"]) == 1
+        assert f"at most {MINCUT_VERTEX_LIMIT} vertices, got 400" in one_error_line(capsys)
 
 
 class TestExtremeFiniteInput:

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qdisco import decomposer
 from qdisco.decomposer import (
+    MINCUT_VERTEX_LIMIT,
     Partition,
     _kl_refine,
     balanced_mincut,
@@ -88,6 +90,28 @@ class TestBalancedMincut:
         assert len(part.cut_edges) == 4
 
 
+def ring_graph(n):
+    return ProblemGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+
+
+class TestMincutVertexLimit:
+    def test_graph_past_the_limit_is_refused_before_refinement(self, monkeypatch):
+        def refine(*args):
+            raise AssertionError("_kl_refine ran")
+
+        monkeypatch.setattr(decomposer, "_kl_refine", refine)
+        n = MINCUT_VERTEX_LIMIT + 1
+        with pytest.raises(PartitionError, match=f"at most {MINCUT_VERTEX_LIMIT} vertices, got {n}$"):
+            balanced_mincut(ring_graph(n), [n], seed=0)
+
+    def test_graph_at_the_limit_is_partitioned(self, monkeypatch):
+        # refinement skipped: the greedy growth alone decides the parts
+        monkeypatch.setattr(decomposer, "_kl_refine", lambda n, caps, adj, assign: assign)
+        n = MINCUT_VERTEX_LIMIT
+        part = balanced_mincut(ring_graph(n), [n // 2, n // 2], seed=0)
+        assert part.part_sizes == (n // 2, n // 2)
+
+
 def adjacency(g):
     adj = [dict() for _ in range(g.num_vertices)]
     for u, v, w in g.edges:
@@ -117,6 +141,8 @@ WEIGHT_DRAWS = {
     "integer": lambda rng: float(rng.integers(1, 6)),
     "float": lambda rng: float(rng.uniform(0.1, 3.0)),
     "negative": lambda rng: float(rng.uniform(-3.0, 3.0)),
+    # weights 4e-13 apart: many gains differ by less than the 1e-12 acceptance slack
+    "near-tie": lambda rng: 1.0 + int(rng.integers(0, 4)) * 4e-13,
 }
 
 

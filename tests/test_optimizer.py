@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from qdisco import optimizer
 from qdisco.errors import ConfigError
+from qdisco import _seeds
 from qdisco.optimizer import (
     BETA_SPAN,
     GAMMA_SPAN,
+    GRID_POINT_LIMIT,
     OptimizerConfig,
     optimize,
     optimize_batch,
@@ -129,6 +131,70 @@ class TestOptimize:
         trace = optimize(RING5, 1, huge, seed=11)
         assert trace == optimize(RING5, 1, large, seed=11)
         assert trace.num_evaluations < 10**4
+
+
+GRID = "grid_then_nelder_mead"
+
+# restart counts above the budget left after the grid: the run builds only the
+# start points the budget reaches, and the uncapped oracle builds them all
+RESTARTS_ABOVE_BUDGET = [
+    pytest.param(OptimizerConfig(max_evaluations=7, restarts=20), id="no-grid"),
+    pytest.param(OptimizerConfig(max_evaluations=1, restarts=5), id="budget-of-one"),
+    pytest.param(OptimizerConfig(max_evaluations=8, restarts=9), id="one-past"),
+    pytest.param(OptimizerConfig(method=GRID, max_evaluations=9, restarts=30), id="grid"),
+    # the grid takes the whole budget: one start, and it evaluates nothing
+    pytest.param(OptimizerConfig(method=GRID, max_evaluations=1, restarts=4), id="grid-takes-all"),
+    pytest.param(OptimizerConfig(max_evaluations=6, initial=(0.3, 0.2), restarts=12), id="initial"),
+    pytest.param(
+        OptimizerConfig(method=GRID, max_evaluations=11, initial=(0.3, 0.2), restarts=40), id="grid-and-initial"
+    ),
+    pytest.param(OptimizerConfig(method=GRID, max_evaluations=2, initial=(0.3, 0.2), restarts=2), id="initial-dropped"),
+]
+
+
+class TestStartCap:
+    @pytest.mark.parametrize("cfg", RESTARTS_ABOVE_BUDGET)
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_equals_uncapped_oracle(self, cfg, seed):
+        trace = optimize(RING5, 1, cfg, seed=seed)
+        want = reference_optimize(RING5, 1, cfg, seed)
+        assert trace == want
+        assert trace.points.tobytes() == want.points.tobytes()
+        assert trace.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_huge_restart_count_builds_only_reachable_starts(self, monkeypatch, p):
+        indices = []
+
+        def rng_from(seed, *path):
+            assert path[0] == "nm-start" and path[1] < 20, path
+            indices.append(path[1])
+            return _seeds.rng_from(seed, *path)
+
+        monkeypatch.setattr(optimizer, "rng_from", rng_from)
+        trace = optimize(RING5, p, OptimizerConfig(max_evaluations=20, restarts=10**9), seed=4)
+        assert indices == list(range(20))
+        assert trace == optimize(RING5, p, OptimizerConfig(max_evaluations=20, restarts=20), seed=4)
+        assert trace.num_evaluations == 20
+
+
+class TestGridCap:
+    def test_scan_past_the_cap_is_refused(self):
+        # min(resolution^2, budget // 2): the budget's half decides here
+        match = rf"^field 'optimizer.grid_resolution' must be .* at most {GRID_POINT_LIMIT} points"
+        with pytest.raises(ConfigError, match=match):
+            OptimizerConfig(method=GRID, grid_resolution=10**6, max_evaluations=2 * GRID_POINT_LIMIT + 2)
+        # and here the resolution
+        with pytest.raises(ConfigError, match=match):
+            OptimizerConfig(method=GRID, grid_resolution=2**10 + 1, max_evaluations=10**12)
+
+    def test_scan_at_the_cap_is_valid(self):
+        # only configured here; a scan this size is never run in the tests
+        OptimizerConfig(method=GRID, grid_resolution=10**6, max_evaluations=2 * GRID_POINT_LIMIT + 1)
+        OptimizerConfig(method=GRID, grid_resolution=2**10, max_evaluations=10**12)
+
+    def test_no_scan_is_not_refused(self):
+        OptimizerConfig(method="nelder_mead", grid_resolution=10**6, max_evaluations=10**12)
 
 
 LOCKSTEP_CONFIGS = [
