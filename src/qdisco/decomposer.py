@@ -23,10 +23,14 @@ from .problem import (
 
 MERGE_PART_LIMIT = 24
 DEFAULT_RESTARTS = 8
-# Kernighan-Lin work grows about as |V|^3; at 256 vertices one balanced_mincut
-# took 4.5-9.5 s on sparse graphs with 2-9 parts, and up to 25 s with half of
-# all vertex pairs joined (2-vCPU x86-64 host, CPython 3.11)
+# Kernighan-Lin time grows about as |V|^3 + 7 |V| |E| (its pair scans, and its
+# row rebuilds and edge lookups).  Into 9 parts, one balanced_mincut took
+# 4.2-6.2 s on planted sparse graphs of 256 vertices (3|V|/2 edges), 14.8 s on
+# 256 vertices with half of all pairs joined, and 4.2-7.5 s on graphs near the
+# work bound: 512 random edges on 256 vertices, 9,400 on 180, and the complete
+# graph on 157 (2-vCPU x86-64 host, CPython 3.11, measured back to back).
 MINCUT_VERTEX_LIMIT = 256
+MINCUT_WORK_LIMIT = 256**3 + 7 * 256 * 512
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,18 @@ def balanced_mincut(
     swap/move chains with best-prefix rollback).  Part sizes are pinned to
     the capacities when they sum exactly to |V|; with slack, parts fill in
     capacity order.  Deterministic under ``seed``.  Graphs of more than
-    MINCUT_VERTEX_LIMIT vertices are refused before any work.
+    MINCUT_VERTEX_LIMIT vertices, or with |V|^3 + 7 |V| |E| past
+    MINCUT_WORK_LIMIT, are refused before any work.
     """
     n = g.num_vertices
     if n > MINCUT_VERTEX_LIMIT:
         raise PartitionError(
             f"balanced MinCut takes at most {MINCUT_VERTEX_LIMIT} vertices, got {n}"
+        )
+    if n**3 + 7 * n * len(g.edges) > MINCUT_WORK_LIMIT:
+        raise PartitionError(
+            f"balanced MinCut takes at most {(MINCUT_WORK_LIMIT - n**3) // (7 * n)} edges"
+            f" on {n} vertices, got {len(g.edges)}"
         )
     caps = [int(c) for c in capacities]
     if any(c < 1 for c in caps):

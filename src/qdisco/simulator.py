@@ -9,7 +9,9 @@ distinct costs, told apart by bit pattern, and each basis state's index
 into them.  A layer exponentiates the (K, B) table of K levels and gathers
 it to the block.  The noisy path walks a placement's interaction schedule
 so stochastic two-qubit Pauli errors can attach to specific physical
-edges, with independent readout bit flips at measurement.
+edges, with independent readout bit flips at measurement; each noisy run
+draws all of that from one random stream, in the order ``noisy_sample``
+documents.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import default_rng_states, derive_seeds, rng_from
+from ._seeds import rng_from
 from .compiler import Placement, ordered_terms, route_phase_layer
 from .errors import CapacityError, DimensionError, PlacementError
 from .hardware import QpuModel
@@ -379,36 +381,6 @@ def _fire_points(layers: list, noise: NoiseSpec) -> tuple[list, np.ndarray]:
     return points, np.array(rates, dtype=np.float64)
 
 
-def _draw_fires(rng: np.random.Generator, points: list, rates: np.ndarray, state=None) -> dict:
-    """One trajectory's errors: (layer, entry) -> [(logical a, logical b, Pauli)].
-
-    Point i fires when its double from ``rng`` is below its rate, and a fire
-    draws its Pauli with ``integers(1, 16)`` before the next point's double.
-    The doubles of all points left are drawn at once; at the first fire the
-    generator is rewound and advanced to just past that point's double, so
-    every Pauli draw keeps its place in the stream and a trajectory that
-    fires nothing costs one vector draw.  ``state``, when the caller knows
-    it, is ``rng.bit_generator.state`` as it stands, which saves reading it.
-    """
-    fired: dict = {}
-    start = 0
-    while start < len(rates):
-        if state is None:
-            state = rng.bit_generator.state
-        hits = rng.random(len(rates) - start) < rates[start:]
-        j = int(hits.argmax())
-        if not hits[j]:
-            break
-        i = start + j
-        rng.bit_generator.state = state
-        rng.random(i + 1 - start)
-        key, la, lb = points[i]
-        fired.setdefault(key, []).append((la, lb, int(rng.integers(1, 16))))
-        state = None
-        start = i + 1
-    return fired
-
-
 def _trajectory_rows(n: int, layers: list, params: list, fires: list):
     """Yield the outcome distribution of each trajectory of the placed circuit.
 
@@ -449,9 +421,13 @@ def _trajectory_rows(n: int, layers: list, params: list, fires: list):
             yield probs
 
 
-# A batch seeds and draws about this many trajectories at once, whole runs
-# at a time; only their start states and fire maps are held together.
+# A batch draws about this many trajectories at once, whole runs at a time;
+# only their fire maps are held together.
 _TRAJECTORIES_AT_ONCE = 256
+# A run draws its fire and readout doubles at most about this many at a time
+# (512 KiB), whole trajectories or shots at a time, so memory stays bounded
+# however many it runs; consecutive draws read the same stream as one.
+_DOUBLES_AT_ONCE = 1 << 16
 
 
 def noisy_sample(
@@ -469,16 +445,28 @@ def noisy_sample(
     its edge's error probability and applies a uniformly random non-identity
     two-qubit Pauli to the logical qubits sitting on that edge; measurement
     flips each bit independently with its physical qubit's readout
-    probability.  Shots are split as evenly as possible across trajectories
-    and trajectory t draws from ``np.random.default_rng(derive_seed(seed,
-    "trajectory", t))``, so results do not depend on execution order.
+    probability.  Shots are split as evenly as possible (``split_shots``)
+    across T = min(shots, trajectories) trajectories.
 
-    Each trajectory's generator draws, in this order: one double per
-    channel application on an edge with nonzero error rate, in schedule
-    order, each fire followed by its Pauli (``integers(1, 16)``); then the
-    multinomial over its shots; then, if any readout rate is nonzero, a
-    (shots, n) array of readout doubles.  This is the batch of one of
-    ``noisy_sample_batch``, which says how the trajectories are simulated.
+    The run draws from one generator, ``rng_from(seed, "trajectories")``,
+    in this order, with P the channel applications on edges of nonzero rate:
+
+    1. a (T, P) array of doubles, trajectory-major; point i of trajectory t
+       fires when its double is below its rate;
+    2. ``integers(1, 16, size=F)``, the Paulis of the F fires, in
+       (trajectory, point) order;
+    3. if any trajectory fires nothing, one multinomial of all such
+       trajectories' shots over the error-free distribution (a sum of
+       multinomials of equal probabilities is one multinomial);
+    4. each fired trajectory's multinomial over its own distribution, in
+       trajectory order;
+    5. if any readout rate is nonzero, a (shots, n) array of doubles: row k
+       flips the k-th shot in draw order (the error-free shots, then each
+       fired trajectory's, each by basis index), bit j where double j is
+       below its qubit's rate.
+
+    This is the batch of one of ``noisy_sample_batch``, which says how the
+    trajectories are simulated.
     """
     return noisy_sample_batch(poly, [params], placement, qpu, noise, shots, [seed])[0]
 
@@ -496,18 +484,19 @@ def noisy_sample_batch(
 
     Run i samples ``params_list[i]`` under ``seeds[i]``, all at one depth,
     and result i equals ``noisy_sample(poly, params_list[i], placement, qpu,
-    noise, shots, seeds[i])`` count for count: every trajectory keeps the
-    stream described there.  Validation, the routing of layers 2..p and the
-    list of channel applications are done once.  Trajectory generator
-    states are computed in bulk (``_seeds.default_rng_states``) and set in
-    turn on one generator.  Each trajectory that fires is a row of a
-    (B, 2^n) block, and a run's trajectories that fire nothing share one
-    more row; the block walks the schedule once per chunk of rows, each
-    fired Pauli applied in place to its own row after its entry's phase.
-    Each trajectory then resumes its stream for its multinomial and readout
-    draws, and each run is reduced with one xor and one ``bincount``.  Runs
-    go in groups of about ``_TRAJECTORIES_AT_ONCE`` trajectories, so memory
-    does not grow with their number.
+    noise, shots, seeds[i])`` count for count: each run draws from its own
+    generator in the order given there.  Validation, the routing of layers
+    2..p and the list of channel applications are done once.  A run's fire
+    and readout doubles are drawn in chunks of about ``_DOUBLES_AT_ONCE``,
+    which read the same stream as one (T, P) or (shots, n) draw.  Each
+    trajectory that fires is a row of a (2^n, B) block, and a run's
+    trajectories that fire nothing share one more row, its first; the block
+    walks the schedule once per chunk of rows, each fired Pauli applied in
+    place to its own row after its entry's phase.  Each row's multinomial is
+    drawn as the walk yields it, readout flips are one xor per shot, and
+    each run is reduced with one ``bincount``.  Runs go in groups of about
+    ``_TRAJECTORIES_AT_ONCE`` trajectories, so memory does not grow with
+    their number.
     """
     params_list, seeds = list(params_list), [int(s) for s in seeds]
     if len(params_list) != len(seeds):
@@ -535,73 +524,65 @@ def noisy_sample_batch(
             layers.append(entries)
     readout = np.array([noise.readout_flip_prob[mapping[l]] for l in range(n)], dtype=np.float64)
     points, rates = _fire_points(layers, noise)
-    # (trajectory index, first shot, shots); trajectories past the first `shots` would get none
-    trajectories = []
-    first = 0
-    for traj, traj_shots in enumerate(split_shots(shots, min(shots, noise.trajectories))):
-        trajectories.append((traj, first, traj_shots))
-        first += traj_shots
+    traj_shots = split_shots(shots, min(shots, noise.trajectories))  # any past `shots` would get none
 
-    rng = np.random.Generator(np.random.PCG64(0))  # each trajectory sets its own state
-    labels = [traj for traj, _, _ in trajectories]
-    group = max(1, _TRAJECTORIES_AT_ONCE // len(trajectories))
+    group = max(1, _TRAJECTORIES_AT_ONCE // len(traj_shots))
     results = []
     for g in range(0, len(seeds), group):
-        starts = default_rng_states(derive_seeds(seeds[g : g + group], ("trajectory",), labels))
-        rows = _draw_rows(rng, points, rates, trajectories, params_list[g : g + group], starts)
-        results.extend(_sample_rows(rng, n, layers, rows, shots, readout))
+        rngs = [rng_from(seed, "trajectories") for seed in seeds[g : g + group]]
+        rows = [
+            (run, params, fired, row_shots)
+            for run, (rng, params) in enumerate(zip(rngs, params_list[g : g + group]))
+            for fired, row_shots in _draw_rows(rng, points, rates, shots, traj_shots)
+        ]
+        results.extend(_sample_rows(rngs, n, layers, rows, shots, readout))
     return results
 
 
-def _draw_rows(rng, points, rates, trajectories, params_list, starts) -> list:
-    """Draw every trajectory's fires; return the block rows, run by run.
+def _draw_rows(rng, points: list, rates: np.ndarray, shots: int, traj_shots: list) -> list:
+    """Draw one run's fires (steps 1 and 2 of its stream); return its rows.
 
-    A row is (run, params, fire map, draws): each fired trajectory is a row,
-    and a run's trajectories that fire nothing share one more row with an
-    empty map.  A draw is (first shot, shots, generator state, doubles to
-    skip): the state to resume its stream from after the fire draws.
+    A row is (fire map, shots): first the trajectories that fire nothing,
+    together, if there are any, then each fired trajectory in order.
     """
-    bit_generator = rng.bit_generator
-    starts = iter(starts)
-    rows = []
-    for run, params in enumerate(params_list):
-        clean = []
-        for _, first, traj_shots in trajectories:
-            state = next(starts)
-            bit_generator.state = state
-            fired = _draw_fires(rng, points, rates, state)
-            if fired:
-                rows.append((run, params, fired, [(first, traj_shots, bit_generator.state, 0)]))
-            else:  # resumes past the fire doubles it drew
-                clean.append((first, traj_shots, state, len(rates)))
-        if clean:
-            rows.append((run, params, {}, clean))
-    return rows
+    trajectories = len(traj_shots)
+    step = max(1, _DOUBLES_AT_ONCE // max(1, len(rates)))
+    hits = []
+    for start in range(0, trajectories, step):
+        traj, point = np.nonzero(rng.random((min(step, trajectories - start), len(rates))) < rates)
+        hits.extend(zip((traj + start).tolist(), point.tolist()))
+    fired: dict[int, dict] = {}
+    for (traj, point), pauli in zip(hits, rng.integers(1, 16, size=len(hits)).tolist()):
+        key, la, lb = points[point]
+        fired.setdefault(traj, {}).setdefault(key, []).append((la, lb, pauli))
+    rows = [(fire_map, traj_shots[traj]) for traj, fire_map in fired.items()]
+    clean = shots - sum(row_shots for _, row_shots in rows)
+    return [({}, clean)] + rows if clean else rows
 
 
-def _sample_rows(rng, n: int, layers: list, rows: list, shots: int, readout: np.ndarray):
-    """Walk the rows, resume each trajectory's stream on its row; yield each run's counts.
+def _sample_rows(rngs: list, n: int, layers: list, rows: list, shots: int, readout: np.ndarray):
+    """Walk the rows, draw each row's multinomial from its run's generator; yield each run's counts.
 
-    A trajectory's multinomial outcomes and readout doubles fill its place
-    in its run's (shots,) and (shots, n) arrays; a run is reduced once its
-    last row is done.
+    A row is (run, params, fire map, shots), a run's rows in a row.  Its
+    outcomes fill the next place in its run's (shots,) array, and a run is
+    reduced, after its readout draw, once its last row is done.
     """
-    bit_generator = rng.bit_generator
     any_readout = bool(readout.any())
     basis = np.arange(1 << n, dtype=np.int64)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    step = max(1, _DOUBLES_AT_ONCE // n)
     outcomes = np.empty(shots, dtype=np.int64)
-    doubles = np.empty((shots, n), dtype=np.float64)
+    filled = 0
     walk = _trajectory_rows(n, layers, [row[1] for row in rows], [row[2] for row in rows])
-    for i, (probs, (run, _, _, draws)) in enumerate(zip(walk, rows)):
-        for first, traj_shots, state, skip in draws:
-            bit_generator.state = state
-            if skip:
-                bit_generator.advance(skip)
-            outcomes[first : first + traj_shots] = basis.repeat(rng.multinomial(traj_shots, probs))
-            if any_readout:
-                rng.random(out=doubles[first : first + traj_shots])
+    for i, (probs, (run, _, _, row_shots)) in enumerate(zip(walk, rows)):
+        rng = rngs[run]
+        outcomes[filled : filled + row_shots] = basis.repeat(rng.multinomial(row_shots, probs))
+        filled += row_shots
         if i + 1 == len(rows) or rows[i + 1][0] != run:
             if any_readout:
-                # Bits are distinct powers of two, so flipping them is one xor per shot.
-                outcomes ^= (doubles < readout) @ (1 << np.arange(n, dtype=np.int64))
+                for start in range(0, shots, step):
+                    # Bits are distinct powers of two, so flipping them is one xor per shot.
+                    flips = rng.random((min(step, shots - start), n)) < readout
+                    outcomes[start : start + step] ^= flips @ bits
             yield _counts(np.bincount(outcomes, minlength=1 << n), shots, n)
+            filled = 0

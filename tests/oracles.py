@@ -375,20 +375,8 @@ def reference_index_to_bitstring(index: int, num_bits: int) -> str:
     return "".join("1" if (index >> j) & 1 else "0" for j in range(num_bits))
 
 
-def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
-    """Trajectory sampling that simulates every trajectory from scratch.
-
-    The package draws each trajectory's error events first and reuses one
-    error-free distribution for all trajectories that fire nothing; this
-    version interleaves the draws with the statevector walk and rebuilds
-    the state every time, with its own single-state mixer.
-    """
-    validate_placement(placement, poly, qpu)
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    n = poly.num_spins
-    p = params.p
-
+def _placed_layers(poly, p: int, placement):
+    """Each layer's schedule, layer 1 from the placement and the rest re-routed, and the final map."""
     terms = ordered_terms(poly)
     layers = []
     mapping = placement.initial_map
@@ -398,7 +386,87 @@ def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
         for _ in range(1, p):
             entries, mapping = route_phase_layer(placement.region, mapping, terms)
             layers.append(entries)
-    final_map = mapping
+    return layers, mapping
+
+
+def reference_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
+    """Trajectory sampling as a plain loop over the documented draw order.
+
+    One generator per run: the (T, P) fire doubles in one draw, the Paulis
+    of all fires, the error-free trajectories' shots as one multinomial,
+    each fired trajectory's multinomial, then the (shots, n) readout
+    doubles.  Every fired trajectory is simulated from scratch, one state
+    at a time, with the textbook butterfly mixer.
+    """
+    validate_placement(placement, poly, qpu)
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    n = poly.num_spins
+    layers, final_map = _placed_layers(poly, params.p, placement)
+    points = [
+        ((layer_idx, entry_idx), la, lb, noise.two_qubit_error_prob.get(edge, 0.0))
+        for layer_idx, entries in enumerate(layers)
+        for entry_idx, entry in enumerate(entries)
+        for edge, (la, lb) in entry.noise_points
+    ]
+    points = [point for point in points if point[3] > 0.0]
+    trajectories = min(shots, noise.trajectories)
+
+    rng = rng_from(seed, "trajectories")
+    doubles = rng.random((trajectories, len(points)))
+    fires = [
+        [point for point, double in zip(points, row) if double < point[3]] for row in doubles.tolist()
+    ]
+    paulis = iter(rng.integers(1, 16, size=sum(len(f) for f in fires)).tolist())
+    fire_maps = []
+    for traj_fires in fires:
+        fired = {}
+        for key, la, lb, _ in traj_fires:
+            fired.setdefault(key, []).append((la, lb, next(paulis)))
+        fire_maps.append(fired)
+
+    traj_shots = split_shots(shots, trajectories)
+    clean = sum(s for s, fired in zip(traj_shots, fire_maps) if not fired)
+    sign_cache = {}
+    basis = np.arange(1 << n, dtype=np.int64)
+    outcomes = []
+    if clean:
+        probs = reference_trajectory_probabilities(n, layers, params, {}, sign_cache)
+        outcomes.extend(np.repeat(basis, rng.multinomial(clean, probs)).tolist())
+    for s, fired in zip(traj_shots, fire_maps):
+        if fired:
+            probs = reference_trajectory_probabilities(n, layers, params, fired, sign_cache)
+            outcomes.extend(np.repeat(basis, rng.multinomial(s, probs)).tolist())
+    assert len(outcomes) == shots
+
+    readout = [noise.readout_flip_prob[final_map[l]] for l in range(n)]
+    if any(readout):
+        flips = rng.random((shots, n)).tolist()
+        for k in range(shots):
+            for j in range(n):
+                if flips[k][j] < readout[j]:
+                    outcomes[k] ^= 1 << j
+    hist = {}
+    for b in outcomes:
+        hist[b] = hist.get(b, 0) + 1
+    return ShotCounts(hist, shots, n)
+
+
+def per_trajectory_noisy_sample(poly, params, placement, qpu, noise, shots, seed):
+    """The noise model under the stream it had before one generator per run.
+
+    Trajectory t draws from ``rng_from(seed, "trajectory", t)``: one double
+    per channel application, each fire followed by its Pauli, interleaved
+    with its own statevector walk, then its multinomial, then its (shots, n)
+    readout doubles.  It samples the same distribution as the package, not
+    the same counts.
+    """
+    validate_placement(placement, poly, qpu)
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    n = poly.num_spins
+    p = params.p
+    layers, final_map = _placed_layers(poly, p, placement)
 
     sign_cache = {}
     readout = np.array(
@@ -475,19 +543,6 @@ def reference_trajectory_probabilities(
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
     return probs
-
-
-def reference_draw_fires(rng, layers, two_qubit_error_prob):
-    """One trajectory's errors, one scalar draw per channel application."""
-    fired = {}
-    for layer_idx, entries in enumerate(layers):
-        for entry_idx, entry in enumerate(entries):
-            for edge, (la, lb) in entry.noise_points:
-                err = two_qubit_error_prob.get(edge, 0.0)
-                if err > 0.0 and rng.random() < err:
-                    pauli = int(rng.integers(1, 16))
-                    fired.setdefault((layer_idx, entry_idx), []).append((la, lb, pauli))
-    return fired
 
 
 def reference_optimize(poly, p, cfg, seed) -> OptimizationTrace:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdisco
-from qdisco import _seeds, decomposer, orchestrator
+from qdisco import _seeds, cli, decomposer, orchestrator
 from qdisco.cli import MAX_LAYERS, MAX_SHOTS, build_parser, load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.decomposer import MINCUT_VERTEX_LIMIT
@@ -876,6 +876,11 @@ def ring(n: int) -> dict:
     return {"num_vertices": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
 
 
+def circulant(n: int, offsets: int) -> dict:
+    """Vertex i joined to i + 1, ..., i + offsets (mod n): n * offsets edges."""
+    return {"num_vertices": n, "edges": [[i, (i + k) % n, 1.0] for i in range(n) for k in range(1, offsets + 1)]}
+
+
 OVER_WIDE_SPLITS = [
     pytest.param(lambda tmp: problem_config(tmp, ring(400)), id="ring400-fleet-split"),
     pytest.param(lambda tmp: problem_config(tmp, ring(400), capacities=[390, 10]), id="ring400-part-split"),
@@ -901,7 +906,7 @@ class TestOverWideSplits:
 
 
 class TestOversizedMincut:
-    """A split that passes every up-front check but is too large for Kernighan-Lin."""
+    """A split that passes every up-front check but is too large or too dense for Kernighan-Lin."""
 
     @pytest.fixture(autouse=True)
     def no_refinement(self, monkeypatch):
@@ -921,6 +926,18 @@ class TestOversizedMincut:
         path.write_text(json.dumps(ring(400)))
         assert main(["partition", "--problem", str(path), "--capacities", "200,200"]) == 1
         assert f"at most {MINCUT_VERTEX_LIMIT} vertices, got 400" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_dense_graph_in_plan_and_run(self, tmp_path, capsys, command):
+        config = problem_config(tmp_path, circulant(256, 3), capacities=[16] * 16)
+        assert main([command, "--config", config, "-o", str(tmp_path / "out")]) == 1
+        assert "at most 512 edges on 256 vertices, got 768" in one_error_line(capsys)
+
+    def test_dense_graph_in_partition(self, tmp_path, capsys):
+        path = tmp_path / "circulant.json"
+        path.write_text(json.dumps(circulant(256, 3)))
+        assert main(["partition", "--problem", str(path), "--capacities", "128,128"]) == 1
+        assert "at most 512 edges on 256 vertices, got 768" in one_error_line(capsys)
 
 
 class TestExtremeFiniteInput:
@@ -1030,3 +1047,18 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         proc = run_cli(["simulate", "--problem", TRIANGLE, "--frotz", "1"])
         assert proc.returncode == 2
+
+    def test_an_error_exit_leaves_the_built_parser_as_it_was(self, monkeypatch, capsys):
+        # the parser is built once per process; a usage error that exits
+        # part-way through one subcommand must not reach the next parse
+        argv = [*SIMULATE, "--layers", "1", "--seed", "3"]
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main([*BENCHMARK, "--mref", "100", "--m", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        after_error = capsys.readouterr().out
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+        assert main(argv) == 0
+        assert capsys.readouterr().out == after_error

@@ -403,9 +403,9 @@ class TestMapCircuit:
         params = QaoaParams((0.4, 1.1), (0.7, 0.2))
         counts = noisy_sample(poly, params, placement, qpu, noise, shots=200, seed=3)
         assert counts.counts == {
-            "0000": 3, "0001": 30, "0010": 22, "0011": 12, "0100": 15, "0101": 9,
-            "0110": 8, "0111": 23, "1000": 12, "1001": 5, "1010": 15, "1011": 3,
-            "1100": 5, "1101": 9, "1110": 17, "1111": 12,
+            "0000": 6, "0001": 26, "0010": 18, "0011": 22, "0100": 17, "0101": 10,
+            "0110": 14, "0111": 7, "1000": 8, "1001": 8, "1010": 14, "1011": 6,
+            "1100": 9, "1101": 8, "1110": 15, "1111": 12,
         }
 
     def test_route_layer_is_deterministic(self):

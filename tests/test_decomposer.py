@@ -6,6 +6,7 @@ import pytest
 from qdisco import decomposer
 from qdisco.decomposer import (
     MINCUT_VERTEX_LIMIT,
+    MINCUT_WORK_LIMIT,
     Partition,
     _kl_refine,
     balanced_mincut,
@@ -94,6 +95,15 @@ def ring_graph(n):
     return ProblemGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
 
 
+def circulant_graph(n, offsets):
+    """Vertex i joined to i + 1, ..., i + offsets (mod n): n * offsets edges."""
+    return ProblemGraph(n, tuple((i, (i + k) % n, 1.0) for i in range(n) for k in range(1, offsets + 1)))
+
+
+def complete_graph(n):
+    return ProblemGraph(n, tuple((u, v, 1.0) for u, v in itertools.combinations(range(n), 2)))
+
+
 class TestMincutVertexLimit:
     def test_graph_past_the_limit_is_refused_before_refinement(self, monkeypatch):
         def refine(*args):
@@ -110,6 +120,32 @@ class TestMincutVertexLimit:
         n = MINCUT_VERTEX_LIMIT
         part = balanced_mincut(ring_graph(n), [n // 2, n // 2], seed=0)
         assert part.part_sizes == (n // 2, n // 2)
+
+
+class TestMincutWorkLimit:
+    """Dense graphs are refused by |V|^3 + 7 |V| |E|, before any work."""
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (circulant_graph(256, 3), "at most 512 edges on 256 vertices, got 768$"),
+            (complete_graph(159), "at most 12286 edges on 159 vertices, got 12561$"),
+        ],
+    )
+    def test_graph_past_the_bound_is_refused_before_refinement(self, monkeypatch, graph, message):
+        def refine(*args):
+            raise AssertionError("_kl_refine ran")
+
+        monkeypatch.setattr(decomposer, "_kl_refine", refine)
+        with pytest.raises(PartitionError, match=message):
+            balanced_mincut(graph, [graph.num_vertices], seed=0)
+
+    @pytest.mark.parametrize("graph", [circulant_graph(256, 2), complete_graph(158)])
+    def test_graph_on_the_bound_is_partitioned(self, monkeypatch, graph):
+        n = graph.num_vertices
+        assert n**3 + 7 * n * len(graph.edges) <= MINCUT_WORK_LIMIT
+        monkeypatch.setattr(decomposer, "_kl_refine", lambda n, caps, adj, assign: assign)
+        assert balanced_mincut(graph, [n - n // 2, n // 2], seed=0).part_sizes == (n - n // 2, n // 2)
 
 
 def adjacency(g):

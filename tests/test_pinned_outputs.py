@@ -2,11 +2,18 @@
 
 Each case runs in-process through ``cli.main`` inside a copy of the bundled
 data, with ``QDISCO_SEED`` unset.  A change that alters one of these outputs
-edits its digest here and names the change in CHANGES.md.
+edits its digest here and names the change in CHANGES.md.  Run this file as a
+script (``PYTHONPATH=src python tests/test_pinned_outputs.py``) to print every
+case's id and current digest.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +31,13 @@ PINNED = [
     ("run-va", ["run", "--config", "scenario_va.json", "--seed", "7"],
      "593b6ab762425f4f6baea39820d1126ea8022ab7fadbf717ce4f2028b9e9341d"),
     ("run-vb", ["run", "--config", "scenario_vb.json"],
-     "ca064efde1c3c037cc5f741f15f205893827caf00388b62a8e6864a2b4134112"),
+     "53945504ef1e4d9534806ff468f8960ff609c7feaa9a2449fbbd258897756665"),
     ("plan-vb", ["plan", "--config", "scenario_vb.json"],
      "e07d1ad4c6d00b3e83d102814f1d1964bd7c8599adc8357d684adbb860928283"),
     ("plan-va", ["plan", "--config", "scenario_va.json"],
      "fca649573c51399e8c3f91b93d38b5502c30ca70de7b810835b30874220d1738"),
     ("benchmark", ["benchmark", *RING6_HEX16, "--layers", "1..2", "--seed", "7", "--mref", "100", "--m", "100"],
-     "207115bcd9a25d0f93b8691dc808250fdc63b0bcdf4e6de2e78b5435aca05be5"),
+     "b78d38ca74772d6dc0b66ee2ad11b010d98b64fb8c94d297e57ef064a786dd78"),
     ("simulate-p1", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "1"],
      "0e3db9148ff5e8553ed2bc4eeb51c3427e804e61edbdb8436c895444d677ceb5"),
     ("simulate-p2", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "2"],
@@ -47,17 +54,36 @@ PINNED = [
 ]
 
 
+def output_digest(argv) -> str:
+    """sha256 of a case's output, run in the current directory: stdout or, for run, result.json."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        if argv[0] == "run":
+            assert main([*argv, "-o", "out"]) == 0
+            output = Path("out", "result.json").read_bytes()
+        else:
+            assert main(argv) == 0
+            output = stdout.getvalue().encode()
+    return hashlib.sha256(output).hexdigest()
+
+
 @pytest.mark.parametrize("argv, digest", [pytest.param(a, d, id=i) for i, a, d in PINNED])
-def test_seeded_output_is_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+def test_seeded_output_is_pinned(tmp_path, monkeypatch, argv, digest):
     shutil.copytree(data_path("."), tmp_path / "data")
     monkeypatch.chdir(tmp_path / "data")
     monkeypatch.delenv("QDISCO_SEED", raising=False)
-    if argv[0] == "run":
-        assert main([*argv, "-o", "out"]) == 0
-        output = (tmp_path / "data" / "out" / "result.json").read_bytes()
-    else:
-        assert main(argv) == 0
-        output = capsys.readouterr().out.encode()
-    assert hashlib.sha256(output).hexdigest() == digest, (
+    assert output_digest(argv) == digest, (
         f"output changed; the table was made with numpy {NUMPY_VERSION}, this is numpy {np.__version__}"
     )
+
+
+if __name__ == "__main__":
+    print(f"numpy {np.__version__}")
+    os.environ.pop("QDISCO_SEED", None)
+    here = os.getcwd()
+    for case_id, argv, _ in PINNED:
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(data_path("."), Path(tmp) / "data")
+            os.chdir(Path(tmp) / "data")
+            print(case_id, output_digest(argv))
+            os.chdir(here)

@@ -3,17 +3,15 @@
 import collections
 import itertools
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisco import _graphs, compiler, orchestrator, simulator
-from qdisco._seeds import default_rng_states, derive_seed, derive_seeds
 from qdisco._fields import number
 from qdisco.compiler import (
     _find_monomorphism,
@@ -44,8 +42,6 @@ from qdisco.simulator import (
     QaoaParams,
     ShotCounts,
     _apply_rx_all,
-    _draw_fires,
-    _fire_points,
     _trajectory_rows,
     build_qaoa_state,
     index_to_bitstring,
@@ -55,7 +51,6 @@ from qdisco.simulator import (
 from oracles import (
     qubit_graph,
     reference_apply_rx_all,
-    reference_draw_fires,
     reference_enumerate_regions,
     reference_find_monomorphism,
     reference_index_to_bitstring,
@@ -346,38 +341,6 @@ def test_eight_qubit_block_rows_equal_single_row_walks(rows):
         assert np.array_equal(row, reference_trajectory_probabilities(8, layers, pr, fired, {}))
 
 
-@st.composite
-def noise_schedules(draw):
-    """Layers of entries holding 0-60 channel applications, and a rate per edge."""
-    edges = [(q, q + 1) for q in range(draw(st.integers(1, 8)))]
-    rates = {e: draw(st.sampled_from([0.0, 0.005, 0.3, 0.9])) for e in edges}
-    k = draw(st.integers(0, 60))
-    pair = st.tuples(st.integers(0, 5), st.integers(0, 5))
-    points = [(draw(st.sampled_from(edges)), draw(pair)) for _ in range(k)]
-    cuts = sorted(draw(st.lists(st.integers(0, k), max_size=8)))
-    entries = [
-        SimpleNamespace(noise_points=tuple(points[a:b]))
-        for a, b in zip([0, *cuts], [*cuts, k])
-    ]
-    cuts = sorted(draw(st.lists(st.integers(0, len(entries)), max_size=2)))
-    layers = [entries[a:b] for a, b in zip([0, *cuts], [*cuts, len(entries)])]
-    return layers, rates
-
-
-@settings(max_examples=300, deadline=None)
-@given(noise_schedules(), st.integers(0, 2**64 - 1))
-def test_vector_fire_draws_equal_scalar_draws(schedule, seed):
-    layers, rates = schedule
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _draw_fires(got_rng, *_fire_points(layers, NoiseSpec((), rates)))
-    assert got == reference_draw_fires(want_rng, layers, rates)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # the multinomial and readout draws that follow see the same stream
-    pvals = [0.5, 0.25, 0.25]
-    assert np.array_equal(got_rng.multinomial(40, pvals), want_rng.multinomial(40, pvals))
-    assert np.array_equal(got_rng.random((5, 3)), want_rng.random((5, 3)))
-
-
 EIGHTHS = st.integers(-40, 40).map(lambda k: k / 8)  # sums of these are exact
 
 
@@ -455,25 +418,6 @@ SEED = st.integers(0, 2**63 - 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(SEED, min_size=1, max_size=40))
-@example([0])
-@example([1])
-@example([2**32 - 1])  # the largest one-word entropy
-@example([2**32])  # the smallest two-word entropy
-@example([2**63 - 1])
-@example([0, 1, 2**32 - 1, 2**32, 2**63 - 1])
-def test_bulk_seeding_equals_default_rng(seeds):
-    assert default_rng_states(seeds) == [np.random.default_rng(s).bit_generator.state for s in seeds]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(SEED, max_size=4), st.lists(st.integers(0, 200), max_size=6))
-def test_derive_seeds_equals_derive_seed(seeds, labels):
-    want = [derive_seed(seed, "trajectory", label) for seed in seeds for label in labels]
-    assert derive_seeds(seeds, ("trajectory",), labels) == want
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
 def test_index_to_bitstring_equals_bit_loop(case):
     n, index = case
@@ -518,15 +462,18 @@ def sample_batches(draw):
     )
     shots = draw(st.integers(1, 40))  # often fewer shots than trajectories
     seeds = draw(st.lists(SEED, min_size=len(runs), max_size=len(runs)))
-    return poly, runs, noise, shots, seeds, draw(st.integers(1, 64))
+    return poly, runs, noise, shots, seeds, draw(st.integers(1, 64)), draw(st.integers(1, 200))
 
 
 @settings(max_examples=200, deadline=None)
 @given(sample_batches())
 def test_noisy_sample_batch_equals_reference_run_by_run(batch):
-    poly, runs, noise, shots, seeds, at_once = batch
+    poly, runs, noise, shots, seeds, at_once, doubles_at_once = batch
     placement = best_region_placement(poly, HEX16)
-    with mock.patch.object(simulator, "_TRAJECTORIES_AT_ONCE", at_once):  # groups of runs
+    with (
+        mock.patch.object(simulator, "_TRAJECTORIES_AT_ONCE", at_once),  # groups of runs
+        mock.patch.object(simulator, "_DOUBLES_AT_ONCE", doubles_at_once),  # chunks of fire and readout draws
+    ):
         got = noisy_sample_batch(poly, runs, placement, HEX16, noise, shots, seeds)
     want = [
         reference_noisy_sample(poly, params, placement, HEX16, noise, shots, seed)

@@ -10,7 +10,7 @@ from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.errors import CapacityError, DimensionError, PlacementError
 from qdisco.datasets import data_path
 from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
-from qdisco.hscore import best_region_placement
+from qdisco.hscore import accuracy, best_region_placement
 from qdisco.problem import (
     ProblemGraph,
     SpinPolynomial,
@@ -40,6 +40,7 @@ from qdisco.simulator import (
 from oracles import (
     dense_qaoa_oracle,
     direct_cost,
+    per_trajectory_noisy_sample,
     random_maxcut_graph,
     reference_apply_rx_all,
     reference_noisy_sample,
@@ -596,7 +597,7 @@ def scaled_noise(qpu, factor, readout=True, trajectories=64):
 
 
 class TestNoisySampleMatchesReference:
-    """Reusing the error-free trajectory must not change a single count."""
+    """The batched walk draws the documented stream: not a single count differs."""
 
     def setup_method(self):
         self.qpu = load_calibration(data_path("qpu_hex16.json").read_text())
@@ -715,3 +716,82 @@ class TestNoisySampleBatch:
             tracemalloc.stop()
         assert got == want
         assert peak < 1024 * 1024
+
+    def test_fire_and_readout_draws_are_chunked(self):
+        # 2^16 trajectories of ring6 at p = 2 meet 42 channel applications
+        # each: one (T, P) draw of their fire doubles would hold 22 MB, and
+        # one (shots, n) draw of readout doubles 3 MB
+        noise = NoiseSpec(self.qpu.readout_error, dict.fromkeys(self.qpu.gate_error, 1e-6), 1 << 16)
+        params = self.runs(1, 2)[0]
+        tracemalloc.start()
+        try:
+            counts = noisy_sample(self.ring6, params, self.placement, self.qpu, noise, 1 << 16, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total_shots == 1 << 16
+        assert peak < 4 * 1024 * 1024
+
+
+# ring6 angles found by grid_then_nelder_mead (seed 0): optimum mass 0.29 at p = 1, 0.54 at p = 2
+GOOD_RING6_ANGLES = {
+    1: QaoaParams((5.496,), (0.394,)),
+    2: QaoaParams((3.798, 1.246), (2.521, 1.244)),
+}
+
+
+class TestNoiseModel:
+    """One stream per run samples the noise model the per-trajectory streams did."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_mean_accuracy_matches_per_trajectory_streams(self, p):
+        # 50 runs of one angle set differ only in their draws; at 10x noise
+        # the accuracy falls well below its noiseless value
+        qpu = load_calibration(data_path("qpu_hex16.json").read_text())
+        placement = best_region_placement(RING6, qpu)
+        noise, params, seeds = scaled_noise(qpu, 10.0), GOOD_RING6_ANGLES[p], range(50)
+        new = [
+            accuracy(c, RING6)
+            for c in noisy_sample_batch(RING6, [params] * 50, placement, qpu, noise, 256, seeds)
+        ]
+        old = [
+            accuracy(per_trajectory_noisy_sample(RING6, params, placement, qpu, noise, 256, s), RING6)
+            for s in seeds
+        ]
+        combined_se = math.sqrt((np.var(new, ddof=1) + np.var(old, ddof=1)) / 50)
+        assert abs(np.mean(new) - np.mean(old)) < 4 * combined_se
+
+    def test_counts_fit_the_exact_mixture(self):
+        # One trajectory per shot makes the shots independent draws of the
+        # mixture: the ideal circuit with 1 - r, or with each of the 15
+        # non-identity Paulis after the phase with r / 15, then readout flips.
+        # The linear term breaks the bit-flip symmetry, so a readout rate on
+        # the wrong qubit shows; the angles put 0.93 of the ideal mass on
+        # two outcomes, so a wrong fault rate shows.
+        poly = SpinPolynomial(2, ((1.0, (0, 1)), (0.5, (0,))))
+        qpu = synthesize_topology("line", num_qubits=2, profile=ErrorProfile.uniform(0.0, 0.0))
+        placement = single_region_placement(poly, qpu)
+        params, rate, readout, shots = QaoaParams((5.657,), (0.402,)), 0.3, (0.05, 0.2), 20000
+        noise = NoiseSpec(readout, {(0, 1): rate}, trajectories=shots)
+
+        gamma, beta = params.gammas[0], params.betas[0]
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        rx = math.cos(beta) * np.eye(2) - 1j * math.sin(beta) * paulis[1]
+        phased = np.exp(-1j * gamma * cost_vector(poly)) / 2
+        ideal, *faulty = [
+            np.abs(np.kron(rx, rx) @ np.kron(b, a) @ phased) ** 2 for b in paulis for a in paulis
+        ]
+        mixture = (1 - rate) * ideal + rate * np.mean(faulty, axis=0)
+        flip = [readout[placement.final_map[l]] for l in range(2)]
+        want = np.zeros(4)
+        for b, mask in np.ndindex(4, 4):
+            want[b ^ mask] += mixture[b] * math.prod(
+                flip[l] if mask >> l & 1 else 1 - flip[l] for l in range(2)
+            )
+        got = np.zeros(4)
+        for seed in range(5):  # independent runs: their pooled counts are one multinomial
+            counts = noisy_sample(poly, params, placement, qpu, noise, shots, seed)
+            got += [counts.histogram.get(b, 0) for b in range(4)]
+        expected = 5 * shots * want
+        chi2 = float(np.sum((got - expected) ** 2 / expected))
+        assert chi2 < 16.27  # the 0.999 quantile of chi-square with 3 degrees of freedom
