@@ -93,6 +93,18 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
+def _object(value, field: str, known: tuple[str, ...]) -> dict:
+    """A config object whose every key is one of ``known``: a misspelt field is refused, not dropped."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{field}' must be an object")
+    for key in value:
+        if key not in known:
+            raise ConfigError(
+                f"unknown config field '{field}.{key}' must be one of {', '.join(sorted(known))}"
+            )
+    return value
+
+
 def _resolve_seed(explicit: int | None, configured=None) -> int:
     """The explicit seed, else the config's ``seed``, else QDISCO_SEED, else 0."""
     if explicit is not None:
@@ -154,9 +166,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     qpus = []
     priors = {}
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "calibration" not in entry:
-            raise ConfigError(f"fleet[{i}] needs a 'calibration' path")
-        qpu = _read_qpu(str(resolve(entry["calibration"], f"fleet[{i}].calibration")))
+        entry = _object(entry, f"fleet[{i}]", ("calibration", "prior_hscore"))
+        qpu = _read_qpu(str(resolve(entry.get("calibration"), f"fleet[{i}].calibration")))
         qpus.append(qpu)
         if "prior_hscore" in entry:
             priors[qpu.name] = _number(float, entry["prior_hscore"], f"fleet[{i}].prior_hscore")
@@ -168,9 +179,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             raise ConfigError("config field 'capacities' must be a non-empty list")
         capacities = tuple(_number(int, c, "capacities", low=1) for c in doc["capacities"])
 
-    opt_doc = doc.get("optimizer", {})
-    if not isinstance(opt_doc, dict):
-        raise ConfigError("config field 'optimizer' must be an object")
+    opt_doc = _object(doc.get("optimizer", {}), "optimizer", ("initial", "noisy", "method", *FIELD_RANGES))
     initial = opt_doc.get("initial")
     if initial is not None:
         if not isinstance(initial, list):
@@ -184,9 +193,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     settings = {k: opt_doc[k] for k in ("method", *FIELD_RANGES) if k in opt_doc}
     optimizer = OptimizerConfig(initial=initial, **settings)
 
-    hs_doc = doc.get("hscore", {})
-    if not isinstance(hs_doc, dict):
-        raise ConfigError("config field 'hscore' must be an object")
+    hs_doc = _object(doc.get("hscore", {}), "hscore", ("enabled", "m_ref"))
     with_hscore = _boolean(hs_doc.get("enabled", False), "hscore.enabled")
     m_ref = _number(
         int, hs_doc.get("m_ref", 100), "hscore.m_ref", low=MIN_REFERENCE_SIZE if with_hscore else -math.inf

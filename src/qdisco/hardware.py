@@ -17,20 +17,7 @@ from dataclasses import dataclass, field
 
 from . import _graphs
 from ._fields import load_object, number
-from ._seeds import rng_from
 from .errors import SchemaError
-
-# Heavy-hex unit layout: a 12-qubit hexagonal ring closed by two bridge
-# qubits plus two spurs; 16 qubits, 18 edges, max degree 3.
-_HEAVY_HEX_16_EDGES: tuple[tuple[int, int], ...] = tuple(
-    [(i, (i + 1) % 12) for i in range(12)]
-    + [(0, 12), (6, 12), (3, 13), (9, 13), (1, 14), (7, 15)]
-)
-
-# 7-qubit T/H-shaped layout used by small IBM-style devices.
-_T_SHAPE_7_EDGES: tuple[tuple[int, int], ...] = (
-    (0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6),
-)
 
 
 @dataclass(frozen=True)
@@ -120,108 +107,6 @@ def load_calibration(text: str) -> QpuModel:
         ),
         gate_error=gate_error,
     )
-
-
-@dataclass(frozen=True)
-class ErrorProfile:
-    """How to populate calibration values on a synthesized topology.
-
-    ``uniform`` assigns the same rate everywhere; ``random`` draws each
-    rate from the given half-open ranges, reproducibly under ``seed``.
-    """
-
-    kind: str = "uniform"  # "uniform" | "random"
-    readout: float = 0.01
-    gate: float = 0.005
-    readout_range: tuple[float, float] = (0.005, 0.05)
-    gate_range: tuple[float, float] = (0.002, 0.02)
-    seed: int = 0
-
-    @classmethod
-    def uniform(cls, readout: float, gate: float) -> "ErrorProfile":
-        return cls(kind="uniform", readout=readout, gate=gate)
-
-    @classmethod
-    def random(
-        cls,
-        readout_range: tuple[float, float],
-        gate_range: tuple[float, float],
-        seed: int,
-    ) -> "ErrorProfile":
-        return cls(
-            kind="random",
-            readout_range=readout_range,
-            gate_range=gate_range,
-            seed=seed,
-        )
-
-
-def synthesize_topology(
-    kind: str,
-    num_qubits: int | None = None,
-    profile: ErrorProfile | None = None,
-    name: str | None = None,
-    rows: int | None = None,
-    cols: int | None = None,
-) -> QpuModel:
-    """Build a QPU model with a named topology family and synthetic errors.
-
-    ``line``/``ring`` take ``num_qubits``; ``grid`` takes ``rows`` and
-    ``cols``; ``heavy_hex_16`` and ``t_shape_7`` are fixed layouts.
-    """
-    profile = profile or ErrorProfile()
-    if kind == "line":
-        n = _require_size(kind, num_qubits, minimum=2)
-        edges = [(i, i + 1) for i in range(n - 1)]
-    elif kind == "ring":
-        n = _require_size(kind, num_qubits, minimum=3)
-        edges = [(i, (i + 1) % n) for i in range(n)]
-    elif kind == "heavy_hex_16":
-        n = 16
-        edges = list(_HEAVY_HEX_16_EDGES)
-    elif kind == "t_shape_7":
-        n = 7
-        edges = list(_T_SHAPE_7_EDGES)
-    elif kind == "grid":
-        if not rows or not cols or rows < 1 or cols < 1:
-            raise SchemaError("grid topology needs positive 'rows' and 'cols'")
-        n = rows * cols
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                q = r * cols + c
-                if c + 1 < cols:
-                    edges.append((q, q + 1))
-                if r + 1 < rows:
-                    edges.append((q, q + cols))
-    else:
-        raise SchemaError(f"unknown topology kind '{kind}'")
-
-    edges = sorted(_graphs.norm_edge(u, v) for u, v in edges)
-    if profile.kind == "uniform":
-        readout = tuple(float(profile.readout) for _ in range(n))
-        gate = {e: float(profile.gate) for e in edges}
-    elif profile.kind == "random":
-        rng = rng_from(profile.seed, "topology", kind, n)
-        lo, hi = profile.readout_range
-        readout = tuple(float(x) for x in rng.uniform(lo, hi, size=n))
-        glo, ghi = profile.gate_range
-        gate = {e: float(x) for e, x in zip(edges, rng.uniform(glo, ghi, size=len(edges)))}
-    else:
-        raise SchemaError(f"unknown error profile kind '{profile.kind}'")
-
-    return QpuModel(
-        name=name or f"{kind}_{n}",
-        num_qubits=n,
-        readout_error=readout,
-        gate_error=gate,
-    )
-
-
-def _require_size(kind: str, num_qubits: int | None, minimum: int) -> int:
-    if num_qubits is None or num_qubits < minimum:
-        raise SchemaError(f"topology '{kind}' needs num_qubits >= {minimum}")
-    return num_qubits
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from qdisco.cli import load_run_config, main
 from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.datasets import data_path
-from qdisco.hardware import ErrorProfile, Fleet, QpuModel, synthesize_topology
+from qdisco.hardware import Fleet, QpuModel
 from qdisco.hscore import benchmark_qpu, build_reference, h_score
 from qdisco.optimizer import OptimizerConfig, optimize
 from qdisco.orchestrator import execute, plan, speedup_report
@@ -39,6 +39,7 @@ from oracles import (
     random_maxcut_graph,
     reference_enumerate_regions,
 )
+from topologies import uniform_qpu
 
 RING6 = ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)))
 RING8 = ProblemGraph(8, tuple((i, (i + 1) % 8, 1.0) for i in range(8)))
@@ -53,9 +54,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_hscore_self_normalization():
     """Noiseless QPU scored against its own reference gives C near 1."""
     poly = maxcut_to_spin_polynomial(RING6)
-    qpu = synthesize_topology(
-        "ring", num_qubits=6, profile=ErrorProfile.uniform(0.0, 0.0), name="noiseless"
-    )
+    qpu = uniform_qpu("ring", num_qubits=6, readout=0.0, gate=0.0, name="noiseless")
     cfg = OptimizerConfig(max_evaluations=120)
     start = time.time()
     rep, _ = benchmark_qpu(poly, qpu, p=1, m=500, seed=123, cfg=cfg, shots=256, m_ref=500)
@@ -128,9 +127,7 @@ def test_criterion_05_noise_ordering():
     levels = (0.0, 0.02, 0.05)
     stats = {}
     for level in levels:
-        qpu = synthesize_topology(
-            "ring", num_qubits=8, profile=ErrorProfile.uniform(level, level), name=f"u{level}"
-        )
+        qpu = uniform_qpu("ring", num_qubits=8, readout=level, gate=level, name=f"u{level}")
         scores = []
         for s in range(20):
             rep, _ = benchmark_qpu(
@@ -218,9 +215,7 @@ def test_criterion_07_simulator_oracles():
         worst_amp = max(worst_amp, float(np.max(np.abs(got - want))))
     assert worst_amp < 1e-8
 
-    qpu = synthesize_topology(
-        "line", num_qubits=8, profile=ErrorProfile.uniform(0.005, 0.002)
-    )
+    qpu = uniform_qpu("line", num_qubits=8, readout=0.005, gate=0.002)
     fg = filter_by_threshold(qpu, 0.01)
     worst_prob = 0.0
     swaps = 0
@@ -255,9 +250,7 @@ def test_criterion_07_simulator_oracles():
 def test_criterion_08_decomposition_quality():
     """100 seeded 10-vertex instances, capacities {5,5}: >= 90 hit 0.9x optimum."""
     qpus = tuple(
-        synthesize_topology(
-            "line", num_qubits=5, profile=ErrorProfile.uniform(0.0, 0.0), name=name
-        )
+        uniform_qpu("line", num_qubits=5, readout=0.0, gate=0.0, name=name)
         for name in ("qa", "qb")
     )
     fleet = Fleet(qpus, {"qa": 1.0, "qb": 0.9})

@@ -679,6 +679,14 @@ MALFORMED_CONFIGS = [
     malformed("shots", {"shots": MAX_SHOTS + 1}, id="shots-above-cap"),
     malformed("eta", {"eta": 1.5}, id="eta-above-range"),
     malformed("capacities", {"capacities": []}, id="capacities-empty"),
+    malformed("fleet", {"fleet": []}, id="fleet-empty"),
+    malformed("fleet[0].calibration", {"fleet": [{"prior_hscore": 1.0}]}, id="fleet[0].calibration-missing"),
+    malformed("optimizer", {"optimizer": 5}),
+    malformed("hscore", {"hscore": []}),
+    # a misspelt field is refused, not dropped
+    malformed("optimizer.max_evaluation", {"optimizer": {"max_evaluation": 10}}),
+    malformed("hscore.enable", {"hscore": {"enable": True}}),
+    malformed("fleet[0].prior", {"fleet": [{"calibration": HEX16, "prior": 1.0}]}),
 ]
 
 
@@ -738,7 +746,7 @@ def set_first_edge(field, value):
 
 def refused(command, content, named, id):
     """One row whose error line must name the refused field."""
-    return pytest.param(command, content, named, id=id)
+    return pytest.param(command, content, rf"\b{re.escape(named)}'? must be", id=id)
 
 
 MALFORMED_INPUT_FILES = [
@@ -784,19 +792,34 @@ MALFORMED_INPUT_FILES = [
         "edges[0].gate_error",
         id="calibration-gate_error-boolean",
     ),
+    pytest.param(
+        calibration_file, set_first_edge("q", [0, 0]), re.escape("self-loop edge (0,0)"), id="calibration-self-loop"
+    ),
+    pytest.param(
+        calibration_file,
+        lambda doc: doc.update(edges=[{"q": [0, 1], "gate_error": 0.0}, {"q": [1, 0], "gate_error": 0.0}]),
+        re.escape("edges[1] duplicates edge (0, 1)"),
+        id="calibration-duplicate-edge",
+    ),
+    pytest.param(
+        calibration_file,
+        lambda doc: doc.update(num_qubits=2, readout_error=[0.0, 0.0], edges=[{"q": [0, 5], "gate_error": 0.0}]),
+        "references a missing qubit",
+        id="calibration-missing-qubit",
+    ),
 ]
 
 
 class TestMalformedInputFiles:
-    @pytest.mark.parametrize("command, content, named", MALFORMED_INPUT_FILES)
-    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, content, named):
+    @pytest.mark.parametrize("command, content, pattern", MALFORMED_INPUT_FILES)
+    def test_one_error_line_without_traceback(self, tmp_path, capsys, command, content, pattern):
         assert main(command(tmp_path, content)) in (1, 2)
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
-        if named is not None:
-            assert re.search(rf"\b{re.escape(named)}'? must be", err)
+        if pattern is not None:
+            assert re.search(pattern, err)
 
 
 def labs_config(tmp_path, n):
@@ -843,6 +866,14 @@ PLAN_ERRORS = [
         lambda tmp: ["run", "--config", empty_problem_config(tmp), "-o", str(tmp / "run")],
         "problem has 0 spins",
         id="run-empty-problem",
+    ),
+    pytest.param(
+        lambda tmp: ["partition", "--problem", str(data_path("problem_labs6.json")), "--capacities", "3,3"],
+        "partition requires a graph problem",
+        id="partition-labs",
+    ),
+    pytest.param(
+        lambda tmp: [*SIMULATE, "--layers", "1..2"], "simulate takes a single --layers value", id="simulate-layer-range"
     ),
 ]
 

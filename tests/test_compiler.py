@@ -24,7 +24,7 @@ from qdisco.compiler import (
 )
 from qdisco.datasets import data_path
 from qdisco.errors import ConfigError, DimensionError, NoRegionError
-from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
+from qdisco.hardware import QpuModel, load_calibration
 from qdisco.problem import (
     ProblemGraph,
     SpinPolynomial,
@@ -41,6 +41,7 @@ from oracles import (
     random_maxcut_graph,
     reference_enumerate_regions,
 )
+from topologies import uniform_qpu
 
 
 def random_qpu(rng, max_qubits=12) -> QpuModel:
@@ -65,18 +66,18 @@ class TestFilterByThreshold:
         assert fg.edges == frozenset()
 
     def test_vacuous_filter(self):
-        qpu = synthesize_topology("ring", num_qubits=5, profile=ErrorProfile.uniform(0.3, 0.2))
+        qpu = uniform_qpu("ring", num_qubits=5, readout=0.3, gate=0.2)
         fg = filter_by_threshold(qpu, 1.0)
         assert fg.qubits == frozenset(range(5))
         assert fg.edges == frozenset(qpu.edges)
 
     def test_filter_below_everything(self):
-        qpu = synthesize_topology("ring", num_qubits=5, profile=ErrorProfile.uniform(0.3, 0.2))
+        qpu = uniform_qpu("ring", num_qubits=5, readout=0.3, gate=0.2)
         fg = filter_by_threshold(qpu, 0.001)
         assert not fg.qubits and not fg.edges
 
     def test_eta_out_of_range(self):
-        qpu = synthesize_topology("line", num_qubits=3)
+        qpu = uniform_qpu("line", num_qubits=3)
         with pytest.raises(ConfigError):
             filter_by_threshold(qpu, 0.0)
         with pytest.raises(ConfigError):
@@ -111,9 +112,7 @@ class TestEnumerateRegions:
     """Connected sets as ``_ranked_sets`` ranks them: ((-fidelity, qubits), edges)."""
 
     def path4(self) -> QpuModel:
-        return synthesize_topology(
-            "line", num_qubits=4, profile=ErrorProfile.uniform(0.005, 0.002), name="p4"
-        )
+        return uniform_qpu("line", num_qubits=4, readout=0.005, gate=0.002, name="p4")
 
     def test_path_pairs(self):
         fg = filter_by_threshold(self.path4(), 0.01)
@@ -131,9 +130,7 @@ class TestEnumerateRegions:
             _ranked_sets(fg, 5)
 
     def test_heavy_hex_count_matches_bruteforce(self):
-        qpu = synthesize_topology(
-            "heavy_hex_16", profile=ErrorProfile.uniform(0.005, 0.002)
-        )
+        qpu = uniform_qpu("heavy_hex_16", readout=0.005, gate=0.002)
         fg = filter_by_threshold(qpu, 0.01)
         ranked = _ranked_sets(fg, 6)
         want = connected_subsets_bruteforce(fg.qubits, fg.edges, 6)
@@ -159,9 +156,7 @@ class TestEnumerateRegions:
         assert fids == sorted(fids, reverse=True)
 
     def test_stochastic_mode_on_large_graph(self):
-        qpu = synthesize_topology(
-            "grid", rows=5, cols=5, profile=ErrorProfile.uniform(0.005, 0.002), name="g25"
-        )
+        qpu = uniform_qpu("grid", rows=5, cols=5, readout=0.005, gate=0.002, name="g25")
         fg = filter_by_threshold(qpu, 0.01)
         assert len(fg.qubits) > 20
         with mock.patch.object(compiler, "SAMPLED_CANDIDATE_LIMIT", 50):
@@ -198,7 +193,7 @@ class TestEnumerateRegions:
 
 class TestRegionFidelity:
     def test_zero_errors_give_one(self):
-        qpu = synthesize_topology("line", num_qubits=3, profile=ErrorProfile.uniform(0.0, 0.0))
+        qpu = uniform_qpu("line", num_qubits=3, readout=0.0, gate=0.0)
         assert region_fidelity((0, 1, 2), ((0, 1), (1, 2)), qpu) == 1.0
 
     def test_direct_product(self):
@@ -297,7 +292,7 @@ class TestMapCircuit:
         poly = maxcut_to_spin_polynomial(
             ProblemGraph(5, tuple((i, (i + 1) % 5, 1.0) for i in range(5)))
         )
-        qpu = synthesize_topology("ring", num_qubits=5, profile=ErrorProfile.uniform(0.0, 0.0))
+        qpu = uniform_qpu("ring", num_qubits=5, readout=0.0, gate=0.0)
         region = SamplingRegion("ring_5", tuple(range(5)), qpu.edges, 1.0)
         placement = map_circuit(poly, region)
         assert placement.swap_count == 0
@@ -310,9 +305,7 @@ class TestMapCircuit:
 
     def test_schedule_edges_stay_inside_region(self):
         rng = np.random.default_rng(17)
-        qpu = synthesize_topology(
-            "heavy_hex_16", profile=ErrorProfile.uniform(0.005, 0.002)
-        )
+        qpu = uniform_qpu("heavy_hex_16", readout=0.005, gate=0.002)
         fg = filter_by_threshold(qpu, 0.01)
         for _ in range(10):
             n = int(rng.integers(3, 7))
@@ -337,9 +330,7 @@ class TestMapCircuit:
 
     def test_placement_transparency(self):
         rng = np.random.default_rng(18)
-        qpu = synthesize_topology(
-            "line", num_qubits=8, profile=ErrorProfile.uniform(0.005, 0.002)
-        )
+        qpu = uniform_qpu("line", num_qubits=8, readout=0.005, gate=0.002)
         fg = filter_by_threshold(qpu, 0.01)
         for _ in range(10):
             n = int(rng.integers(3, 7))
@@ -360,9 +351,7 @@ class TestMapCircuit:
     def test_placement_transparency_deep_circuit(self):
         # p = 4 exercises repeated re-routing from evolved layouts
         rng = np.random.default_rng(19)
-        qpu = synthesize_topology(
-            "line", num_qubits=6, profile=ErrorProfile.uniform(0.005, 0.002)
-        )
+        qpu = uniform_qpu("line", num_qubits=6, readout=0.005, gate=0.002)
         fg = filter_by_threshold(qpu, 0.01)
         g = random_maxcut_graph(rng, 6, 0.9, weighted=True)
         poly = maxcut_to_spin_polynomial(g)
@@ -377,7 +366,7 @@ class TestMapCircuit:
 
     def test_quartic_terms_route_without_swaps(self):
         poly = labs_to_spin_polynomial(5)
-        qpu = synthesize_topology("line", num_qubits=5, profile=ErrorProfile.uniform(0.0, 0.0))
+        qpu = uniform_qpu("line", num_qubits=5, readout=0.0, gate=0.0)
         region = SamplingRegion("line_5", tuple(range(5)), qpu.edges, 1.0)
         placement = map_circuit(poly, region)
         for entry in placement.schedule:
@@ -410,7 +399,7 @@ class TestMapCircuit:
 
     def test_route_layer_is_deterministic(self):
         poly = labs_to_spin_polynomial(6)
-        qpu = synthesize_topology("ring", num_qubits=6, profile=ErrorProfile.uniform(0.0, 0.0))
+        qpu = uniform_qpu("ring", num_qubits=6, readout=0.0, gate=0.0)
         region = SamplingRegion("ring_6", tuple(range(6)), qpu.edges, 1.0)
         mapping = tuple(range(6))
         a = route_phase_layer(region, mapping, ordered_terms(poly))

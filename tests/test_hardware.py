@@ -5,13 +5,9 @@ import pytest
 
 from qdisco.datasets import data_path
 from qdisco.errors import SchemaError
-from qdisco.hardware import (
-    ErrorProfile,
-    Fleet,
-    QpuModel,
-    load_calibration,
-    synthesize_topology,
-)
+from qdisco.hardware import Fleet, QpuModel, load_calibration
+
+from topologies import uniform_qpu
 
 MINIMAL_DOC = json.dumps(
     {
@@ -72,89 +68,48 @@ class TestLoadCalibration:
         assert nx.is_connected(as_nx(qpu))
 
     def test_round_trip(self):
-        for kind, kwargs in [
-            ("line", {"num_qubits": 5}),
-            ("ring", {"num_qubits": 6}),
-            ("heavy_hex_16", {}),
-            ("t_shape_7", {}),
-            ("grid", {"rows": 2, "cols": 3}),
-        ]:
-            qpu = synthesize_topology(
-                kind,
-                profile=ErrorProfile.random((0.001, 0.05), (0.001, 0.02), seed=3),
-                **kwargs,
-            )
+        paths = sorted(data_path("qpu_hex16.json").parent.glob("qpu_*.json"))
+        assert paths
+        for path in paths:
+            qpu = load_calibration(path.read_text())
             assert load_calibration(qpu.serialize()) == qpu
 
 
-class TestSynthesizeTopology:
-    def test_line_shape_and_rates(self):
-        qpu = synthesize_topology(
-            "line", num_qubits=3, profile=ErrorProfile.uniform(0.01, 0.005)
-        )
-        assert qpu.num_qubits == 3
-        assert qpu.edges == ((0, 1), (1, 2))
-        assert qpu.readout_error == (0.01, 0.01, 0.01)
-        assert set(qpu.gate_error.values()) == {0.005}
-
+class TestUniformQpu:
     def test_heavy_hex_16_qubit_count(self):
-        qpu = synthesize_topology("heavy_hex_16")
-        assert qpu.num_qubits == 16
-
-    def test_t_shape_7(self):
-        qpu = synthesize_topology("t_shape_7")
-        assert qpu.num_qubits == 7
-        assert len(qpu.edges) == 6
-
-    def test_seeded_random_is_reproducible(self):
-        profile = ErrorProfile.random((0.005, 0.02), (0.001, 0.01), seed=9)
-        a = synthesize_topology("ring", num_qubits=6, profile=profile)
-        b = synthesize_topology("ring", num_qubits=6, profile=profile)
-        assert a == b
-
-    def test_different_seeds_differ(self):
-        a = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.random((0.005, 0.02), (0.001, 0.01), 1)
-        )
-        b = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.random((0.005, 0.02), (0.001, 0.01), 2)
-        )
-        assert a != b
-
-    def test_unknown_kind(self):
-        with pytest.raises(SchemaError, match="unknown topology"):
-            synthesize_topology("torus", num_qubits=4)
+        qpu = uniform_qpu("heavy_hex_16")
+        assert (qpu.num_qubits, len(qpu.edges)) == (16, 18)
 
     @pytest.mark.parametrize(
-        "kind,kwargs",
+        "kind, kwargs, num_qubits",
         [
-            ("line", {"num_qubits": 8}),
-            ("ring", {"num_qubits": 9}),
-            ("heavy_hex_16", {}),
-            ("t_shape_7", {}),
-            ("grid", {"rows": 3, "cols": 4}),
+            pytest.param("line", {"num_qubits": 8}, 8, id="line"),
+            pytest.param("ring", {"num_qubits": 9}, 9, id="ring"),
+            pytest.param("heavy_hex_16", {}, 16, id="heavy_hex_16"),
+            pytest.param("grid", {"rows": 3, "cols": 4}, 12, id="grid"),
         ],
     )
-    def test_every_topology_is_connected(self, kind, kwargs):
-        qpu = synthesize_topology(kind, **kwargs)
+    def test_layout_is_connected(self, kind, kwargs, num_qubits):
+        qpu = uniform_qpu(kind, **kwargs)
+        assert qpu.num_qubits == num_qubits
         assert nx.is_connected(as_nx(qpu))
 
 
 class TestFleet:
     def test_rejects_duplicate_names(self):
-        a = synthesize_topology("line", num_qubits=3, name="same")
-        b = synthesize_topology("ring", num_qubits=4, name="same")
+        a = uniform_qpu("line", num_qubits=3, name="same")
+        b = uniform_qpu("ring", num_qubits=4, name="same")
         with pytest.raises(SchemaError, match="duplicate"):
             Fleet((a, b))
 
     def test_prior_for_unknown_name(self):
-        a = synthesize_topology("line", num_qubits=3, name="a")
+        a = uniform_qpu("line", num_qubits=3, name="a")
         with pytest.raises(SchemaError, match="unknown QPU"):
             Fleet((a,), {"ghost": 1.0})
 
     def test_lookup_and_priors(self):
-        a = synthesize_topology("line", num_qubits=3, name="a")
-        b = synthesize_topology("ring", num_qubits=4, name="b")
+        a = uniform_qpu("line", num_qubits=3, name="a")
+        b = uniform_qpu("ring", num_qubits=4, name="b")
         fleet = Fleet((a, b), {"a": 1.2})
         assert fleet.get("b") is b
         assert fleet.prior("a") == 1.2

@@ -3,7 +3,7 @@ import pytest
 
 from qdisco.datasets import data_path
 from qdisco.errors import ConfigError, NoRegionError
-from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
+from qdisco.hardware import QpuModel, load_calibration
 from qdisco.hscore import (
     ReferenceDistribution,
     accuracy,
@@ -15,6 +15,8 @@ from qdisco.hscore import (
 from qdisco.optimizer import OptimizerConfig
 from qdisco.problem import ProblemGraph, SpinPolynomial, maxcut_to_spin_polynomial
 from qdisco.simulator import ShotCounts
+
+from topologies import uniform_qpu
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
 RING6 = maxcut_to_spin_polynomial(
@@ -143,9 +145,7 @@ class TestBuildReference:
 
 class TestBenchmarkQpu:
     def test_self_normalization_statistical(self):
-        qpu = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.uniform(0.0, 0.0), name="clean"
-        )
+        qpu = uniform_qpu("ring", num_qubits=6, readout=0.0, gate=0.0, name="clean")
         cfg = OptimizerConfig(max_evaluations=80)
         report, ref = benchmark_qpu(
             RING6, qpu, p=1, m=150, seed=11, cfg=cfg, shots=128, m_ref=150
@@ -156,12 +156,8 @@ class TestBenchmarkQpu:
     def test_noise_lowers_score(self):
         cfg = OptimizerConfig(max_evaluations=80)
         ref = build_reference(RING6, 1, cfg, 120, seed=12, shots=128)
-        clean = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.uniform(0.0, 0.0), name="c"
-        )
-        dirty = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.uniform(0.02, 0.02), name="d"
-        )
+        clean = uniform_qpu("ring", num_qubits=6, readout=0.0, gate=0.0, name="c")
+        dirty = uniform_qpu("ring", num_qubits=6, readout=0.02, gate=0.02, name="d")
         r_clean, _ = benchmark_qpu(
             RING6, clean, 1, m=40, seed=13, cfg=cfg, shots=128, m_ref=120, reference=ref
         )
@@ -173,7 +169,7 @@ class TestBenchmarkQpu:
     def test_reference_mismatch_rejected(self):
         cfg = OptimizerConfig(max_evaluations=40)
         ref = build_reference(EDGE_POLY, 1, cfg, 100, seed=1, shots=64)
-        qpu = synthesize_topology("ring", num_qubits=6, name="q")
+        qpu = uniform_qpu("ring", num_qubits=6, name="q")
         with pytest.raises(ConfigError):
             benchmark_qpu(RING6, qpu, 1, m=10, seed=2, cfg=cfg, reference=ref)
 

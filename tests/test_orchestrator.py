@@ -9,7 +9,7 @@ from qdisco.compiler import SamplingRegion
 from qdisco.datasets import data_path
 from qdisco.decomposer import Partition
 from qdisco.errors import CapacityError, ConfigError
-from qdisco.hardware import ErrorProfile, Fleet, synthesize_topology
+from qdisco.hardware import Fleet
 from qdisco.optimizer import OptimizerConfig
 from qdisco.orchestrator import (
     ExecutionPlan,
@@ -31,6 +31,7 @@ from qdisco.simulator import ShotCounts
 
 from oracles import random_maxcut_graph
 from test_compiler import cyclic_garbage_left_by
+from topologies import uniform_qpu
 
 TWO_TRIANGLES = ProblemGraph(
     6,
@@ -43,9 +44,7 @@ TWO_TRIANGLES = ProblemGraph(
 
 def small_fleet(n=5, names=("qa", "qb"), priors=(1.0, 0.9)):
     qpus = tuple(
-        synthesize_topology(
-            "line", num_qubits=n, profile=ErrorProfile.uniform(0.0, 0.0), name=name
-        )
+        uniform_qpu("line", num_qubits=n, readout=0.0, gate=0.0, name=name)
         for name in names
     )
     return Fleet(qpus, dict(zip(names, priors)))
@@ -82,9 +81,7 @@ class TestPlanShapes:
         assert by_size[6].assignments[0].qpu_name == "qpu_alpha"
 
     def test_trivial_direct_plan(self):
-        qpu = synthesize_topology(
-            "line", num_qubits=2, profile=ErrorProfile.uniform(0.0, 0.0), name="tiny"
-        )
+        qpu = uniform_qpu("line", num_qubits=2, readout=0.0, gate=0.0, name="tiny")
         fleet = Fleet((qpu,))
         g = ProblemGraph(2, ((0, 1, 1.0),))
         plan_ = plan(g, fleet, eta=1.0, p=1, shots=100, seed=0)
@@ -95,9 +92,7 @@ class TestPlanShapes:
         # fleet with usable capacities {4, 5, 6}: a 15-vertex problem must
         # split into exactly those sizes without any explicit capacity config
         qpus = tuple(
-            synthesize_topology(
-                "line", num_qubits=k, profile=ErrorProfile.uniform(0.0, 0.0), name=f"l{k}"
-            )
+            uniform_qpu("line", num_qubits=k, readout=0.0, gate=0.0, name=f"l{k}")
             for k in (4, 5, 6)
         )
         fleet = Fleet(qpus)
@@ -150,17 +145,13 @@ class TestPlanShapes:
             plan(problem, Fleet(()), eta=1.0, p=1, shots=0)
 
     def test_unplaceable_problem_names_bottleneck(self):
-        qpu = synthesize_topology(
-            "line", num_qubits=3, profile=ErrorProfile.uniform(0.5, 0.5), name="bad"
-        )
+        qpu = uniform_qpu("line", num_qubits=3, readout=0.5, gate=0.5, name="bad")
         fleet = Fleet((qpu,))
         with pytest.raises(CapacityError, match="bottleneck|usable"):
             plan(TWO_TRIANGLES, fleet, eta=0.01, p=1, shots=10)
 
     def test_usable_region_size_tracks_filtering(self):
-        qpu = synthesize_topology(
-            "line", num_qubits=4, profile=ErrorProfile.uniform(0.005, 0.002), name="l4"
-        )
+        qpu = uniform_qpu("line", num_qubits=4, readout=0.005, gate=0.002, name="l4")
         assert usable_region_size(qpu, 0.01) == 4
         assert usable_region_size(qpu, 0.004) == 0
 
@@ -168,9 +159,7 @@ class TestPlanShapes:
         # three QPUs can over-cover a 9-vertex problem; the plan must trim
         # to a covering prefix instead of producing an empty partition part
         qpus = tuple(
-            synthesize_topology(
-                "line", num_qubits=k, profile=ErrorProfile.uniform(0.0, 0.0), name=f"l{k}_{i}"
-            )
+            uniform_qpu("line", num_qubits=k, readout=0.0, gate=0.0, name=f"l{k}_{i}")
             for i, k in enumerate((6, 4, 4))
         )
         fleet = Fleet(qpus)
@@ -303,9 +292,7 @@ class TestExecute:
         assert res.cost == pytest.approx(-4.0)
 
     def test_single_leaf_plan_is_a_direct_run(self):
-        qpu = synthesize_topology(
-            "ring", num_qubits=6, profile=ErrorProfile.uniform(0.0, 0.0), name="solo"
-        )
+        qpu = uniform_qpu("ring", num_qubits=6, readout=0.0, gate=0.0, name="solo")
         fleet = Fleet((qpu,))
         g = ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)))
         plan_ = plan(g, fleet, eta=1.0, p=1, shots=512, seed=4)
@@ -350,9 +337,7 @@ class TestExecute:
         g = random_maxcut_graph(rng, 10, 0.3)
         clean_fleet = small_fleet(n=5, names=("ca", "cb"))
         noisy_qpus = tuple(
-            synthesize_topology(
-                "line", num_qubits=5, profile=ErrorProfile.uniform(0.05, 0.05), name=n
-            )
+            uniform_qpu("line", num_qubits=5, readout=0.05, gate=0.05, name=n)
             for n in ("na", "nb")
         )
         noisy_fleet = Fleet(noisy_qpus, {"na": 1.0, "nb": 0.9})
@@ -372,9 +357,7 @@ class TestExecute:
         assert np.mean(clean_cuts) >= np.mean(noisy_cuts)
 
     def test_leaf_hscore_reports(self):
-        qpu = synthesize_topology(
-            "line", num_qubits=3, profile=ErrorProfile.uniform(0.0, 0.0), name="h"
-        )
+        qpu = uniform_qpu("line", num_qubits=3, readout=0.0, gate=0.0, name="h")
         fleet = Fleet((qpu,))
         g = ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         plan_ = plan(g, fleet, eta=1.0, p=1, shots=128, seed=9)

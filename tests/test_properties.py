@@ -26,7 +26,7 @@ from qdisco.compiler import (
 from qdisco.datasets import data_path
 from qdisco.decomposer import Partition, balanced_mincut, extract_subproblems, merge_solutions
 from qdisco.errors import ConfigError, NoRegionError, SchemaError
-from qdisco.hardware import ErrorProfile, Fleet, QpuModel, load_calibration, synthesize_topology
+from qdisco.hardware import Fleet, QpuModel, load_calibration
 from qdisco.hscore import best_region_placement
 from qdisco.problem import (
     ProblemGraph,
@@ -60,6 +60,7 @@ from oracles import (
     reference_steiner_tree_edges,
     reference_trajectory_probabilities,
 )
+from topologies import uniform_qpu
 
 WEIGHTS = st.one_of(
     st.integers(-5, 5).map(float),
@@ -614,10 +615,11 @@ def plan_cases(draw):
         kind = draw(st.sampled_from(("line", "ring")))
         error = 0.0 if i == 0 else draw(st.sampled_from((0.0, 0.005, 0.05)))
         qpus.append(
-            synthesize_topology(
+            uniform_qpu(
                 kind,
                 num_qubits=draw(st.integers(2 if kind == "line" else 3, 7)),
-                profile=ErrorProfile.uniform(error, error),
+                readout=error,
+                gate=error,
                 name=f"q{i}",
             )
         )

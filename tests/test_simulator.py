@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdisco.compiler import best_regions, filter_by_threshold, map_circuit
 from qdisco.errors import CapacityError, DimensionError, PlacementError
 from qdisco.datasets import data_path
-from qdisco.hardware import ErrorProfile, QpuModel, load_calibration, synthesize_topology
+from qdisco.hardware import QpuModel, load_calibration
 from qdisco.hscore import accuracy, best_region_placement
 from qdisco.problem import (
     ProblemGraph,
@@ -46,6 +46,7 @@ from oracles import (
     reference_noisy_sample,
     reference_qaoa_state,
 )
+from topologies import uniform_qpu
 
 EDGE_POLY = maxcut_to_spin_polynomial(ProblemGraph(2, ((0, 1, 1.0),)))
 RING6 = maxcut_to_spin_polynomial(ProblemGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6))))
@@ -329,7 +330,7 @@ class TestNoiseSpec:
             NoiseSpec((0.1,), {(0, 1): math.nextafter(1.0, 2.0)})
 
     def test_from_qpu_copies_calibration(self):
-        qpu = synthesize_topology("line", num_qubits=3, profile=ErrorProfile.uniform(0.02, 0.01))
+        qpu = uniform_qpu("line", num_qubits=3, readout=0.02, gate=0.01)
         spec = NoiseSpec.from_qpu(qpu, trajectories=8)
         assert spec.readout_flip_prob == (0.02, 0.02, 0.02)
         assert spec.two_qubit_error_prob[(0, 1)] == 0.01
@@ -340,9 +341,7 @@ class TestNoiseSpec:
 
 class TestNoisySample:
     def setup_method(self):
-        self.qpu = synthesize_topology(
-            "line", num_qubits=2, profile=ErrorProfile.uniform(0.0, 0.0), name="pair"
-        )
+        self.qpu = uniform_qpu("line", num_qubits=2, readout=0.0, gate=0.0, name="pair")
         self.placement = single_region_placement(EDGE_POLY, self.qpu)
         self.params = QaoaParams((0.8,), (0.6,))
 
@@ -430,9 +429,7 @@ class TestNoisySample:
         assert sum(counts.counts.values()) == 103
 
     def test_placement_mismatch_raises(self):
-        other = synthesize_topology(
-            "line", num_qubits=3, profile=ErrorProfile.uniform(0.0, 0.0), name="trio"
-        )
+        other = uniform_qpu("line", num_qubits=3, readout=0.0, gate=0.0, name="trio")
         with pytest.raises(PlacementError):
             noisy_sample(
                 EDGE_POLY,
@@ -463,9 +460,7 @@ class TestNoisySample:
         tri = maxcut_to_spin_polynomial(
             ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
         )
-        qpu = synthesize_topology(
-            "line", num_qubits=3, profile=ErrorProfile.uniform(0.0, 0.3), name="l3"
-        )
+        qpu = uniform_qpu("line", num_qubits=3, readout=0.0, gate=0.3, name="l3")
         placement = single_region_placement(tri, qpu)
         assert placement.swap_count == 1
         spec = NoiseSpec.from_qpu(qpu, trajectories=32)
@@ -769,7 +764,7 @@ class TestNoiseModel:
         # the wrong qubit shows; the angles put 0.93 of the ideal mass on
         # two outcomes, so a wrong fault rate shows.
         poly = SpinPolynomial(2, ((1.0, (0, 1)), (0.5, (0,))))
-        qpu = synthesize_topology("line", num_qubits=2, profile=ErrorProfile.uniform(0.0, 0.0))
+        qpu = uniform_qpu("line", num_qubits=2, readout=0.0, gate=0.0)
         placement = single_region_placement(poly, qpu)
         params, rate, readout, shots = QaoaParams((5.657,), (0.402,)), 0.3, (0.05, 0.2), 20000
         noise = NoiseSpec(readout, {(0, 1): rate}, trajectories=shots)
