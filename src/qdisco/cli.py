@@ -99,9 +99,8 @@ def _object(value, field: str, known: tuple[str, ...]) -> dict:
         raise ConfigError(f"config field '{field}' must be an object")
     for key in value:
         if key not in known:
-            raise ConfigError(
-                f"unknown config field '{field}.{key}' must be one of {', '.join(sorted(known))}"
-            )
+            name = f"{field}.{key}" if field else key
+            raise ConfigError(f"unknown config field '{name}' must be one of {', '.join(sorted(known))}")
     return value
 
 
@@ -150,6 +149,8 @@ class RunConfig:
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     doc = load_object(_read_text(path, "config"), "config file", ("problem", "fleet"), ConfigError)
+    optional = ("eta", "p", "shots", "seed", "capacities", "noise", "trajectories", "optimizer", "hscore")
+    _object(doc, "", ("problem", "fleet", *optional))  # the top level has no field name
     base = Path(path).parent
 
     def resolve(rel, field: str) -> Path:

@@ -96,7 +96,8 @@ def balanced_mincut(
     the capacities when they sum exactly to |V|; with slack, parts fill in
     capacity order.  Deterministic under ``seed``.  Graphs of more than
     MINCUT_VERTEX_LIMIT vertices, or with |V|^3 + 7 |V| |E| past
-    MINCUT_WORK_LIMIT, are refused before any work.
+    MINCUT_WORK_LIMIT, and more than MERGE_PART_LIMIT capacities (parts the
+    merge could not join, each adding to the work) are refused before any work.
     """
     n = g.num_vertices
     if n > MINCUT_VERTEX_LIMIT:
@@ -108,6 +109,8 @@ def balanced_mincut(
             f"balanced MinCut takes at most {(MINCUT_WORK_LIMIT - n**3) // (7 * n)} edges"
             f" on {n} vertices, got {len(g.edges)}"
         )
+    if len(capacities) > MERGE_PART_LIMIT:
+        raise PartitionError(f"balanced MinCut takes at most {MERGE_PART_LIMIT} parts, got {len(capacities)}")
     caps = [int(c) for c in capacities]
     if any(c < 1 for c in caps):
         raise PartitionError(f"capacities must be >= 1, got {caps}")

@@ -1,17 +1,16 @@
 """Exact statevector simulation of the alternating-operator ansatz.
 
-A batch of B states is one C-contiguous (2^n, B) block, amplitude-major,
-and its rows are copied back to contiguous states before they are summed.
-Noiseless paths apply the whole diagonal cost operator at once, so that
-many angle points share each call.  A cost vector holds few distinct
-values (ring6: 4 of 64), so each polynomial caches a level table: its
-distinct costs, told apart by bit pattern, and each basis state's index
-into them.  A layer exponentiates the (K, B) table of K levels and gathers
-it to the block.  The noisy path walks a placement's interaction schedule
-so stochastic two-qubit Pauli errors can attach to specific physical
-edges, with independent readout bit flips at measurement; each noisy run
-draws all of that from one random stream, in the order ``noisy_sample``
-documents.
+One kernel, ``_evolve``, evolves every state, B states at a time as one
+C-contiguous (2^n, B) block, amplitude-major.  A layer is a list of
+diagonal phase steps, then the mixer.  A step is a level table, a few
+distinct values and each basis state's index into them, so its phase is
+one exponential per level and row, gathered to the block.  Noiseless runs
+take the cost operator as one step: a cost vector holds few distinct
+values (ring6: 4 of 64).  Noisy runs take one step per entry of a
+placement's interaction schedule, so stochastic two-qubit Pauli errors
+attach to specific physical edges between steps; readout bits flip at
+measurement.  Each noisy run draws all of that from one random stream, in
+the order ``noisy_sample`` documents.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -198,43 +197,75 @@ def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
         np.add(c * view, s * view[:, ::-1], out=view)
 
 
+_PAULIS = ("I", "X", "Y", "Z")
+
+
+def _apply_pauli(amps: np.ndarray, q: int, which: str) -> None:
+    view = amps.reshape(-1, 2, 1 << q)
+    if which == "X":
+        tmp = view[:, 0, :].copy()
+        view[:, 0, :] = view[:, 1, :]
+        view[:, 1, :] = tmp
+    elif which == "Y":
+        tmp = view[:, 0, :].copy()
+        view[:, 0, :] = -1j * view[:, 1, :]
+        view[:, 1, :] = 1j * tmp
+    elif which == "Z":
+        view[:, 1, :] *= -1.0
+    # "I": nothing
+
+
 @functools.lru_cache(maxsize=128)
 def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct costs and each basis state's index into them.
+    """The distinct costs and each basis state's index into them: a noiseless layer's step.
 
     Costs are told apart by bit pattern, so ``levels[level_of]`` equals
     ``cost_vector(poly)`` bit for bit, signed zeros and NaNs included.  The
     indices take the narrowest unsigned type: at n = 24 with at most 256
     levels they hold 16 MiB, an eighth of the cost vector.
     """
+    _check_size(poly.num_spins)
     keys, level_of = np.unique(cost_vector(poly).view(np.int64), return_inverse=True)
     return keys.view(np.float64), level_of.astype(np.min_scalar_type(len(keys) - 1))
 
 
-def _evolve(poly: SpinPolynomial, angles: np.ndarray) -> np.ndarray:
-    """Ansatz amplitudes, column b for row b of a (B, 2p) array of flat angles."""
-    n = poly.num_spins
-    _check_size(n)
-    p = angles.shape[1] // 2
-    levels, level_of = _cost_levels(poly)
+def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict) -> np.ndarray:
+    """Ansatz amplitudes, column b for row b of a (B, 2p) array of flat angles.
+
+    ``layers[l]`` lists layer l's phase steps (levels, level_of): a step
+    multiplies basis state s of column b by exp(-i gamma_b levels[level_of[s]]).
+    ``fired[(l, step)]`` lists the Paulis applied in place after that step,
+    as (row, logical a, logical b, Pauli index).  The mixer ends each layer.
+    """
+    p = len(layers)
     block = np.full((1 << n, len(angles)), 2.0 ** (-n / 2.0), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # gamma * cost may overflow; callers check
-        phases = np.exp((-1j * angles[:, :p]).T[:, None, :] * levels[:, None])  # (p, K, B)
-        for layer in range(p):
-            block = block * np.take(phases[layer], level_of, axis=0)
+    gammas = -1j * angles[:, :p].T
+    with np.errstate(over="ignore", invalid="ignore"):  # gamma * level may overflow; callers check
+        for layer, steps in enumerate(layers):
+            for step, (levels, level_of) in enumerate(steps):
+                block = block * np.take(np.exp(gammas[layer] * levels[:, None]), level_of, axis=0)
+                for row, la, lb, pauli in fired.get((layer, step), ()):
+                    _apply_pauli(block[:, row], la, _PAULIS[pauli >> 2])
+                    _apply_pauli(block[:, row], lb, _PAULIS[pauli & 3])
             _apply_rx_all(block, n, angles[:, p + layer].tolist())
     return block
 
 
-def _blocks(poly: SpinPolynomial, values: np.ndarray):
+def _blocks(n: int, layers: list, values: np.ndarray, fires=None):
     """Evolve rows of a (B, 2p) angle array together; yield (first row, (2^n, B') block).
 
-    Blocks hold at most ``_BLOCK_AMPLITUDES`` amplitudes, or one state where
-    a state is larger, so each row equals its single-state run bit for bit.
+    ``fires[r]``, if given, maps row r's (layer, step) to its fired Paulis,
+    as (logical a, logical b, Pauli index).  Blocks hold at most
+    ``_BLOCK_AMPLITUDES`` amplitudes, or one state where a state is larger,
+    so each row equals its single-state run bit for bit.
     """
-    step = max(1, _BLOCK_AMPLITUDES >> poly.num_spins)
+    step = max(1, _BLOCK_AMPLITUDES >> n)
     for start in range(0, len(values), step):
-        yield start, _evolve(poly, values[start : start + step])
+        events: dict = {}
+        for row, fired in enumerate(fires[start : start + step] if fires else ()):
+            for key, paulis in fired.items():
+                events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
+        yield start, _evolve(n, values[start : start + step], layers, events)
 
 
 def build_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> StateVector:
@@ -252,7 +283,8 @@ def build_qaoa_states(poly: SpinPolynomial, params_list):
     depths = sorted({len(row) // 2 for row in values})
     if len(depths) > 1:
         raise DimensionError(f"states of one batch need one depth, got {depths}")
-    for _, block in _blocks(poly, np.array(values, dtype=np.float64)):
+    layers = [[_cost_levels(poly)]] * (depths[0] if depths else 0)
+    for _, block in _blocks(poly.num_spins, layers, np.array(values, dtype=np.float64)):
         for amps in np.ascontiguousarray(block.T):
             yield StateVector(amps, poly.num_spins)
 
@@ -264,8 +296,7 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
     ``QaoaParams.to_flat``); value b equals
     ``expectation(build_qaoa_state(poly, QaoaParams.from_flat(row)), poly)``
     bit for bit.  Rows are simulated together in blocks (see ``_blocks``);
-    each layer's phase is exp(-i gamma c) over the polynomial's distinct
-    costs c only, gathered to every basis state through the level table.
+    each layer is one phase step over the polynomial's distinct costs.
     Each block's probabilities are copied back to contiguous rows, and its
     values are one stacked vector-vector product, which calls the same
     ``ddot`` per row as ``np.dot``.
@@ -277,7 +308,8 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
         raise ValueError("angles must be finite")
     diag = cost_vector(poly)[:, None]
     out = np.empty(len(rows), dtype=np.float64)
-    for start, block in _blocks(poly, rows):
+    layers = [[_cost_levels(poly)]] * (rows.shape[1] // 2)
+    for start, block in _blocks(poly.num_spins, layers, rows):
         probs = np.ascontiguousarray((np.abs(block) ** 2).T)
         out[start : start + len(probs)] = np.matmul(probs[:, None, :], diag)[:, 0, 0]
     return out
@@ -307,23 +339,6 @@ def _counts(hist: np.ndarray, shots: int, n: int) -> ShotCounts:
 
 # --- noisy trajectory execution -------------------------------------------
 
-_PAULIS = ("I", "X", "Y", "Z")
-
-
-def _apply_pauli(amps: np.ndarray, q: int, which: str) -> None:
-    view = amps.reshape(-1, 2, 1 << q)
-    if which == "X":
-        tmp = view[:, 0, :].copy()
-        view[:, 0, :] = view[:, 1, :]
-        view[:, 1, :] = tmp
-    elif which == "Y":
-        tmp = view[:, 0, :].copy()
-        view[:, 0, :] = -1j * view[:, 1, :]
-        view[:, 1, :] = 1j * tmp
-    elif which == "Z":
-        view[:, 1, :] *= -1.0
-    # "I": nothing
-
 
 def _parity(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
     """Each basis state's parity over ``support``: 1 where the spin product is -1."""
@@ -333,9 +348,6 @@ def _parity(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
         for i in support:
             parity ^= (idx >> i) & 1
     return cache[support]
-
-
-_SIGNS = np.array([[1.0], [-1.0]])  # a Z-string's spin product, by parity
 
 
 def validate_placement(placement: Placement, poly: SpinPolynomial, qpu: QpuModel) -> None:
@@ -387,35 +399,15 @@ def _trajectory_rows(n: int, layers: list, params: list, fires: list):
     Row r runs the angles ``params[r]``; ``fires[r]`` maps (layer, entry) to
     its two-qubit Paulis, as (logical a, logical b, Pauli index), applied
     after that entry's phase; an empty map is an error-free trajectory.
-    Rows walk the schedule together, entry by entry, as the columns of
-    (2^n, B) blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes (one state
-    when a state is larger), so a fired Pauli acts on a strided column.  An
-    entry's phase is a (2, B) table, one value per row and spin product sign.
+    Each schedule entry is one phase step of ``_evolve``: levels (w, -w),
+    picked by the parity of the entry's support.
     """
     parity_cache: dict[tuple[int, ...], np.ndarray] = {}
-    step = max(1, _BLOCK_AMPLITUDES >> n)
-    for start in range(0, len(fires), step):
-        chunk = fires[start : start + step]
-        row_params = params[start : start + step]
-        events: dict = {}
-        for row, fired in enumerate(chunk):
-            for key, paulis in fired.items():
-                events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
-        distinct: dict[QaoaParams, int] = {}
-        row_factor = np.array([distinct.setdefault(pr, len(distinct)) for pr in row_params])
-        block = np.full((1 << n, len(chunk)), 2.0 ** (-n / 2.0), dtype=np.complex128)
-        for layer_idx, entries in enumerate(layers):
-            gammas = [pr.gammas[layer_idx] for pr in distinct]
-            for entry_idx, entry in enumerate(entries):
-                parity = _parity(n, entry.support, parity_cache)
-                angles = [gamma * entry.weight for gamma in gammas]
-                cos = np.array([math.cos(a) for a in angles])[row_factor]
-                sin = np.array([1j * math.sin(a) for a in angles])[row_factor]
-                block *= np.take(cos - sin * _SIGNS, parity, axis=0)
-                for row, la, lb, pauli in events.get((layer_idx, entry_idx), ()):
-                    _apply_pauli(block[:, row], la, _PAULIS[pauli >> 2])
-                    _apply_pauli(block[:, row], lb, _PAULIS[pauli & 3])
-            _apply_rx_all(block, n, [pr.betas[layer_idx] for pr in row_params])
+    steps = [
+        [(np.array([e.weight, -e.weight]), _parity(n, e.support, parity_cache)) for e in entries]
+        for entries in layers
+    ]
+    for _, block in _blocks(n, steps, np.array([pr.to_flat() for pr in params], dtype=np.float64), fires):
         for probs in np.ascontiguousarray((np.abs(block) ** 2).T):
             probs /= probs.sum()
             yield probs
@@ -489,10 +481,10 @@ def noisy_sample_batch(
     2..p and the list of channel applications are done once.  A run's fire
     and readout doubles are drawn in chunks of about ``_DOUBLES_AT_ONCE``,
     which read the same stream as one (T, P) or (shots, n) draw.  Each
-    trajectory that fires is a row of a (2^n, B) block, and a run's
-    trajectories that fire nothing share one more row, its first; the block
-    walks the schedule once per chunk of rows, each fired Pauli applied in
-    place to its own row after its entry's phase.  Each row's multinomial is
+    trajectory that fires is a row of the kernel's (2^n, B) blocks, and a
+    run's trajectories that fire nothing share one more row, its first;
+    each schedule entry is one phase step, and each fired Pauli acts in
+    place on its own row after its entry's step.  Each row's multinomial is
     drawn as the walk yields it, readout flips are one xor per shot, and
     each run is reduced with one ``bincount``.  Runs go in groups of about
     ``_TRAJECTORIES_AT_ONCE`` trajectories, so memory does not grow with

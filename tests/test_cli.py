@@ -686,6 +686,8 @@ MALFORMED_CONFIGS = [
     # a misspelt field is refused, not dropped
     malformed("optimizer.max_evaluation", {"optimizer": {"max_evaluation": 10}}),
     malformed("hscore.enable", {"hscore": {"enable": True}}),
+    malformed("trajectory", {"trajectory": 2}),
+    malformed("capacity", {"capacity": [3, 3]}),
     malformed("fleet[0].prior", {"fleet": [{"calibration": HEX16, "prior": 1.0}]}),
 ]
 
@@ -871,6 +873,11 @@ PLAN_ERRORS = [
         lambda tmp: ["partition", "--problem", str(data_path("problem_labs6.json")), "--capacities", "3,3"],
         "partition requires a graph problem",
         id="partition-labs",
+    ),
+    pytest.param(
+        lambda tmp: ["partition", "--problem", V15, "--capacities", ",".join(["1"] * 25)],
+        "balanced MinCut takes at most 24 parts, got 25",
+        id="partition-more-parts-than-the-merge-joins",
     ),
     pytest.param(
         lambda tmp: [*SIMULATE, "--layers", "1..2"], "simulate takes a single --layers value", id="simulate-layer-range"

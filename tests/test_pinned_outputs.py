@@ -38,6 +38,8 @@ PINNED = [
      "fca649573c51399e8c3f91b93d38b5502c30ca70de7b810835b30874220d1738"),
     ("benchmark", ["benchmark", *RING6_HEX16, "--layers", "1..2", "--seed", "7", "--mref", "100", "--m", "100"],
      "b78d38ca74772d6dc0b66ee2ad11b010d98b64fb8c94d297e57ef064a786dd78"),
+    ("benchmark-m500", ["benchmark", *RING6_HEX16, "--layers", "1..2", "--seed", "7", "--mref", "500", "--m", "500"],
+     "7f8ec9cbeeccd0bc12d498e4840d32ffe7f075f5c95ce6c2e80a9e67b6a24537"),
     ("simulate-p1", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "1"],
      "0e3db9148ff5e8553ed2bc4eeb51c3427e804e61edbdb8436c895444d677ceb5"),
     ("simulate-p2", ["simulate", "--problem", "problem_ring6.json", "--seed", "7", "--layers", "2"],

@@ -233,18 +233,24 @@ def test_extract_subproblems_conserves_every_edge(inputs):
 HEX16 = load_calibration(data_path("qpu_hex16.json").read_text())
 
 
+def wide(bound):
+    """Finite floats of either sign up to ``bound``, subnormals included."""
+    return st.floats(-bound, bound, allow_nan=False)
+
+
+ANGLES = wide(2 * math.pi)
+
+
 @st.composite
-def placed_circuits(draw):
-    """A polynomial with terms of degree 1-3 placed on hex16, and angles."""
+def placed_circuits(draw, weight=wide(3.0), gamma=ANGLES, beta=ANGLES, degree=3):
+    """A polynomial with terms of degree 1 to ``degree`` placed on hex16, and angles."""
     n = draw(st.integers(1, 6))
-    weight = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-    support = st.lists(st.sampled_from(range(n)), min_size=1, max_size=3, unique=True)
+    support = st.lists(st.sampled_from(range(n)), min_size=1, max_size=degree, unique=True)
     term = st.tuples(weight, support.map(lambda s: tuple(sorted(s))))
     terms = draw(st.lists(term, max_size=8))
     poly = SpinPolynomial(n, tuple(terms), constant_offset=draw(weight))
     p = draw(st.integers(1, 3))
-    angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-    params = QaoaParams(tuple(draw(angle) for _ in range(p)), tuple(draw(angle) for _ in range(p)))
+    params = QaoaParams(tuple(draw(gamma) for _ in range(p)), tuple(draw(beta) for _ in range(p)))
     return poly, params
 
 
@@ -284,8 +290,14 @@ def random_fires(rng, layers, n, rows):
 
 @st.composite
 def fired_trajectories(draw):
-    """A placed circuit, its routed layers and the fire maps of 1-6 trajectories."""
-    poly, params = draw(placed_circuits())
+    """A placed circuit, its routed layers and the fire maps of 1-6 trajectories.
+
+    Weights, angles and their products span subnormal to about 1e300: a merged
+    weight is at most 8 * 2^k and a gamma at most 2^(997 - k), so every phase
+    angle gamma * w stays finite.
+    """
+    k = draw(st.integers(0, 997))
+    poly, params = draw(placed_circuits(wide(2.0**k), wide(2.0 ** (997 - k)), wide(1e300), degree=4))
     layers = routed_layers(poly, params)
     n = poly.num_spins
     slots = [(l, e) for l, entries in enumerate(layers) for e in range(len(entries))]
