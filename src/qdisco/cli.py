@@ -59,6 +59,10 @@ def _emit_files(output: str | None, files: dict[str, str] | None, stdout: str) -
 # points of 2p angles (about 4e6 at the cap), sampling (shots,) and (shots, n) arrays.
 MAX_LAYERS = 1000
 MAX_SHOTS = 2**20
+# H-Score runs per side (--mref, --m, hscore.m_ref): optimize_batch keeps every run's
+# trace, max_evaluations x (2p + 1) doubles, until its batch ends.  At the default 150
+# evaluations a ring6 run peaked at 7-17 KB for p = 1..3, so the cap holds 70-170 MB.
+MAX_RUNS = 10**4
 _ETA = {"low": math.ulp(0.0), "high": 1.0}  # eta's (0, 1]: the smallest positive float up to 1
 
 
@@ -196,9 +200,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
 
     hs_doc = _object(doc.get("hscore", {}), "hscore", ("enabled", "m_ref"))
     with_hscore = _boolean(hs_doc.get("enabled", False), "hscore.enabled")
-    m_ref = _number(
-        int, hs_doc.get("m_ref", 100), "hscore.m_ref", low=MIN_REFERENCE_SIZE if with_hscore else -math.inf
-    )
+    # a disabled H-Score never reads m_ref, so only an enabled one is bounded
+    bounds = {"low": MIN_REFERENCE_SIZE, "high": MAX_RUNS} if with_hscore else {}
+    m_ref = _number(int, hs_doc.get("m_ref", 100), "hscore.m_ref", **bounds)
 
     return RunConfig(
         problem=problem,
@@ -447,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--problem", required=True)
     b.add_argument("--qpu", required=True)
     b.add_argument("--layers", type=layers, default=[1], help="p or range a..b")
-    b.add_argument("--mref", type=_flag(int, "mref", MIN_REFERENCE_SIZE), default=500, help="reference runs")
-    b.add_argument("--m", type=_flag(int, "m", 1), default=500, help="scoring runs")
+    b.add_argument("--mref", type=_flag(int, "mref", MIN_REFERENCE_SIZE, MAX_RUNS), default=500, help="reference runs")
+    b.add_argument("--m", type=_flag(int, "m", 1, MAX_RUNS), default=500, help="scoring runs")
     b.add_argument("--shots", type=shots, default=256)
     b.add_argument("--max-evaluations", type=max_evaluations, default=150)
     b.add_argument("-o", "--output", default=None, help="output directory")

@@ -12,6 +12,21 @@ attach to specific physical edges between steps; readout bits flip at
 measurement.  Each noisy run draws all of that from one random stream, in
 the order ``noisy_sample`` documents.
 
+Noiseless runs of a flip-symmetric cost keep half the amplitudes.  A cost
+whose terms all have even support (MaxCut, LABS, the merge's flip problem)
+is unchanged when every spin flips, and the start state, each phase step
+and each mixer butterfly treat basis state s and its complement ~s with the
+same operands in the same order, so a(~s) equals a(s) bit for bit.  The
+half is the 2^(n-1) states whose top qubit is clear; there the top qubit's
+partner of s, s + 2^(n-1), holds the amplitude of its complement
+2^(n-1) - 1 - s, so the partners are the half read in reverse.  A whole
+state, the half and then the half reversed, is built only where its values
+are read.  The half is used up to n = 13, where a whole state fits in one
+block: from 2^14 amplitudes numpy multiplies the phase product with its
+operands swapped (see ``_BLOCK_AMPLITUDES``), so at n = 14 a half of 2^13
+would round unlike the whole state.  Noisy rows stay whole, since a fired
+Z or Y anticommutes with the global flip.
+
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
 qubit j's bit at string position j.
@@ -179,7 +194,7 @@ def _check_size(n: int) -> None:
         raise CapacityError(f"statevector simulation supports 1..{MAX_QUBITS} qubits, got {n}")
 
 
-def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
+def _apply_rx_all(block: np.ndarray, n: int, betas, half: bool = False) -> None:
     """exp(-i beta_b X) on every qubit of column b of a (2^n, B) block, in place.
 
     Per qubit, (a0, a1) becomes c (a0, a1) + s (a1, a0), c = cos beta, s = -i sin beta:
@@ -187,14 +202,21 @@ def _apply_rx_all(block: np.ndarray, n: int, betas) -> None:
     the textbook c a0 - (i sin beta) a1; only an exact zero part may flip sign.  The
     block is mixed through reshaped views of itself, so it must be C-contiguous: any
     other block raises ValueError, since a reshape of it would be a copy.
+
+    With ``half``, the block is the (2^(n-1), B) top-qubit-clear half of flip-symmetric
+    states (see the module docstring).  Qubits 0..n-2 mix as above; the top qubit's
+    partner of row s holds the amplitude of row 2^(n-1) - 1 - s, so its butterfly reads
+    the block reversed, with the same operands, in the same order, as on the whole state.
     """
     if not block.flags.c_contiguous:
         raise ValueError("the mixer needs a C-contiguous block")
     c = np.array([math.cos(b) for b in betas], dtype=np.complex128)
     s = np.array([-1j * math.sin(b) for b in betas], dtype=np.complex128)
-    for q in range(n):
+    for q in range(n - half):
         view = block.reshape(-1, 2, 1 << q, len(betas))
         np.add(c * view, s * view[:, ::-1], out=view)
+    if half:
+        np.add(c * block, s * block[::-1], out=block)
 
 
 _PAULIS = ("I", "X", "Y", "Z")
@@ -217,7 +239,7 @@ def _apply_pauli(amps: np.ndarray, q: int, which: str) -> None:
 
 @functools.lru_cache(maxsize=128)
 def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct costs and each basis state's index into them: a noiseless layer's step.
+    """The distinct costs and each basis state's index into them, over all 2^n states.
 
     Costs are told apart by bit pattern, so ``levels[level_of]`` equals
     ``cost_vector(poly)`` bit for bit, signed zeros and NaNs included.  The
@@ -229,16 +251,34 @@ def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(np.float64), level_of.astype(np.min_scalar_type(len(keys) - 1))
 
 
-def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _noiseless_step(poly: SpinPolynomial) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
+    """A noiseless layer's phase step, and whether its states run on the half.
+
+    The half is taken, once per polynomial, where every term has even support
+    and a whole state fits in one block (n <= 13); its step's ``level_of``
+    covers the top-qubit-clear states only.
+    """
+    levels, level_of = _cost_levels(poly)
+    half = (1 << poly.num_spins) <= _BLOCK_AMPLITUDES and all(
+        len(support) % 2 == 0 for _, support in poly.terms
+    )
+    return (levels, level_of[: len(level_of) >> half]), half
+
+
+def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict, half: bool = False) -> np.ndarray:
     """Ansatz amplitudes, column b for row b of a (B, 2p) array of flat angles.
 
     ``layers[l]`` lists layer l's phase steps (levels, level_of): a step
     multiplies basis state s of column b by exp(-i gamma_b levels[level_of[s]]).
     ``fired[(l, step)]`` lists the Paulis applied in place after that step,
     as (row, logical a, logical b, Pauli index).  The mixer ends each layer.
+    With ``half`` (flip-symmetric steps, no fired Paulis) the block holds only
+    the 2^(n-1) states whose top qubit is clear, and each ``level_of`` covers
+    those; ``_full_rows`` rebuilds whole states from it.
     """
     p = len(layers)
-    block = np.full((1 << n, len(angles)), 2.0 ** (-n / 2.0), dtype=np.complex128)
+    block = np.full((1 << (n - half), len(angles)), 2.0 ** (-n / 2.0), dtype=np.complex128)
     gammas = -1j * angles[:, :p].T
     with np.errstate(over="ignore", invalid="ignore"):  # gamma * level may overflow; callers check
         for layer, steps in enumerate(layers):
@@ -247,17 +287,18 @@ def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict) -> np.ndarray
                 for row, la, lb, pauli in fired.get((layer, step), ()):
                     _apply_pauli(block[:, row], la, _PAULIS[pauli >> 2])
                     _apply_pauli(block[:, row], lb, _PAULIS[pauli & 3])
-            _apply_rx_all(block, n, angles[:, p + layer].tolist())
+            _apply_rx_all(block, n, angles[:, p + layer].tolist(), half)
     return block
 
 
-def _blocks(n: int, layers: list, values: np.ndarray, fires=None):
+def _blocks(n: int, layers: list, values: np.ndarray, fires=None, half: bool = False):
     """Evolve rows of a (B, 2p) angle array together; yield (first row, (2^n, B') block).
 
     ``fires[r]``, if given, maps row r's (layer, step) to its fired Paulis,
     as (logical a, logical b, Pauli index).  Blocks hold at most
     ``_BLOCK_AMPLITUDES`` amplitudes, or one state where a state is larger,
-    so each row equals its single-state run bit for bit.
+    so each row equals its single-state run bit for bit.  With ``half``,
+    blocks are (2^(n-1), B') halves (see ``_evolve``), as many rows each.
     """
     step = max(1, _BLOCK_AMPLITUDES >> n)
     for start in range(0, len(values), step):
@@ -265,7 +306,20 @@ def _blocks(n: int, layers: list, values: np.ndarray, fires=None):
         for row, fired in enumerate(fires[start : start + step] if fires else ()):
             for key, paulis in fired.items():
                 events.setdefault(key, []).extend((row, *pauli) for pauli in paulis)
-        yield start, _evolve(n, values[start : start + step], layers, events)
+        yield start, _evolve(n, values[start : start + step], layers, events, half)
+
+
+def _full_rows(block: np.ndarray, half: bool) -> np.ndarray:
+    """A block's columns as the C-contiguous rows of whole states.
+
+    A half column h (see ``_evolve``) becomes h followed by h reversed: the
+    value of state 2^(n-1) + t is that of its complement 2^(n-1) - 1 - t.
+    """
+    rows = block.T
+    if not half:
+        return np.ascontiguousarray(rows)
+    full = np.empty((len(rows), 2 * rows.shape[1]), dtype=rows.dtype)  # C order, unlike rows
+    return np.concatenate((rows, rows[:, ::-1]), axis=1, out=full)
 
 
 def build_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> StateVector:
@@ -283,9 +337,10 @@ def build_qaoa_states(poly: SpinPolynomial, params_list):
     depths = sorted({len(row) // 2 for row in values})
     if len(depths) > 1:
         raise DimensionError(f"states of one batch need one depth, got {depths}")
-    layers = [[_cost_levels(poly)]] * (depths[0] if depths else 0)
-    for _, block in _blocks(poly.num_spins, layers, np.array(values, dtype=np.float64)):
-        for amps in np.ascontiguousarray(block.T):
+    step, half = _noiseless_step(poly)
+    layers = [[step]] * (depths[0] if depths else 0)
+    for _, block in _blocks(poly.num_spins, layers, np.array(values, dtype=np.float64), half=half):
+        for amps in _full_rows(block, half):
             yield StateVector(amps, poly.num_spins)
 
 
@@ -308,9 +363,10 @@ def qaoa_expectations(poly: SpinPolynomial, angles) -> np.ndarray:
         raise ValueError("angles must be finite")
     diag = cost_vector(poly)[:, None]
     out = np.empty(len(rows), dtype=np.float64)
-    layers = [[_cost_levels(poly)]] * (rows.shape[1] // 2)
-    for start, block in _blocks(poly.num_spins, layers, rows):
-        probs = np.ascontiguousarray((np.abs(block) ** 2).T)
+    step, half = _noiseless_step(poly)
+    layers = [[step]] * (rows.shape[1] // 2)
+    for start, block in _blocks(poly.num_spins, layers, rows, half=half):
+        probs = _full_rows(np.abs(block) ** 2, half)
         out[start : start + len(probs)] = np.matmul(probs[:, None, :], diag)[:, 0, 0]
     return out
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qdisco
 from qdisco import _seeds, cli, decomposer, orchestrator
-from qdisco.cli import MAX_LAYERS, MAX_SHOTS, build_parser, load_run_config, main
+from qdisco.cli import MAX_LAYERS, MAX_RUNS, MAX_SHOTS, build_parser, load_run_config, main
 from qdisco.datasets import data_path
 from qdisco.decomposer import MINCUT_VERTEX_LIMIT
 from qdisco.errors import SchemaError
@@ -571,8 +571,8 @@ NUMERIC_FLAGS = [
     (COMPILE, "--regions", "regions", ["1.5", "0"]),
     (PARTITION, "--capacities", "capacities", ["4,1.5", "4,0", ","]),
     (BENCHMARK, "--layers", "layers", ["1.5", "0", "0..2", str(MAX_LAYERS + 1), f"1..{MAX_LAYERS + 1}", "3..1"]),
-    (BENCHMARK, "--mref", "mref", ["1.5", "0", "99"]),
-    (BENCHMARK, "--m", "m", ["1.5", "0"]),
+    (BENCHMARK, "--mref", "mref", ["1.5", "0", "99", str(MAX_RUNS + 1), "100000000000"]),
+    (BENCHMARK, "--m", "m", ["1.5", "0", str(MAX_RUNS + 1), "100000000000"]),
     (BENCHMARK, "--shots", "shots", ["1.5", "0", str(MAX_SHOTS + 1)]),
     (BENCHMARK, "--max-evaluations", "max-evaluations", ["1.5", "0"]),
     (SIMULATE, "--layers", "layers", ["1.5", "0", str(MAX_LAYERS + 1)]),
@@ -677,6 +677,7 @@ MALFORMED_CONFIGS = [
     # sizes are refused at load, before anything is allocated for them
     malformed("p", {"p": MAX_LAYERS + 1}, id="p-above-cap"),
     malformed("shots", {"shots": MAX_SHOTS + 1}, id="shots-above-cap"),
+    malformed("hscore.m_ref", {"hscore": {"enabled": True, "m_ref": MAX_RUNS + 1}}, id="hscore.m_ref-above-cap"),
     malformed("eta", {"eta": 1.5}, id="eta-above-range"),
     malformed("capacities", {"capacities": []}, id="capacities-empty"),
     malformed("fleet", {"fleet": []}, id="fleet-empty"),

@@ -1,15 +1,16 @@
 """Seeded CLI outputs, pinned byte for byte by their sha256.
 
 Each case runs in-process through ``cli.main`` inside a copy of the bundled
-data, with ``QDISCO_SEED`` unset.  A change that alters one of these outputs
-edits its digest here and names the change in CHANGES.md.  Run this file as a
-script (``PYTHONPATH=src python tests/test_pinned_outputs.py``) to print every
-case's id and current digest.
+data plus the files in ``WRITTEN``, with ``QDISCO_SEED`` unset.  A change that
+alters one of these outputs edits its digest here and names the change in
+CHANGES.md.  Run this file as a script (``PYTHONPATH=src python
+tests/test_pinned_outputs.py``) to print every case's id and current digest.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -25,6 +26,12 @@ from qdisco.datasets import data_path
 NUMPY_VERSION = "2.4.6"
 
 RING6_HEX16 = ["--problem", "problem_ring6.json", "--qpu", "qpu_hex16.json"]
+
+# files written into the data copy: a 14-vertex MaxCut problem, a ring with chords i -- i+5
+_V14_EDGES = [(i, (i + 1) % 14, 1.0) for i in range(14)] + [(i, (i + 5) % 14, 0.5) for i in range(14)]
+WRITTEN = {
+    "problem_v14.json": {"num_vertices": 14, "edges": [[min(u, v), max(u, v), w] for u, v, w in _V14_EDGES]},
+}
 
 # id, argv (paths relative to the data copy), sha256 of stdout or, for run, of result.json
 PINNED = [
@@ -53,7 +60,18 @@ PINNED = [
      "45c2a0cae00d0cc27c0dbaf09788c7e7d7f35c99779282a3811c7c26bd32c30a"),
     ("partition", ["partition", "--problem", "problem_v15.json", "--capacities", "4,5,6", "--seed", "3"],
      "e3fbc588ef40cbe385402291a106cca94b9a70e2a84d2c67301557df8ec25784"),
+    ("simulate-v14", ["simulate", "--problem", "problem_v14.json", "--seed", "2", "--layers", "3"],
+     "394106fafb32a53ff3ee44b9a1960958796b0336b9fdd7df2d9de88cd8efefc0"),
+    ("simulate-v15", ["simulate", "--problem", "problem_v15.json", "--seed", "7", "--layers", "3"],
+     "2dc6ff86721ce01b062220f7a40410324b9b8a1c46903db5c7a9675f5c916845"),
 ]
+
+
+def data_copy(dest: Path) -> None:
+    """The bundled data and the ``WRITTEN`` files, in ``dest``."""
+    shutil.copytree(data_path("."), dest)
+    for name, doc in WRITTEN.items():
+        (dest / name).write_text(json.dumps(doc))
 
 
 def output_digest(argv) -> str:
@@ -71,7 +89,7 @@ def output_digest(argv) -> str:
 
 @pytest.mark.parametrize("argv, digest", [pytest.param(a, d, id=i) for i, a, d in PINNED])
 def test_seeded_output_is_pinned(tmp_path, monkeypatch, argv, digest):
-    shutil.copytree(data_path("."), tmp_path / "data")
+    data_copy(tmp_path / "data")
     monkeypatch.chdir(tmp_path / "data")
     monkeypatch.delenv("QDISCO_SEED", raising=False)
     assert output_digest(argv) == digest, (
@@ -85,7 +103,7 @@ if __name__ == "__main__":
     here = os.getcwd()
     for case_id, argv, _ in PINNED:
         with tempfile.TemporaryDirectory() as tmp:
-            shutil.copytree(data_path("."), Path(tmp) / "data")
+            data_copy(Path(tmp) / "data")
             os.chdir(Path(tmp) / "data")
             print(case_id, output_digest(argv))
             os.chdir(here)

@@ -30,6 +30,7 @@ from qdisco.simulator import (
     _BLOCK_AMPLITUDES,
     _apply_rx_all,
     _cost_levels,
+    _noiseless_step,
     _TRAJECTORIES_AT_ONCE,
     noisy_sample,
     noisy_sample_batch,
@@ -246,6 +247,43 @@ class TestBuildQaoaStates:
     def test_refuses_mixed_depths(self):
         with pytest.raises(DimensionError):
             list(build_qaoa_states(EDGE_POLY, [QaoaParams((0.1,), (0.2,)), NO_LAYERS]))
+
+
+def half_test_polynomial(kind: str, n: int, rng) -> SpinPolynomial:
+    """A weighted random MaxCut, LABS, or an "odd" cost: a field, a degree-3 and a pair term."""
+    if kind == "maxcut":
+        return maxcut_to_spin_polynomial(random_maxcut_graph(rng, n, 0.5, True))
+    if kind == "labs":
+        return labs_to_spin_polynomial(n)
+    return SpinPolynomial(n, ((0.7, (1,)), (1.3, (0, 2, n - 1)), (0.9, (2, 3))), constant_offset=0.25)
+
+
+class TestHalfState:
+    """Flip-symmetric costs evolve on the top-qubit-clear half up to n = 13 and on whole
+    states from 14; an odd-degree cost always takes whole states.  Either way every value
+    and amplitude equals the single-state reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("maxcut", n) for n in range(1, 16)]
+        + [("labs", n) for n in range(2, 16)]  # LABS needs n >= 2
+        + [("odd", 5), ("odd", 13)],
+    )
+    def test_rows_equal_reference_state(self, kind, n):
+        rng = np.random.default_rng(n)
+        poly = half_test_polynomial(kind, n, rng)
+        assert _noiseless_step(poly)[1] == (kind != "odd" and n <= 13)
+        diag = cost_vector(poly)
+        for p in range(4):
+            for rows in (1, 2, max(1, _BLOCK_AMPLITUDES >> n)):  # the last is one full block
+                params = [
+                    QaoaParams(tuple(rng.uniform(0, 7, p)), tuple(rng.uniform(-4, 4, p))) for _ in range(rows)
+                ]
+                values = qaoa_expectations(poly, np.array([pr.to_flat() for pr in params]).reshape(rows, 2 * p))
+                for state, value, pr in zip(build_qaoa_states(poly, params), values, params, strict=True):
+                    want = reference_qaoa_state(poly, pr)
+                    assert np.array_equal(bits(state.amplitudes), bits(want))
+                    assert value == float(np.dot(np.abs(want) ** 2, diag))
 
 
 class TestShotCounts:
