@@ -52,6 +52,7 @@ def _emit_files(output: str | None, files: dict[str, str] | None, stdout: str) -
         out_dir, files = out_dir.parent, {out_dir.name: stdout}
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
+        (out_dir / name).unlink(missing_ok=True)  # truncating waits for pending ext4 write-back
         (out_dir / name).write_text(text)
 
 

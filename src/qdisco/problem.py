@@ -23,7 +23,8 @@ from ._fields import load_object, number
 from .errors import CapacityError, DimensionError, SchemaError
 
 BRUTE_FORCE_MAX_SPINS = 24
-_ENUM_BLOCK = 1 << 20
+# basis states per block of a cost vector: the block's n bit rows and its sum stay in cache
+_ENUM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -229,12 +230,25 @@ def labs_to_spin_polynomial(n: int) -> SpinPolynomial:
     return SpinPolynomial(n, tuple(terms), constant_offset=offset)
 
 
+def spin_parities(n: int, supports, start: int = 0, stop: int | None = None):
+    """Yield each support's parity over the basis states from ``start`` up to ``stop`` (2^n).
+
+    A parity is a ``uint8`` row, 1 where the product of the support's spins
+    is -1: the xor of the support's rows of index bits, unpacked once.
+    """
+    idx = np.arange(start, 1 << n if stop is None else stop, dtype=np.int64)
+    bits = [((idx >> i) & 1).astype(np.uint8) for i in range(n)]
+    for support in supports:
+        yield functools.reduce(np.bitwise_xor, (bits[i] for i in support), np.zeros(len(idx), np.uint8))
+
+
 @functools.lru_cache(maxsize=128)
 def cost_vector(poly: SpinPolynomial) -> np.ndarray:
     """Cost of every assignment, indexed by basis state (read-only array).
 
     Index b encodes qubit i's bit at position i (LSB first); bit 0 is spin
-    +1.  Evaluated in blocks to bound peak memory near the n=24 guard.
+    +1.  Evaluated in cache-sized blocks: each term adds w or -w, picked by
+    its parity (``spin_parities``), to the offset, in term order.
     """
     n = poly.num_spins
     if n > BRUTE_FORCE_MAX_SPINS:
@@ -244,14 +258,11 @@ def cost_vector(poly: SpinPolynomial) -> np.ndarray:
     size = 1 << n
     out = np.empty(size, dtype=np.float64)
     for start in range(0, size, _ENUM_BLOCK):
-        idx = np.arange(start, min(start + _ENUM_BLOCK, size), dtype=np.int64)
-        block = np.full(idx.shape, poly.constant_offset, dtype=np.float64)
-        for w, support in poly.terms:
-            prod = np.ones(idx.shape, dtype=np.float64)
-            for i in support:
-                prod *= 1.0 - 2.0 * ((idx >> i) & 1)
-            block += w * prod
-        out[start : start + len(idx)] = block
+        block = out[start : start + _ENUM_BLOCK]
+        block.fill(poly.constant_offset)
+        parities = spin_parities(n, (support for _, support in poly.terms), start, start + len(block))
+        for (w, _), parity in zip(poly.terms, parities):
+            block += np.where(parity, -w, w)
     out.setflags(write=False)
     return out
 

@@ -21,11 +21,14 @@ half is the 2^(n-1) states whose top qubit is clear; there the top qubit's
 partner of s, s + 2^(n-1), holds the amplitude of its complement
 2^(n-1) - 1 - s, so the partners are the half read in reverse.  A whole
 state, the half and then the half reversed, is built only where its values
-are read.  The half is used up to n = 13, where a whole state fits in one
-block: from 2^14 amplitudes numpy multiplies the phase product with its
-operands swapped (see ``_BLOCK_AMPLITUDES``), so at n = 14 a half of 2^13
-would round unlike the whole state.  Noisy rows stay whole, since a fired
-Z or Y anticommutes with the global flip.
+are read.  Noisy rows stay whole, since a fired Z or Y anticommutes with the
+global flip.
+
+Every operation on amplitudes is elementwise, with its operands in one fixed
+order (the phase product is ``np.multiply(block, phase, out=phase)``), so an
+amplitude's value depends neither on the block nor on the state's size: each
+row of a block, of a half or whole state, equals its single-state run bit
+for bit.
 
 Conventions (global): basis index b stores qubit i's bit at position i
 (qubit 0 least significant); bit 0 means spin +1.  Outcome strings put
@@ -44,16 +47,14 @@ from ._seeds import rng_from
 from .compiler import Placement, ordered_terms, route_phase_layer
 from .errors import CapacityError, DimensionError, PlacementError
 from .hardware import QpuModel
-from .problem import SpinPolynomial, cost_vector
+from .problem import SpinPolynomial, cost_vector, spin_parities
 
 MAX_QUBITS = 24
 DEFAULT_TRAJECTORIES = 64
 _NORM_TOL = 1e-9
 # A batch is simulated in (2^n, B) blocks of at most this many amplitudes
-# (under 256 KiB), or one state where a state is larger.  From 256 KiB on,
-# numpy multiplies a temporary in place with the operands swapped, and a
-# complex product then rounds differently; a block must not reach that size
-# where a single state does not, or its rows would differ from single states.
+# (under 256 KiB, so a block and its phase stay in cache), or one state where a
+# state is larger, so memory does not grow with the batch.
 _BLOCK_AMPLITUDES = (1 << 14) - 1
 
 
@@ -189,11 +190,6 @@ class NoiseSpec:
         )
 
 
-def _check_size(n: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"statevector simulation supports 1..{MAX_QUBITS} qubits, got {n}")
-
-
 def _apply_rx_all(block: np.ndarray, n: int, betas, half: bool = False) -> None:
     """exp(-i beta_b X) on every qubit of column b of a (2^n, B) block, in place.
 
@@ -246,7 +242,8 @@ def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
     indices take the narrowest unsigned type: at n = 24 with at most 256
     levels they hold 16 MiB, an eighth of the cost vector.
     """
-    _check_size(poly.num_spins)
+    if not 1 <= poly.num_spins <= MAX_QUBITS:
+        raise CapacityError(f"statevector simulation supports 1..{MAX_QUBITS} qubits, got {poly.num_spins}")
     keys, level_of = np.unique(cost_vector(poly).view(np.int64), return_inverse=True)
     return keys.view(np.float64), level_of.astype(np.min_scalar_type(len(keys) - 1))
 
@@ -255,14 +252,11 @@ def _cost_levels(poly: SpinPolynomial) -> tuple[np.ndarray, np.ndarray]:
 def _noiseless_step(poly: SpinPolynomial) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
     """A noiseless layer's phase step, and whether its states run on the half.
 
-    The half is taken, once per polynomial, where every term has even support
-    and a whole state fits in one block (n <= 13); its step's ``level_of``
-    covers the top-qubit-clear states only.
+    The half is taken, once per polynomial, where every term has even support;
+    its step's ``level_of`` covers the top-qubit-clear states only.
     """
     levels, level_of = _cost_levels(poly)
-    half = (1 << poly.num_spins) <= _BLOCK_AMPLITUDES and all(
-        len(support) % 2 == 0 for _, support in poly.terms
-    )
+    half = all(len(support) % 2 == 0 for _, support in poly.terms)
     return (levels, level_of[: len(level_of) >> half]), half
 
 
@@ -270,7 +264,8 @@ def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict, half: bool = 
     """Ansatz amplitudes, column b for row b of a (B, 2p) array of flat angles.
 
     ``layers[l]`` lists layer l's phase steps (levels, level_of): a step
-    multiplies basis state s of column b by exp(-i gamma_b levels[level_of[s]]).
+    multiplies basis state s of column b by exp(-i gamma_b levels[level_of[s]]),
+    the amplitude the first operand, into the gathered phase's fresh buffer.
     ``fired[(l, step)]`` lists the Paulis applied in place after that step,
     as (row, logical a, logical b, Pauli index).  The mixer ends each layer.
     With ``half`` (flip-symmetric steps, no fired Paulis) the block holds only
@@ -283,7 +278,8 @@ def _evolve(n: int, angles: np.ndarray, layers: list, fired: dict, half: bool = 
     with np.errstate(over="ignore", invalid="ignore"):  # gamma * level may overflow; callers check
         for layer, steps in enumerate(layers):
             for step, (levels, level_of) in enumerate(steps):
-                block = block * np.take(np.exp(gammas[layer] * levels[:, None]), level_of, axis=0)
+                phase = np.take(np.exp(gammas[layer] * levels[:, None]), level_of, axis=0)
+                block = np.multiply(block, phase, out=phase)
                 for row, la, lb, pauli in fired.get((layer, step), ()):
                     _apply_pauli(block[:, row], la, _PAULIS[pauli >> 2])
                     _apply_pauli(block[:, row], lb, _PAULIS[pauli & 3])
@@ -296,9 +292,10 @@ def _blocks(n: int, layers: list, values: np.ndarray, fires=None, half: bool = F
 
     ``fires[r]``, if given, maps row r's (layer, step) to its fired Paulis,
     as (logical a, logical b, Pauli index).  Blocks hold at most
-    ``_BLOCK_AMPLITUDES`` amplitudes, or one state where a state is larger,
-    so each row equals its single-state run bit for bit.  With ``half``,
-    blocks are (2^(n-1), B') halves (see ``_evolve``), as many rows each.
+    ``_BLOCK_AMPLITUDES`` amplitudes, or one state where a state is larger;
+    every operation is elementwise in a fixed order, so each row equals its
+    single-state run bit for bit.  With ``half``, blocks are (2^(n-1), B')
+    halves (see ``_evolve``), as many rows each.
     """
     step = max(1, _BLOCK_AMPLITUDES >> n)
     for start in range(0, len(values), step):
@@ -396,16 +393,6 @@ def _counts(hist: np.ndarray, shots: int, n: int) -> ShotCounts:
 # --- noisy trajectory execution -------------------------------------------
 
 
-def _parity(n: int, support: tuple[int, ...], cache: dict) -> np.ndarray:
-    """Each basis state's parity over ``support``: 1 where the spin product is -1."""
-    if support not in cache:
-        idx = np.arange(1 << n, dtype=np.intp)
-        cache[support] = parity = np.zeros(1 << n, dtype=np.intp)
-        for i in support:
-            parity ^= (idx >> i) & 1
-    return cache[support]
-
-
 def validate_placement(placement: Placement, poly: SpinPolynomial, qpu: QpuModel) -> None:
     region = placement.region
     if region.qpu_name != qpu.name:
@@ -456,13 +443,11 @@ def _trajectory_rows(n: int, layers: list, params: list, fires: list):
     its two-qubit Paulis, as (logical a, logical b, Pauli index), applied
     after that entry's phase; an empty map is an error-free trajectory.
     Each schedule entry is one phase step of ``_evolve``: levels (w, -w),
-    picked by the parity of the entry's support.
+    picked by the parity of the entry's support (``spin_parities``).
     """
-    parity_cache: dict[tuple[int, ...], np.ndarray] = {}
-    steps = [
-        [(np.array([e.weight, -e.weight]), _parity(n, e.support, parity_cache)) for e in entries]
-        for entries in layers
-    ]
+    supports = list(dict.fromkeys(e.support for entries in layers for e in entries))
+    parity = dict(zip(supports, spin_parities(n, supports)))
+    steps = [[(np.array([e.weight, -e.weight]), parity[e.support]) for e in entries] for entries in layers]
     for _, block in _blocks(n, steps, np.array([pr.to_flat() for pr in params], dtype=np.float64), fires):
         for probs in np.ascontiguousarray((np.abs(block) ** 2).T):
             probs /= probs.sum()

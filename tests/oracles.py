@@ -105,7 +105,8 @@ def reference_qaoa_state(poly: SpinPolynomial, params: QaoaParams) -> np.ndarray
     diag = cost_vector(poly)
     amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     for gamma, beta in zip(params.gammas, params.betas):
-        amps = amps * np.exp(-1j * gamma * diag)
+        phase = np.exp(-1j * gamma * diag)
+        amps = np.multiply(amps, phase, out=phase)
         _rx_all_single(amps, n, beta)
     return amps
 
@@ -146,7 +147,8 @@ def physical_statevector(poly, placement, params) -> np.ndarray:
             for phys in entry.placed:
                 prod = prod * slot_sign(local[phys])
             angle = gamma * entry.weight
-            amps = amps * (np.cos(angle) - 1j * np.sin(angle) * prod)
+            phase = np.cos(angle) - 1j * np.sin(angle) * prod
+            amps = np.multiply(amps, phase, out=phase)
         amps = _rx_all_single(amps / np.linalg.norm(amps), n, beta)
 
     # logical qubit l ended on physical layout[l] -> local slot

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -1047,6 +1048,30 @@ class TestUnwritableOutput:
         argv = ["partition", "--problem", V15, "--capacities", "4,5,6", "-o", str(taken)]
         assert main(argv) == 1
         assert "File exists" in one_error_line(capsys)
+
+
+class TestOutputOverStaleFiles:
+    """``-o`` replaces existing files with exactly the bytes of a fresh write."""
+
+    def test_run_into_a_directory_of_longer_stale_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 1.0e9))  # run_meta's clock
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        stale.mkdir()
+        for name in ("result.json", "run_meta.json"):
+            (stale / name).write_text("x" * 10**6)
+        for out in (fresh, stale):
+            assert main(["run", "--config", VB, "-o", str(out)]) == 0
+        for name in ("result.json", "run_meta.json"):
+            assert len((fresh / name).read_bytes()) < 10**6
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_compile_over_a_longer_stale_file(self, tmp_path):
+        fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+        stale.write_text("x" * 10**6)
+        for out in (fresh, stale):
+            assert main([*COMPILE, "--regions", "2", "--seed", "7", "-o", str(out)]) == 0
+        assert len(fresh.read_bytes()) < 10**6
+        assert stale.read_bytes() == fresh.read_bytes()
 
 
 class TestBrokenPipe:

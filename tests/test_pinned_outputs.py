@@ -61,7 +61,7 @@ PINNED = [
     ("partition", ["partition", "--problem", "problem_v15.json", "--capacities", "4,5,6", "--seed", "3"],
      "e3fbc588ef40cbe385402291a106cca94b9a70e2a84d2c67301557df8ec25784"),
     ("simulate-v14", ["simulate", "--problem", "problem_v14.json", "--seed", "2", "--layers", "3"],
-     "394106fafb32a53ff3ee44b9a1960958796b0336b9fdd7df2d9de88cd8efefc0"),
+     "fd3bcd8ab15d72ffb1b28f0880a470b3ad7218f2b975f41067616a9d2cf98832"),
     ("simulate-v15", ["simulate", "--problem", "problem_v15.json", "--seed", "7", "--layers", "3"],
      "2dc6ff86721ce01b062220f7a40410324b9b8a1c46903db5c7a9675f5c916845"),
 ]

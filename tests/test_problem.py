@@ -5,6 +5,7 @@ import pytest
 
 from qdisco.errors import CapacityError, DimensionError, SchemaError
 from qdisco.problem import (
+    _ENUM_BLOCK,
     ProblemGraph,
     SpinAssignment,
     SpinPolynomial,
@@ -14,9 +15,10 @@ from qdisco.problem import (
     labs_to_spin_polynomial,
     maxcut_to_spin_polynomial,
     parse_problem_json,
+    spin_parities,
 )
 
-from oracles import cut_by_counting, labs_energy_direct, random_maxcut_graph
+from oracles import _sign_product, cut_by_counting, labs_energy_direct, random_maxcut_graph
 
 TRIANGLE = ProblemGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 
@@ -177,6 +179,40 @@ class TestBruteForce:
         for b in range(64):
             s = SpinAssignment.from_index(b, 6)
             assert costs[b] == pytest.approx(evaluate_cost(poly, s))
+
+
+BLOCK_BITS = _ENUM_BLOCK.bit_length() - 1  # n at which a cost vector is one whole block
+
+
+class TestCostVector:
+    """Blocks of parities give the plain per-term float sum, in term order, bit for bit."""
+
+    @pytest.mark.parametrize("n", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2])
+    def test_equals_the_per_term_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        terms = [
+            (
+                float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4)),
+                tuple(int(i) for i in rng.choice(n, size=rng.integers(0, 5), replace=False)),
+            )
+            for _ in range(40)
+        ]
+        poly = SpinPolynomial(n, tuple(terms), constant_offset=float(rng.standard_normal()))
+        assert {len(support) for _, support in poly.terms} == {1, 2, 3, 4}
+        want = np.full(1 << n, poly.constant_offset)
+        for w, support in poly.terms:
+            want += w * _sign_product(n, support, {})
+        got = cost_vector.__wrapped__(poly)  # uncached
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_parities_are_the_sign_products(self):
+        supports = [(), (0,), (2, 5), (0, 1, 3, 6), (6,)]
+        signs = [_sign_product(7, support, {}) for support in supports]
+        for start, stop in ((0, None), (0, 1), (37, 100), (64, 128)):
+            got = list(spin_parities(7, supports, start, stop))
+            assert [row.dtype for row in got] == [np.uint8] * len(supports)
+            for row, sign in zip(got, signs):
+                assert np.array_equal(1.0 - 2.0 * row, sign[start:stop])
 
 
 class TestSpinFlipSymmetry:

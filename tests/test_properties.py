@@ -354,6 +354,20 @@ def test_eight_qubit_block_rows_equal_single_row_walks(rows):
         assert np.array_equal(row, reference_trajectory_probabilities(8, layers, pr, fired, {}))
 
 
+@pytest.mark.parametrize("problem", ["ring14", "problem_v15.json"])
+def test_rows_of_two_to_the_fourteen_amplitudes_and_more_equal_single_row_walks(problem):
+    # one state per block, as large as the single-state walk's, clean and fired
+    if problem == "ring14":
+        poly = maxcut_to_spin_polynomial(ProblemGraph(14, tuple((i, (i + 1) % 14, 1.0) for i in range(14))))
+    else:
+        poly = parse_problem_json(data_path(problem).read_text()).polynomial
+    params = QaoaParams((0.4, -0.9), (0.7, 0.2))
+    layers = routed_layers(poly, params)
+    fired = [f for f in random_fires(np.random.default_rng(14), layers, poly.num_spins, 12) if f][:3]
+    assert len(fired) == 3
+    assert_rows_equal_single_row_walks(poly.num_spins, layers, params, [{}] + fired)
+
+
 EIGHTHS = st.integers(-40, 40).map(lambda k: k / 8)  # sums of these are exact
 
 

@@ -259,9 +259,9 @@ def half_test_polynomial(kind: str, n: int, rng) -> SpinPolynomial:
 
 
 class TestHalfState:
-    """Flip-symmetric costs evolve on the top-qubit-clear half up to n = 13 and on whole
-    states from 14; an odd-degree cost always takes whole states.  Either way every value
-    and amplitude equals the single-state reference bit for bit."""
+    """Flip-symmetric costs evolve on the top-qubit-clear half at every n; an odd-degree
+    cost always takes whole states.  Either way every value and amplitude equals the
+    single-state reference bit for bit."""
 
     @pytest.mark.parametrize(
         "kind, n",
@@ -272,7 +272,7 @@ class TestHalfState:
     def test_rows_equal_reference_state(self, kind, n):
         rng = np.random.default_rng(n)
         poly = half_test_polynomial(kind, n, rng)
-        assert _noiseless_step(poly)[1] == (kind != "odd" and n <= 13)
+        assert _noiseless_step(poly)[1] == (kind != "odd")
         diag = cost_vector(poly)
         for p in range(4):
             for rows in (1, 2, max(1, _BLOCK_AMPLITUDES >> n)):  # the last is one full block
